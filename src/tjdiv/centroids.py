@@ -18,24 +18,28 @@ import numpy as np
 
 from . import kernels
 from .errors import CapabilityError, DomainError, ValidationError
-from .generators import Generator, ensure_domain
+from .generators import Domain, Generator, as_points, ensure_domain
 
 
 @dataclass(frozen=True)
 class WeightedPointSet:
+    """Points with normalized weights.
+
+    `checked_domain`, when set, is a domain that every point is already
+    known to lie in (closed where evaluation is) and whose interior
+    holds the weighted barycenter. Centroid calls under a generator
+    with that domain then skip their own checks; lloyd_cluster sets it
+    after checking a whole round's clusters at once.
+    """
+
     points: np.ndarray   # (n, d)
     weights: np.ndarray  # (n,), nonnegative, sums to 1
+    checked_domain: Optional[Domain] = field(default=None, repr=False)
 
     @classmethod
-    def make(cls, points, weights: Optional[Sequence[float]] = None):
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValidationError(
-                f"points must form a nonempty (n, d) array, got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValidationError("points contain NaN or Inf")
+    def make(cls, points, weights: Optional[Sequence[float]] = None,
+             checked_domain: Optional[Domain] = None):
+        pts = as_points(points)
         if weights is None:
             w = np.full(pts.shape[0], 1.0 / pts.shape[0])
         else:
@@ -49,7 +53,7 @@ class WeightedPointSet:
             if total <= 0.0:
                 raise ValidationError("weights must not all be zero")
             w = w / total
-        return cls(points=pts, weights=w)
+        return cls(points=pts, weights=w, checked_domain=checked_domain)
 
     @property
     def n(self) -> int:
@@ -94,13 +98,14 @@ def _check_inputs(g: Generator, data: WeightedPointSet):
     if not g.has_grad_inverse:
         raise CapabilityError(
             f"{g.name} has no inverse gradient; fixed-point updates need one")
-    for row in data.points:
-        ensure_domain(g, row)
+    if data.checked_domain != g.domain:
+        ensure_domain(g, data.points)
 
 
 def _barycenter(g: Generator, data: WeightedPointSet) -> np.ndarray:
     c = data.weights @ data.points
-    ensure_domain(g, c, interior=True)
+    if data.checked_domain != g.domain:
+        ensure_domain(g, c, interior=True)
     return c
 
 

@@ -187,12 +187,22 @@ def load_dataset(path, generator=None, interior=False, weight_column=None):
 
 
 def _ensure_rows(g, data, interior, meta):
-    for i, row in enumerate(data.points):
-        try:
-            ensure_domain(g, row, interior=interior)
-        except DomainError as exc:
-            raise DomainError(
-                f"{meta['path']} line {meta['first_line'] + i}: {exc}")
+    try:
+        ensure_domain(g, data.points, interior=interior)
+    except DomainError as exc:
+        raise DomainError(
+            f"{meta['path']} line {meta['first_line'] + exc.row}: {exc}",
+            row=exc.row)
+
+
+def _load_unweighted(ns):
+    """Load --input for a command that has no use for point weights."""
+    data, meta = load_dataset(ns.input, weight_column=ns.weights)
+    if meta["has_weights"]:
+        raise ValidationError(
+            f"{ns.cmd} does not use point weights; drop --weights or "
+            f"the weight column from {meta['path']}")
+    return data, meta
 
 
 def _generator_from(ns, dim=None):
@@ -330,7 +340,7 @@ def _cmd_influence(ns):
 
 
 def _cmd_seed(ns):
-    data, meta = load_dataset(ns.input, weight_column=ns.weights)
+    data, meta = _load_unweighted(ns)
     g = _generator_from(ns, data.dim)
     _ensure_rows(g, data, False, meta)
     cfg = SeedingConfig(k=ns.k, alpha=ns.alpha, rng_seed=ns.rng_seed)
@@ -350,7 +360,7 @@ def _cmd_seed(ns):
 
 
 def _cmd_cluster(ns):
-    data, meta = load_dataset(ns.input, weight_column=ns.weights)
+    data, meta = _load_unweighted(ns)
     g = _generator_from(ns, data.dim)
     _ensure_rows(g, data, True, meta)
     cfg = SeedingConfig(k=ns.k, alpha=ns.alpha, rng_seed=ns.rng_seed)
@@ -365,9 +375,10 @@ def _cmd_cluster(ns):
         "k": ns.k,
         "n_points": meta["rows"],
     }
+    stop = "converged" if model.converged else "stopped at max-rounds"
     return results, [
         f"clustered {meta['rows']} points into {ns.k} groups in "
-        f"{model.rounds} rounds, potential {model.potential:.12g}"]
+        f"{model.rounds} rounds ({stop}), potential {model.potential:.12g}"]
 
 
 def _constants_payload(c):
@@ -382,7 +393,7 @@ def _constants_payload(c):
 
 
 def _cmd_bound_experiment(ns):
-    data, meta = load_dataset(ns.input, weight_column=ns.weights)
+    data, meta = _load_unweighted(ns)
     g = _generator_from(ns, data.dim)
     _ensure_rows(g, data, True, meta)
     cfg = SeedingConfig(k=ns.k, alpha=ns.alpha, rng_seed=ns.rng_seed,
@@ -405,7 +416,7 @@ def _cmd_bound_experiment(ns):
 
 
 def _cmd_constants(ns):
-    data, meta = load_dataset(ns.input, weight_column=ns.weights)
+    data, meta = _load_unweighted(ns)
     g = _generator_from(ns, data.dim)
     _ensure_rows(g, data, True, meta)
     c = estimate_bound_constants(g, data.points, samples=ns.samples,

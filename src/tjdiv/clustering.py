@@ -23,8 +23,8 @@ import numpy as np
 
 from . import kernels
 from .centroids import CentroidConfig, WeightedPointSet, total_jensen_centroid
-from .errors import CapabilityError, ValidationError
-from .generators import Generator, ensure_domain, hessian_at
+from .errors import CapabilityError, InvariantError, ValidationError
+from .generators import Generator, as_points, ensure_domain, hessian_at
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,8 @@ class ClusterModel:
     assignments: np.ndarray  # (n,) center indices, ties at lowest index
     potential: float
     rounds: int = 0
+    # assignments stopped changing within max_rounds
+    converged: bool = False
 
 
 @dataclass(frozen=True)
@@ -96,20 +98,6 @@ class ExperimentReport:
     k: int
 
 
-def _points(g: Generator, data) -> np.ndarray:
-    x = np.asarray(data, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValidationError(f"expected (n, d) points, got shape {x.shape}")
-    if x.shape[1] != g.dim:
-        raise ValidationError(
-            f"points have dimension {x.shape[1]}, generator expects {g.dim}")
-    for row in x:
-        ensure_domain(g, row)
-    return x
-
-
 def _streams(seed: int, n: int):
     return [np.random.Generator(np.random.PCG64(s))
             for s in np.random.SeedSequence(seed).spawn(n)]
@@ -135,7 +123,7 @@ def _seed_indices(g, x, k, alpha, rng) -> np.ndarray:
 
 def seed_indices(g: Generator, data, cfg: SeedingConfig) -> np.ndarray:
     """Row indices of the chosen centers, deterministic in cfg.rng_seed."""
-    x = _points(g, data)
+    x = as_points(data, g)
     if x.shape[0] < cfg.k:
         raise ValidationError(f"need at least k={cfg.k} points, have {x.shape[0]}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.rng_seed)))
@@ -144,13 +132,13 @@ def seed_indices(g: Generator, data, cfg: SeedingConfig) -> np.ndarray:
 
 def seed(g: Generator, data, cfg: SeedingConfig) -> np.ndarray:
     """The chosen center points themselves, shape (k, d)."""
-    x = _points(g, data)
+    x = as_points(data, g)
     return x[seed_indices(g, x, cfg)]
 
 
 def potential(g: Generator, alpha, data, centers) -> float:
     """sum_x min_c tJ_alpha(x : c) over the given center set."""
-    x = _points(g, data)
+    x = as_points(data, g)
     c = np.asarray(centers, dtype=np.float64)
     if c.ndim == 1:
         c = c.reshape(-1, 1)
@@ -162,7 +150,7 @@ def potential(g: Generator, alpha, data, centers) -> float:
 
 def brute_force_discrete_optimum(g: Generator, alpha, data, k: int) -> ClusterModel:
     """Exact minimizer of the potential over all k-subsets of the data."""
-    x = _points(g, data)
+    x = as_points(data, g)
     n = x.shape[0]
     if k < 1 or k > n:
         raise ValidationError(f"k={k} out of range for n={n}")
@@ -185,12 +173,14 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
                   max_rounds: int = 100) -> ClusterModel:
     """Alternating assignment / centroid update from a seeded start.
 
-    The assignment step can only lower the potential (checked); the
-    centroid update uses the two-stage total Jensen centroid and is
-    heuristic, so the potential across full rounds is not asserted
-    monotone. Empty clusters are re-seeded on the farthest point.
+    The assignment step can only lower the potential (checked, raising
+    InvariantError); the centroid update uses the two-stage total Jensen
+    centroid and is heuristic, so the potential across full rounds is
+    not required to fall. Empty clusters are re-seeded on the farthest
+    point. `data` is checked once here; each round's clusters are rows
+    of it and are not checked again.
     """
-    x = _points(g, data)
+    x = as_points(data, g)
     if x.shape[0] < cfg.k:
         raise ValidationError(f"need at least k={cfg.k} points, have {x.shape[0]}")
     ccfg = centroid_cfg or CentroidConfig(alpha=cfg.alpha)
@@ -198,14 +188,19 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
     centers = seed(g, x, cfg)
     prev_idx = None
     rounds = 0
+    converged = False
     for rounds in range(1, max_rounds + 1):
         mind, idx = kernels.min_divergence_assign(g, cfg.alpha, x, centers)
         if prev_idx is not None:
             held = kernels.pairwise_total_jensen(
                 g, cfg.alpha, x, centers[prev_idx])
             old_pot = float(held.sum())
+            new_pot = float(mind.sum())
             # re-assignment under fixed centers never increases the potential
-            assert float(mind.sum()) <= old_pot + 1e-12 * max(1.0, abs(old_pot))
+            if new_pot > old_pot + 1e-12 * max(1.0, abs(old_pot)):
+                raise InvariantError(
+                    f"round {rounds}: re-assignment raised the potential "
+                    f"from {old_pot!r} to {new_pot!r}")
         for j in range(cfg.k):
             if not np.any(idx == j):
                 centers = centers.copy()
@@ -213,21 +208,26 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
                 mind, idx = kernels.min_divergence_assign(
                     g, cfg.alpha, x, centers)
         if prev_idx is not None and np.array_equal(idx, prev_idx):
+            converged = True
             break
+        # a cluster left empty by the repair (its re-seeded center
+        # duplicates another center) keeps its center
+        clusters = {j: WeightedPointSet.make(x[idx == j],
+                                             checked_domain=g.domain)
+                    for j in range(cfg.k) if np.any(idx == j)}
+        # every start point in one check, in place of each centroid's own
+        ensure_domain(g, np.array([s.weights @ s.points
+                                   for s in clusters.values()]),
+                      interior=True)
         new_centers = centers.copy()
-        for j in range(cfg.k):
-            members = x[idx == j]
-            if len(members) == 0:
-                # repair cannot fill a cluster whose re-seeded center
-                # duplicates another center; leave it where it is
-                continue
-            res = total_jensen_centroid(g, WeightedPointSet.make(members), ccfg)
-            new_centers[j] = res.center
+        for j, members in clusters.items():
+            new_centers[j] = total_jensen_centroid(g, members, ccfg).center
         centers = new_centers
         prev_idx = idx
     mind, idx = kernels.min_divergence_assign(g, cfg.alpha, x, centers)
     return ClusterModel(centers=centers, assignments=idx,
-                        potential=float(mind.sum()), rounds=rounds)
+                        potential=float(mind.sum()), rounds=rounds,
+                        converged=converged)
 
 
 def estimate_bound_constants(g: Generator, data, samples: int = 4096,
@@ -235,7 +235,7 @@ def estimate_bound_constants(g: Generator, data, samples: int = 4096,
     """Sample the data's convex closure for K1, K2, and the conformal
     extremes. Estimates that blow up near a domain boundary are reported
     with their witness rather than raised."""
-    x = _points(g, data)
+    x = as_points(data, g)
     n = x.shape[0]
     if samples < 2:
         raise ValidationError("samples must be >= 2")
@@ -243,8 +243,7 @@ def estimate_bound_constants(g: Generator, data, samples: int = 4096,
     lam = rng.dirichlet(np.ones(n), size=samples)
     pts = np.vstack([x, lam @ x])
 
-    interior = np.array(
-        [g.domain.contains(row, interior=True) for row in pts])
+    interior = g.domain.rows_inside(pts, interior=True)
     excluded = int((~interior).sum())
     ipts = pts[interior]
     if len(ipts) == 0:
@@ -299,7 +298,7 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
     """Mean seeding potential over cfg.trials independent streams vs the
     brute-force discrete optimum, with the plug-in multiplier
     2 U^2 (1+V) (2 + log k) tabulated over eps_grid."""
-    x = _points(g, data)
+    x = as_points(data, g)
     opt = brute_force_discrete_optimum(g, cfg.alpha, x, cfg.k)
     pots = np.empty(cfg.trials)
     for t, rng in enumerate(_streams(cfg.rng_seed, cfg.trials)):

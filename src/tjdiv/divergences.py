@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .generators import Generator, as_point, ensure_domain
+from .generators import Generator, _xlogx, as_point, ensure_domain
 
 KINDS = (
     "jensen-raw", "jensen-scaled", "bregman", "total-bregman",
@@ -225,17 +225,10 @@ def total_jensen_shannon(p, q) -> DivergenceValue:
     if np.array_equal(p, q):
         return DivergenceValue("total-jensen-shannon", 0.0)
     delta = p - q
-    delta_f = float((_xlx(p) - p).sum() - (_xlx(q) - q).sum())
+    delta_f = float((_xlogx(p) - p).sum() - (_xlogx(q) - q).sum())
     dd = float(delta @ delta)
     rho = 1.0 / math.sqrt(1.0 + delta_f * delta_f / dd)
     return DivergenceValue("total-jensen-shannon", rho * js)
-
-
-def _xlx(x):
-    out = np.zeros_like(x)
-    m = x > 0.0
-    out[m] = x[m] * np.log(x[m])
-    return out
 
 
 def kl_gaussian(mu1, sigma1, mu2, sigma2) -> DivergenceValue:

@@ -7,7 +7,14 @@ class TjdivError(Exception):
 
 class DomainError(TjdivError):
     """A point lies outside a generator's domain, or on a boundary
-    where the requested quantity (gradient, second derivative) diverges."""
+    where the requested quantity (gradient, second derivative) diverges.
+
+    `row` is the index of the offending point when a stack of points
+    was checked, else None."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class ValidationError(TjdivError):
@@ -21,3 +28,8 @@ class CapabilityError(TjdivError):
 
 class SearchError(TjdivError):
     """A numerical search failed: no bracket, no sign change, no root."""
+
+
+class InvariantError(TjdivError):
+    """A computation broke a guarantee its theory gives, such as a
+    re-assignment step raising the clustering potential."""

@@ -32,15 +32,21 @@ class Domain:
     eval_closed_lo: bool = False
     eval_closed_hi: bool = False
 
+    def rows_inside(self, x, interior: bool = False) -> np.ndarray:
+        """Membership of each point in x, one broadcast comparison.
+
+        The last axis holds coordinates: a (d,) point gives a 0-d bool,
+        an (n, d) stack gives n bools. NaN is never inside.
+        """
+        x = np.asarray(x)
+        closed_lo = self.eval_closed_lo and not interior
+        closed_hi = self.eval_closed_hi and not interior
+        ok = ((x >= self.lo) if closed_lo else (x > self.lo)) \
+            & ((x <= self.hi) if closed_hi else (x < self.hi))
+        return ok.all(axis=-1) if ok.ndim else ok
+
     def contains(self, x: np.ndarray, interior: bool = False) -> bool:
-        lo_ok = x > self.lo
-        hi_ok = x < self.hi
-        if not interior:
-            if self.eval_closed_lo:
-                lo_ok = x >= self.lo
-            if self.eval_closed_hi:
-                hi_ok = x <= self.hi
-        return bool(np.all(lo_ok & hi_ok))
+        return bool(np.all(self.rows_inside(x, interior)))
 
     def describe(self) -> str:
         lb = "[" if self.eval_closed_lo else "("
@@ -82,12 +88,48 @@ def as_point(x, dim: Optional[int] = None) -> np.ndarray:
     return p
 
 
+def as_points(x, g: Optional[Generator] = None) -> np.ndarray:
+    """A nonempty, finite (n, d) float64 array; 1-D input is n points
+    of dimension 1. With a generator, the points must also match its
+    dimension and lie in its domain (closed where evaluation is)."""
+    pts = np.asarray(x, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValidationError(
+            f"points must form a nonempty (n, d) array, got {pts.shape}")
+    if g is not None:
+        if pts.shape[1] != g.dim:
+            raise ValidationError(
+                f"points have dimension {pts.shape[1]}, "
+                f"generator expects {g.dim}")
+        # before the finiteness test, so that a builtin generator, whose
+        # domain excludes NaN and +-Inf, names the offending point
+        ensure_domain(g, pts)
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("points contain NaN or Inf")
+    return pts
+
+
 def ensure_domain(g: Generator, x: np.ndarray, interior: bool = False) -> None:
-    if not g.domain.contains(x, interior=interior):
-        where = "the interior of " if interior else ""
-        raise DomainError(
-            f"point {np.asarray(x).tolist()} is outside {where}"
-            f"{g.name}'s domain {g.domain.describe()}")
+    """Raise DomainError unless every point of x lies in g's domain.
+
+    x is one (d,) point or an (n, d) stack, tested in one pass. The
+    error names the first point outside; for a stack, DomainError.row
+    holds that point's row index.
+    """
+    if g.domain.contains(x, interior):
+        return
+    x = np.asarray(x)
+    row = None
+    if x.ndim > 1:
+        inside = g.domain.rows_inside(x, interior).reshape(-1)
+        row = int(np.argmin(inside))
+        x = x.reshape(-1, x.shape[-1])[row]
+    where = "the interior of " if interior else ""
+    raise DomainError(
+        f"point {x.tolist()} is outside {where}"
+        f"{g.name}'s domain {g.domain.describe()}", row=row)
 
 
 def _xlogx(x):

@@ -6,8 +6,12 @@ x**2/2 whose sum is the squared-euclidean generator). Generators without
 a code (general mahalanobis, affine-transformed, user-supplied) always
 take the numpy path, which works off the generator's batched callables.
 
-Dispatchers validate nothing beyond alpha; callers are responsible for
-domain membership of the input points.
+Dispatchers validate nothing beyond alpha. Domain membership is checked
+once, where an array enters the library: the public functions of
+divergences, geometry, robustness, centroids and clustering check their
+arguments (generators.as_point or as_points, then ensure_domain, one
+vectorized pass per array) before any kernel sees them, and the CLI
+checks each loaded file the same way.
 """
 
 import numpy as np

@@ -201,6 +201,45 @@ def test_domain_errors_carry_file_line_numbers(tmp_path, capsys):
     assert code == 1
     assert "line 2" in err
 
+    # the whole file is checked in one pass; the error still names the
+    # first bad row's line
+    rows = ["1.5,2.5"] * 4999 + ["1.5,-2.5"]
+    big = _write(tmp_path / "big.csv", "\n".join(rows) + "\n")
+    code, _, err = run_cli(capsys, "cluster", "--input", big, "--k", "2",
+                           "--rng-seed", "0")
+    assert code == 1
+    assert err == (f"error: {big} line 5000: point [1.5, -2.5] is outside "
+                   "the interior of shannon's domain [0.0, inf)\n")
+
+
+def test_seed_takes_closed_domain_points_cluster_needs_interior(
+        tmp_path, capsys):
+    data = _write(tmp_path / "z.csv", "1.0\n0.0\n2.0\n")
+    code, _, _ = run_cli(capsys, "seed", "--input", data, "--k", "2",
+                         "--rng-seed", "0")
+    assert code == 0
+    code, _, err = run_cli(capsys, "cluster", "--input", data, "--k", "2",
+                           "--rng-seed", "0")
+    assert code == 1
+    assert "line 2: point [0.0] is outside the interior of shannon" in err
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("seed", ["--k", "1"]),
+    ("cluster", ["--k", "1"]),
+    ("bound-experiment", ["--k", "1", "--trials", "2", "--samples", "16"]),
+    ("constants", []),
+])
+def test_commands_without_weights_reject_a_weight_column(
+        tmp_path, capsys, cmd, extra):
+    auto = _write(tmp_path / "auto.csv", "x,weight\n1.0,9\n4.0,1\n")
+    named = _write(tmp_path / "named.csv", "x,mass\n1.0,9\n4.0,1\n")
+    for argv in (["--input", auto], ["--input", named, "--weights", "mass"]):
+        code, rep, err = run_cli(capsys, cmd, *argv, "--rng-seed", "0",
+                                 *extra)
+        assert code == 1 and rep is None
+        assert err.startswith(f"error: {cmd} does not use point weights")
+
 
 def test_seed_reruns_reproduce_from_echoed_seed(tmp_path, capsys):
     data = _write(tmp_path / "pts.csv",
@@ -221,9 +260,13 @@ def test_seed_reruns_reproduce_from_echoed_seed(tmp_path, capsys):
 def test_cluster_command_round_trip(tmp_path, capsys):
     data = _write(tmp_path / "two.csv",
                   "1.0\n1.1\n1.2\n1.3\n9.0\n9.2\n9.4\n9.6\n")
-    code, rep, _ = run_cli(capsys, "cluster", "--input", data, "--k", "2",
-                           "--rng-seed", "5")
+    code, rep, err = run_cli(capsys, "cluster", "--input", data, "--k", "2",
+                             "--rng-seed", "5")
     assert code == 0
+    assert "(converged)" in err
+    _, _, err = run_cli(capsys, "cluster", "--input", data, "--k", "2",
+                        "--rng-seed", "5", "--max-rounds", "1")
+    assert "in 1 rounds (stopped at max-rounds)" in err
     res = rep["results"]
     assert len(res["assignments"]) == 8
     assert len(res["centers"]) == 2

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from tjdiv import kernels
+from tjdiv.centroids import WeightedPointSet, total_jensen_centroid
 from tjdiv.clustering import (
     DEFAULT_EPS_GRID, SeedingConfig, brute_force_discrete_optimum,
     estimate_bound_constants, lloyd_cluster, potential, seed, seed_indices,
     seeding_bound_experiment)
 from tjdiv.divergences import total_jensen
-from tjdiv.errors import ValidationError
-from tjdiv.generators import make_builtin
+from tjdiv.errors import DomainError, InvariantError, ValidationError
+from tjdiv.generators import Domain, make_builtin
 from tjdiv.kernels import min_divergence_assign, pairwise_total_jensen
 
 SHANNON = make_builtin("shannon")
@@ -122,6 +124,61 @@ def test_lloyd_on_separated_blobs():
     mind, idx = min_divergence_assign(SHANNON, 0.5, X, model.centers)
     assert np.array_equal(idx, model.assignments)
     assert model.potential == pytest.approx(float(mind.sum()), rel=1e-12)
+    assert model.converged and model.rounds < 100
+    capped = lloyd_cluster(SHANNON, X, SeedingConfig(k=2, rng_seed=11),
+                           max_rounds=1)
+    assert capped.rounds == 1 and not capped.converged
+
+
+def test_reassignment_raising_the_potential_is_an_error(monkeypatch):
+    real = kernels.min_divergence_assign
+
+    def inflated(g, alpha, x, centers):
+        mind, idx = real(g, alpha, x, centers)
+        return mind + 1.0, idx
+
+    monkeypatch.setattr(kernels, "min_divergence_assign", inflated)
+    rng = np.random.default_rng(7)
+    X = np.concatenate([rng.normal(1.0, 0.05, size=10),
+                        rng.normal(5.0, 0.05, size=10)]).reshape(-1, 1)
+    with pytest.raises(InvariantError, match="round 2: re-assignment raised"):
+        lloyd_cluster(SHANNON, X, SeedingConfig(k=2, rng_seed=11))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_are_rejected(bad):
+    X = np.array([0.5, 1.0, 2.0, 4.0, bad, 8.0]).reshape(-1, 1)
+    # built directly, so that make's own finiteness test is bypassed
+    data = WeightedPointSet(points=X, weights=np.full(6, 1.0 / 6.0))
+    for run in (lambda: seed_indices(SHANNON, X, SeedingConfig(k=2)),
+                lambda: lloyd_cluster(SHANNON, X, SeedingConfig(k=2)),
+                lambda: total_jensen_centroid(SHANNON, data)):
+        with pytest.raises(DomainError) as exc:
+            run()
+        assert str(exc.value) == \
+            f"point [{bad}] is outside shannon's domain [0.0, inf)"
+        assert exc.value.row == 4
+
+
+def test_lloyd_domain_checks_do_not_grow_with_n(monkeypatch):
+    real = Domain.contains
+    calls = []
+
+    def counting(self, x, interior=False):
+        calls.append(np.shape(x))
+        return real(self, x, interior)
+
+    monkeypatch.setattr(Domain, "contains", counting)
+    seen = []
+    for n in (200, 2000):
+        rng = np.random.default_rng(5)
+        X = np.concatenate([rng.lognormal(0.0, 0.1, n // 2),
+                            rng.lognormal(2.0, 0.1, n // 2)]).reshape(-1, 1)
+        calls.clear()
+        model = lloyd_cluster(SHANNON, X, SeedingConfig(k=2, rng_seed=3))
+        seen.append((len(calls), model.rounds))
+    assert seen[0] == seen[1]
+    assert 0 < seen[0][0] <= 2 + 2 * seen[0][1]
 
 
 def test_lloyd_trivial_and_degenerate_inputs():

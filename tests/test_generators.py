@@ -100,6 +100,35 @@ def test_domain_edges():
         ensure_domain(bit, np.array([1.0 + 1e-12]))
 
 
+def _inside_reference(dom, v, interior):
+    lo_ok = v > dom.lo or (dom.eval_closed_lo and not interior and v == dom.lo)
+    hi_ok = v < dom.hi or (dom.eval_closed_hi and not interior and v == dom.hi)
+    return lo_ok and hi_ok
+
+
+@pytest.mark.parametrize("interior", [False, True])
+def test_stack_check_matches_a_row_by_row_loop(interior):
+    rng = np.random.default_rng(0)
+    values = [0.0, 1.0, 0.3, 0.7, 2.0, -0.1, 1.1, np.nan]
+    for name in ("shannon", "burg", "bit"):
+        g = make_builtin(name, 3)
+        for _ in range(100):
+            x = rng.choice(values, size=(rng.integers(1, 6), 3),
+                           p=[0.1, 0.1, 0.35, 0.35, 0.03, 0.03, 0.02, 0.02])
+            bad = [i for i, row in enumerate(x)
+                   if not all(_inside_reference(g.domain, v, interior)
+                              for v in row)]
+            if not bad:
+                assert ensure_domain(g, x, interior) is None
+                continue
+            with pytest.raises(DomainError) as stacked:
+                ensure_domain(g, x, interior)
+            with pytest.raises(DomainError) as single:
+                ensure_domain(g, x[bad[0]], interior)
+            assert stacked.value.row == bad[0]
+            assert str(stacked.value) == str(single.value)
+
+
 def test_as_point_shapes():
     assert as_point(2.5, 1).shape == (1,)
     assert as_point([1.0, 2.0], 2).shape == (2,)
