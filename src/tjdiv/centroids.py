@@ -18,27 +18,16 @@ import numpy as np
 
 from . import kernels
 from .errors import CapabilityError, DomainError, ValidationError
-from .generators import Domain, Generator, as_points, ensure_domain
+from .generators import Generator, as_points, ensure_domain
 
 
 @dataclass(frozen=True)
 class WeightedPointSet:
-    """Points with normalized weights.
-
-    `checked_domain`, when set, is a domain that every point is already
-    known to lie in (closed where evaluation is) and whose interior
-    holds the weighted barycenter. Centroid calls under a generator
-    with that domain then skip their own checks; lloyd_cluster sets it
-    after checking a whole round's clusters at once.
-    """
-
     points: np.ndarray   # (n, d)
     weights: np.ndarray  # (n,), nonnegative, sums to 1
-    checked_domain: Optional[Domain] = field(default=None, repr=False)
 
     @classmethod
-    def make(cls, points, weights: Optional[Sequence[float]] = None,
-             checked_domain: Optional[Domain] = None):
+    def make(cls, points, weights: Optional[Sequence[float]] = None):
         pts = as_points(points)
         if weights is None:
             w = np.full(pts.shape[0], 1.0 / pts.shape[0])
@@ -53,7 +42,7 @@ class WeightedPointSet:
             if total <= 0.0:
                 raise ValidationError("weights must not all be zero")
             w = w / total
-        return cls(points=pts, weights=w, checked_domain=checked_domain)
+        return cls(points=pts, weights=w)
 
     @property
     def n(self) -> int:
@@ -98,14 +87,12 @@ def _check_inputs(g: Generator, data: WeightedPointSet):
     if not g.has_grad_inverse:
         raise CapabilityError(
             f"{g.name} has no inverse gradient; fixed-point updates need one")
-    if data.checked_domain != g.domain:
-        ensure_domain(g, data.points)
+    ensure_domain(g, data.points)
 
 
 def _barycenter(g: Generator, data: WeightedPointSet) -> np.ndarray:
     c = data.weights @ data.points
-    if data.checked_domain != g.domain:
-        ensure_domain(g, c, interior=True)
+    ensure_domain(g, c, interior=True)
     return c
 
 
@@ -157,13 +144,20 @@ def total_jensen_centroid(g: Generator, data: WeightedPointSet,
     """Two-stage loop: conformal weight renormalization, then k frozen
     fixed-point steps. Non-convergence is reported, never raised."""
     _check_inputs(g, data)
-    alpha = cfg.alpha
     if cfg.init is not None:
         c = np.atleast_1d(np.asarray(cfg.init, dtype=np.float64))
         ensure_domain(g, c, interior=True)
     else:
         c = _barycenter(g, data)
+    return _total_jensen_centroid(g, data, cfg, c)
 
+
+def _total_jensen_centroid(g: Generator, data: WeightedPointSet,
+                           cfg: CentroidConfig, c: np.ndarray) -> CentroidResult:
+    """total_jensen_centroid from the start c, with no input checks: the
+    caller has checked data.points against g's domain and c against its
+    interior (lloyd_cluster does so once for all of a round's clusters)."""
+    alpha = cfg.alpha
     loss_prev = total_loss(g, alpha, data, c)
     loss_trace = [loss_prev]
     weights_trace: List[np.ndarray] = []

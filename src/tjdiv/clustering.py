@@ -22,7 +22,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import kernels
-from .centroids import CentroidConfig, WeightedPointSet, total_jensen_centroid
+from .centroids import (
+    CentroidConfig, WeightedPointSet, _total_jensen_centroid)
 from .errors import CapabilityError, InvariantError, ValidationError
 from .generators import Generator, as_points, ensure_domain, hessian_at
 
@@ -121,19 +122,23 @@ def _seed_indices(g, x, k, alpha, rng) -> np.ndarray:
     return np.asarray(chosen, dtype=np.int64)
 
 
-def seed_indices(g: Generator, data, cfg: SeedingConfig) -> np.ndarray:
-    """Row indices of the chosen centers, deterministic in cfg.rng_seed."""
-    x = as_points(data, g)
+def _seeded_indices(g, x, cfg: SeedingConfig) -> np.ndarray:
+    # x is already checked by the public caller
     if x.shape[0] < cfg.k:
         raise ValidationError(f"need at least k={cfg.k} points, have {x.shape[0]}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.rng_seed)))
     return _seed_indices(g, x, cfg.k, cfg.alpha, rng)
 
 
+def seed_indices(g: Generator, data, cfg: SeedingConfig) -> np.ndarray:
+    """Row indices of the chosen centers, deterministic in cfg.rng_seed."""
+    return _seeded_indices(g, as_points(data, g), cfg)
+
+
 def seed(g: Generator, data, cfg: SeedingConfig) -> np.ndarray:
     """The chosen center points themselves, shape (k, d)."""
     x = as_points(data, g)
-    return x[seed_indices(g, x, cfg)]
+    return x[_seeded_indices(g, x, cfg)]
 
 
 def potential(g: Generator, alpha, data, centers) -> float:
@@ -177,15 +182,13 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
     InvariantError); the centroid update uses the two-stage total Jensen
     centroid and is heuristic, so the potential across full rounds is
     not required to fall. Empty clusters are re-seeded on the farthest
-    point. `data` is checked once here; each round's clusters are rows
-    of it and are not checked again.
+    point. `data` is checked once here; seeding and each round's
+    clusters use rows of it without checking them again.
     """
     x = as_points(data, g)
-    if x.shape[0] < cfg.k:
-        raise ValidationError(f"need at least k={cfg.k} points, have {x.shape[0]}")
+    centers = x[_seeded_indices(g, x, cfg)]
     ccfg = centroid_cfg or CentroidConfig(alpha=cfg.alpha)
     ccfg = replace(ccfg, alpha=cfg.alpha, init=None)
-    centers = seed(g, x, cfg)
     prev_idx = None
     rounds = 0
     converged = False
@@ -212,16 +215,16 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
             break
         # a cluster left empty by the repair (its re-seeded center
         # duplicates another center) keeps its center
-        clusters = {j: WeightedPointSet.make(x[idx == j],
-                                             checked_domain=g.domain)
+        clusters = {j: WeightedPointSet.make(x[idx == j])
                     for j in range(cfg.k) if np.any(idx == j)}
-        # every start point in one check, in place of each centroid's own
-        ensure_domain(g, np.array([s.weights @ s.points
-                                   for s in clusters.values()]),
-                      interior=True)
+        # each centroid starts at its cluster's barycenter (ccfg.init is
+        # None); all of them are checked in one call
+        starts = np.array([m.weights @ m.points for m in clusters.values()])
+        ensure_domain(g, starts, interior=True)
         new_centers = centers.copy()
-        for j, members in clusters.items():
-            new_centers[j] = total_jensen_centroid(g, members, ccfg).center
+        for (j, members), start in zip(clusters.items(), starts):
+            new_centers[j] = _total_jensen_centroid(
+                g, members, ccfg, start).center
         centers = new_centers
         prev_idx = idx
     mind, idx = kernels.min_divergence_assign(g, cfg.alpha, x, centers)

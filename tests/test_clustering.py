@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tjdiv import kernels
-from tjdiv.centroids import WeightedPointSet, total_jensen_centroid
+from tjdiv.centroids import (
+    CentroidConfig, WeightedPointSet, total_jensen_centroid)
 from tjdiv.clustering import (
     DEFAULT_EPS_GRID, SeedingConfig, brute_force_discrete_optimum,
     estimate_bound_constants, lloyd_cluster, potential, seed, seed_indices,
@@ -176,9 +177,34 @@ def test_lloyd_domain_checks_do_not_grow_with_n(monkeypatch):
                             rng.lognormal(2.0, 0.1, n // 2)]).reshape(-1, 1)
         calls.clear()
         model = lloyd_cluster(SHANNON, X, SeedingConfig(k=2, rng_seed=3))
-        seen.append((len(calls), model.rounds))
+        seen.append((len(calls), model.converged, model.rounds))
     assert seen[0] == seen[1]
-    assert 0 < seen[0][0] <= 2 + 2 * seen[0][1]
+    # one check of X, then one per round that moves the centroids (all
+    # but the converged last round)
+    assert seen[0][1] and seen[0][0] == seen[0][2]
+
+    for draw in (seed, seed_indices):
+        calls.clear()
+        draw(SHANNON, X, SeedingConfig(k=2, rng_seed=3))
+        assert len(calls) == 1
+
+
+def test_lloyd_ignores_centroid_init():
+    # every centroid starts at its cluster's barycenter, whatever
+    # centroid_cfg.init says, so the barycenter check always applies
+    start = CentroidConfig(init=np.array([1.0]))
+    zeros = np.array([0.0, 0.0, 0.0, 5.0, 6.0, 7.0]).reshape(-1, 1)
+    for ccfg in (None, start):
+        with pytest.raises(DomainError, match=r"point \[0.0\] is outside "
+                           r"the interior of shannon's domain"):
+            lloyd_cluster(SHANNON, zeros, SeedingConfig(k=2, rng_seed=1),
+                          centroid_cfg=ccfg)
+    edge = np.array([0.0, 1.0, 5.0, 6.0]).reshape(-1, 1)
+    a = lloyd_cluster(SHANNON, edge, SeedingConfig(k=2, rng_seed=1))
+    b = lloyd_cluster(SHANNON, edge, SeedingConfig(k=2, rng_seed=1),
+                      centroid_cfg=start)
+    assert np.array_equal(a.centers, b.centers)
+    assert np.array_equal(a.assignments, b.assignments)
 
 
 def test_lloyd_trivial_and_degenerate_inputs():
