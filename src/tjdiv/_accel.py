@@ -1,78 +1,5 @@
-"""Backend selection for the hot numeric kernels.
-
-Two interchangeable paths exist for every kernel: a numba-compiled loop
-and a vectorized numpy fallback. Selection is driven by the TJD_ACCEL
-environment variable:
-
-    auto   (default) use numba when importable, else numpy
-    numba  require numba; raise if it cannot be imported
-    numpy  force the fallback path even when numba is installed
-
-TJD_THREADS, when set to a positive integer, caps the numba threading
-layer. It has no effect on the numpy path.
-
-The choice is resolved once per process on first use and cached.
-"""
-
-import os
-
-from .errors import CapabilityError, ValidationError
-
-_MODES = ("auto", "numba", "numpy")
-
-_resolved = None  # cached backend name, "numba" or "numpy"
-_numba = None     # the numba module when the numba backend is active
-
-
-def _resolve():
-    global _resolved, _numba
-    mode = os.environ.get("TJD_ACCEL", "auto").strip().lower() or "auto"
-    if mode not in _MODES:
-        raise ValidationError(
-            f"TJD_ACCEL must be one of {_MODES}, got {mode!r}")
-    if mode == "numpy":
-        _resolved = "numpy"
-        return
-    try:
-        import numba
-    except ImportError:
-        if mode == "numba":
-            raise CapabilityError(
-                "TJD_ACCEL=numba but the numba package is not importable")
-        _resolved = "numpy"
-        return
-    threads = os.environ.get("TJD_THREADS", "").strip()
-    if threads:
-        try:
-            n = int(threads)
-        except ValueError:
-            raise ValidationError(
-                f"TJD_THREADS must be a positive integer, got {threads!r}")
-        if n < 1:
-            raise ValidationError(
-                f"TJD_THREADS must be a positive integer, got {threads!r}")
-        # cannot exceed the layer's launch-time thread count
-        numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
-    _numba = numba
-    _resolved = "numba"
+"""Name of the kernel path; the kernels are vectorized numpy only."""
 
 
 def backend():
-    """Return the active backend name, resolving it on first call."""
-    if _resolved is None:
-        _resolve()
-    return _resolved
-
-
-def numba_module():
-    """Return the numba module (backend must have resolved to numba)."""
-    if backend() != "numba":
-        raise CapabilityError("numba backend is not active")
-    return _numba
-
-
-def _reset_for_tests():
-    # lets the test suite re-resolve under a monkeypatched environment
-    global _resolved, _numba
-    _resolved = None
-    _numba = None
+    return "numpy"

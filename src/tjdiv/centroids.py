@@ -125,7 +125,6 @@ def jensen_centroid_cccp(g: Generator, alpha, data: WeightedPointSet,
 
 
 def _jensen_loss(g, alpha, pts, w, c):
-    # generic path on purpose: traces must not depend on the backend
     fa = alpha * g.f(pts) + (1.0 - alpha) * g.f(c) \
         - g.f(alpha * pts + (1.0 - alpha) * c)
     return float(w @ fa) / (alpha * (1.0 - alpha))

@@ -21,7 +21,6 @@ import time
 import numpy as np
 
 from . import __version__
-from ._accel import backend
 from .centroids import CentroidConfig, WeightedPointSet
 from .centroids import total_jensen_centroid, left_sided_centroid
 from .clustering import (
@@ -244,9 +243,8 @@ def _cmd_divergence(ns):
         fn = jensen_shannon if kind == "jensen-shannon" else total_jensen_shannon
         value = fn(p, q).value
         rho = None
-        js = jensen_shannon(p, q).value
-        if js > 0.0 and not np.array_equal(p, q):
-            rho = total_jensen_shannon(p, q).value / js
+        if not np.array_equal(p, q):
+            rho = conformal_factors(make_builtin("shannon", p.size), p, q).rho_j
         results = {"kind": kind, "value": value, "rho_j": rho,
                    "rho_b_q": None, "slope_sq": None}
         return results, [f"{kind} = {value:.12g}"]
@@ -690,7 +688,6 @@ def _echo(ns):
     echo = {k: v for k, v in vars(ns).items() if k not in skip}
     echo["subcommand"] = ns.cmd
     echo["version"] = __version__
-    echo["accel"] = backend()
     return echo
 
 

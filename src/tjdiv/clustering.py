@@ -144,11 +144,7 @@ def seed(g: Generator, data, cfg: SeedingConfig) -> np.ndarray:
 def potential(g: Generator, alpha, data, centers) -> float:
     """sum_x min_c tJ_alpha(x : c) over the given center set."""
     x = as_points(data, g)
-    c = np.asarray(centers, dtype=np.float64)
-    if c.ndim == 1:
-        c = c.reshape(-1, 1)
-    if c.shape[0] == 0:
-        raise ValidationError("centers must be nonempty")
+    c = as_points(centers, g)
     mind, _ = kernels.min_divergence_assign(g, alpha, x, c)
     return float(mind.sum())
 

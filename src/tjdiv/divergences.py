@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .generators import Generator, _xlogx, as_point, ensure_domain
+from .generators import Generator, as_point, ensure_domain, make_builtin
 
 KINDS = (
     "jensen-raw", "jensen-scaled", "bregman", "total-bregman",
@@ -224,10 +224,7 @@ def total_jensen_shannon(p, q) -> DivergenceValue:
     js = jensen_shannon(p, q).value
     if np.array_equal(p, q):
         return DivergenceValue("total-jensen-shannon", 0.0)
-    delta = p - q
-    delta_f = float((_xlogx(p) - p).sum() - (_xlogx(q) - q).sum())
-    dd = float(delta @ delta)
-    rho = 1.0 / math.sqrt(1.0 + delta_f * delta_f / dd)
+    rho = conformal_factors(make_builtin("shannon", p.size), p, q).rho_j
     return DivergenceValue("total-jensen-shannon", rho * js)
 
 

@@ -11,12 +11,11 @@ on the open interior and requesting one at a boundary raises.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
 from .errors import DomainError, ValidationError
 
 BUILTIN_NAMES = (
@@ -65,7 +64,6 @@ class Generator:
     second_deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     separable: bool = True
-    kernel_code: Optional[int] = field(default=None, repr=False)
 
     @property
     def has_grad_inverse(self) -> bool:
@@ -151,8 +149,7 @@ def _shannon(dim):
         f=f,
         grad=lambda x: np.log(np.asarray(x, dtype=np.float64)),
         grad_inverse=lambda y: np.exp(np.asarray(y, dtype=np.float64)),
-        second_deriv=lambda x: 1.0 / np.asarray(x, dtype=np.float64),
-        kernel_code=kernels.SHANNON)
+        second_deriv=lambda x: 1.0 / np.asarray(x, dtype=np.float64))
 
 
 def _burg(dim):
@@ -162,8 +159,7 @@ def _burg(dim):
         f=lambda x: (-np.log(np.asarray(x, dtype=np.float64))).sum(axis=-1),
         grad=lambda x: -1.0 / np.asarray(x, dtype=np.float64),
         grad_inverse=lambda y: -1.0 / np.asarray(y, dtype=np.float64),
-        second_deriv=lambda x: np.asarray(x, dtype=np.float64) ** -2.0,
-        kernel_code=kernels.BURG)
+        second_deriv=lambda x: np.asarray(x, dtype=np.float64) ** -2.0)
 
 
 def _logistic(y):
@@ -192,8 +188,7 @@ def _bit(dim):
     return Generator(
         name="bit", dim=dim,
         domain=Domain(0.0, 1.0, eval_closed_lo=True, eval_closed_hi=True),
-        f=f, grad=grad, grad_inverse=_logistic, second_deriv=second,
-        kernel_code=kernels.BIT)
+        f=f, grad=grad, grad_inverse=_logistic, second_deriv=second)
 
 
 def _quadratic(name, dim, q):
@@ -229,8 +224,7 @@ def _quadratic(name, dim, q):
         grad_inverse=lambda y: np.asarray(y, dtype=np.float64) @ q_inv,
         second_deriv=second,
         hessian=lambda x: q,
-        separable=is_identity,
-        kernel_code=kernels.HALF_SQUARE if is_identity else None)
+        separable=is_identity)
 
 
 def make_builtin(name: str, dimension: int = 1, matrix=None) -> Generator:
@@ -306,7 +300,7 @@ def affine_precompose(g: Generator, a: float, b: float = 0.0) -> Generator:
         f=lambda x: g.f(a * np.asarray(x)) + b,
         grad=lambda x: a * g.grad(a * np.asarray(x)),
         grad_inverse=ginv, second_deriv=second, hessian=hess,
-        separable=g.separable, kernel_code=None)
+        separable=g.separable)
 
 
 def affine_postcompose(g: Generator, lam: float, c: float = 0.0) -> Generator:
@@ -331,4 +325,4 @@ def affine_postcompose(g: Generator, lam: float, c: float = 0.0) -> Generator:
         f=lambda x: lam * g.f(x) + c,
         grad=lambda x: lam * g.grad(x),
         grad_inverse=ginv, second_deriv=second, hessian=hess,
-        separable=g.separable, kernel_code=None)
+        separable=g.separable)

@@ -1,19 +1,6 @@
-import pytest
 from hypothesis import HealthCheck, settings
 
-from tjdiv import kernels
-from tjdiv._accel import backend
-
-# first kernel call on the jit backend pays compilation; do it once up
-# front so per-test timing assertions see steady state
 settings.register_profile(
     "tjdiv", deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("tjdiv")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    if backend() == "numba":
-        kernels.warm_up()
-    yield

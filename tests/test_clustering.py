@@ -90,6 +90,17 @@ def test_potential_definition():
         potential(SHANNON, 0.5, X, np.empty((0, 1)))
 
 
+def test_potential_checks_centers():
+    X = np.array([[1.0], [2.0]])
+    # centres outside the domain once gave 3.66 (negative) and 0.0 (NaN)
+    with pytest.raises(DomainError, match=r"\[-1.0\]"):
+        potential(SHANNON, 0.5, X, [[-1.0]])
+    with pytest.raises(DomainError):
+        potential(SHANNON, 0.5, X, [[np.nan]])
+    with pytest.raises(ValidationError, match="dimension 2"):
+        potential(SHANNON, 0.5, X, [[1.0, 2.0]])
+
+
 def test_brute_force_small_cases():
     X = np.array([1.0, 2.0, 2.5, 6.0]).reshape(-1, 1)
     full = brute_force_discrete_optimum(SHANNON, 0.5, X, k=4)

@@ -171,10 +171,6 @@ def test_euclidean_is_identity_quadratic():
     g = make_builtin("squared-euclidean", 2)
     x = np.array([3.0, -4.0])
     assert float(g.f(x)) == pytest.approx(12.5)
-    assert g.kernel_code is not None
-    # a non-identity matrix loses the fast-path code
-    gq = make_builtin("squared-mahalanobis", 2, matrix=np.diag([1.0, 2.0]))
-    assert gq.kernel_code is None
 
 
 def test_separable_hessian_at():
