@@ -21,6 +21,22 @@ from .errors import CapabilityError, DomainError, ValidationError
 from .generators import Generator, as_points, ensure_domain
 
 
+def _normalized_weights(weights, n: int) -> np.ndarray:
+    """Weights of n points, uniform for None; given weights must be
+    finite, nonnegative and not all zero, and are scaled to sum to 1."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValidationError(f"{n} points but weight shape {w.shape}")
+    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+        raise ValidationError("weights must be finite and nonnegative")
+    total = w.sum()
+    if total <= 0.0:
+        raise ValidationError("weights must not all be zero")
+    return w / total
+
+
 @dataclass(frozen=True)
 class WeightedPointSet:
     points: np.ndarray   # (n, d)
@@ -29,20 +45,7 @@ class WeightedPointSet:
     @classmethod
     def make(cls, points, weights: Optional[Sequence[float]] = None):
         pts = as_points(points)
-        if weights is None:
-            w = np.full(pts.shape[0], 1.0 / pts.shape[0])
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-            if w.shape != (pts.shape[0],):
-                raise ValidationError(
-                    f"{pts.shape[0]} points but weight shape {w.shape}")
-            if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-                raise ValidationError("weights must be finite and nonnegative")
-            total = w.sum()
-            if total <= 0.0:
-                raise ValidationError("weights must not all be zero")
-            w = w / total
-        return cls(points=pts, weights=w)
+        return cls(points=pts, weights=_normalized_weights(weights, len(pts)))
 
     @property
     def n(self) -> int:
@@ -110,10 +113,7 @@ def jensen_centroid_cccp(g: Generator, alpha, data: WeightedPointSet,
     _check_inputs(g, data)
     w = data.weights
     if weights_override is not None:
-        w = np.asarray(weights_override, dtype=np.float64)
-        if w.shape != (data.n,) or np.any(w < 0.0):
-            raise ValidationError("override weights malformed")
-        w = w / w.sum()
+        w = _normalized_weights(weights_override, data.n)
     c = _barycenter(g, data)
     if not trace_loss:
         return kernels.cccp_steps(g, alpha, data.points, w, c, iters)
@@ -125,16 +125,21 @@ def jensen_centroid_cccp(g: Generator, alpha, data: WeightedPointSet,
 
 
 def _jensen_loss(g, alpha, pts, w, c):
-    fa = alpha * g.f(pts) + (1.0 - alpha) * g.f(c) \
-        - g.f(alpha * pts + (1.0 - alpha) * c)
-    return float(w @ fa) / (alpha * (1.0 - alpha))
+    gap = kernels._jensen_gap(g, alpha, pts, c[None, :], g.f(pts), g.f(c))
+    return float(w @ gap) / (alpha * (1.0 - alpha))
 
 
 def total_loss(g: Generator, alpha, data: WeightedPointSet, c) -> float:
-    """L(c; w) = sum_i w_i tJ_a(p_i : c) with the original weights."""
+    """L(c; w) = sum_i w_i tJ_a(p_i : c), original weights, c in g's domain."""
     c = np.atleast_1d(np.asarray(c, dtype=np.float64))
-    vals = kernels.pairwise_total_jensen(
-        g, alpha, data.points, np.broadcast_to(c, data.points.shape))
+    if c.ndim != 1:
+        raise ValidationError(f"a center is one point, got shape {c.shape}")
+    return _total_loss(g, alpha, data, as_points(c[None, :], g))
+
+
+def _total_loss(g, alpha, data, row):
+    """total_loss at an unchecked (1, d) center row."""
+    vals = kernels.pairwise_total_jensen(g, alpha, data.points, row)
     return float(data.weights @ vals)
 
 
@@ -157,7 +162,7 @@ def _total_jensen_centroid(g: Generator, data: WeightedPointSet,
     caller has checked data.points against g's domain and c against its
     interior (lloyd_cluster does so once for all of a round's clusters)."""
     alpha = cfg.alpha
-    loss_prev = total_loss(g, alpha, data, c)
+    loss_prev = _total_loss(g, alpha, data, c[None, :])
     loss_trace = [loss_prev]
     weights_trace: List[np.ndarray] = []
     best_loss, best_c = loss_prev, c
@@ -165,14 +170,13 @@ def _total_jensen_centroid(g: Generator, data: WeightedPointSet,
     increases = 0
     t = 0
     for t in range(1, cfg.outer_max_iters + 1):
-        rho = kernels.pairwise_conformal(
-            g, data.points, np.broadcast_to(c, data.points.shape))
+        rho = kernels.pairwise_conformal(g, data.points, c[None, :])
         wt = data.weights * rho
         wt = wt / wt.sum()
         weights_trace.append(wt)
         c = kernels.cccp_steps(
             g, alpha, data.points, wt, c, cfg.inner_cccp_iters)
-        loss = total_loss(g, alpha, data, c)
+        loss = _total_loss(g, alpha, data, c[None, :])
         loss_trace.append(loss)
         if loss < best_loss:
             best_loss, best_c = loss, c

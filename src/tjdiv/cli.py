@@ -40,6 +40,20 @@ GENERATOR_KINDS = (
 ALL_KINDS = GENERATOR_KINDS + (
     "jensen-shannon", "total-jensen-shannon", "kl-gaussian")
 
+# flags that a divergence kind has no use for; giving one is an error
+_GENERATOR_FLAGS = ("generator", "dim", "matrix", "alpha")
+_GAUSSIAN_FLAGS = ("mu1", "cov1", "mu2", "cov2")
+_UNUSED_DIVERGENCE_FLAGS = {
+    "jensen-raw": _GAUSSIAN_FLAGS,
+    "jensen-scaled": _GAUSSIAN_FLAGS,
+    "bregman": _GAUSSIAN_FLAGS + ("alpha",),
+    "total-bregman": _GAUSSIAN_FLAGS + ("alpha",),
+    "total-jensen": _GAUSSIAN_FLAGS,
+    "jensen-shannon": _GENERATOR_FLAGS + _GAUSSIAN_FLAGS,
+    "total-jensen-shannon": _GENERATOR_FLAGS + _GAUSSIAN_FLAGS,
+    "kl-gaussian": _GENERATOR_FLAGS + ("p", "q"),
+}
+
 COUNTEREXAMPLE = (
     np.array([0.98, 0.02]), np.array([0.52, 0.48]), np.array([0.006, 0.994]))
 
@@ -670,11 +684,22 @@ def _apply_config_and_defaults(ns, parser):
                     f"config key {key!r}: cannot parse {raw!r}")
         else:
             setattr(ns, key, raw)
+    if ns.cmd == "divergence":
+        _reject_unused_divergence_flags(ns)
     for key, val in DEFAULTS[ns.cmd].items():
         if getattr(ns, key, None) is None:
             setattr(ns, key, val)
     if _is_stochastic(ns) and ns.rng_seed is None:
         ns.rng_seed = _fresh_seed()
+
+
+def _reject_unused_divergence_flags(ns):
+    """Before defaults fill them: a flag set on the command line or in
+    the config file that --kind never reads is an error, not a no-op."""
+    for key in _UNUSED_DIVERGENCE_FLAGS[ns.kind]:
+        if getattr(ns, key) is not None:
+            raise ValidationError(
+                f"--kind {ns.kind} does not use --{key}; drop it")
 
 
 def _is_stochastic(ns):

@@ -5,6 +5,10 @@ Each kernel is vectorized numpy written against the generator's batched
 callables (f, grad, grad_inverse), so builtin, affine-transformed and
 user-supplied generators all take the same path.
 
+Row arguments broadcast, so a centre is one (1, d) row (`c[None, :]`)
+and F is evaluated on it once. rho_J and the Jensen gap are written once
+each, in `_rho` and `_jensen_gap`.
+
 Kernels validate nothing beyond alpha. Domain membership is checked
 once, where an array enters the library: the public functions of
 divergences, geometry, robustness, centroids and clustering check their
@@ -26,55 +30,58 @@ def _check_alpha(alpha):
 
 
 def _rows(a):
-    # a C-contiguous copy fixes the order of g.f's row sums: on a
-    # broadcast (stride-0) centre view numpy sums d >= 8 coordinates in
-    # another order, which moves the last bits of centroid results
+    # kept for public callers that pass broadcast (stride-0) views, on
+    # which numpy sums g.f's d >= 8 coordinates in another order: the
+    # copy gives them a real array's bits, and is free on contiguous input
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     return a
 
 
-def _tj(g, alpha, p, q):
-    fp_ = g.f(p)
-    fq = g.f(q)
-    fm = g.f(alpha * p + (1.0 - alpha) * q)
-    jraw = alpha * fp_ + (1.0 - alpha) * fq - fm
+def _rho(fp, fq, p, q):
+    """(rho_J per row, 1 where p = q; mask of p != q) from F(p) and F(q)."""
+    df = fp - fq
     dd = ((p - q) ** 2).sum(axis=-1)
-    out = np.zeros_like(jraw)
     nz = dd > 0.0
-    df = fp_ - fq
-    rho = 1.0 / np.sqrt(1.0 + df[nz] ** 2 / dd[nz])
-    out[nz] = rho * jraw[nz] / (alpha * (1.0 - alpha))
-    return out
+    rho = np.ones_like(df)
+    rho[nz] = 1.0 / np.sqrt(1.0 + df[nz] ** 2 / dd[nz])
+    return rho, nz
+
+
+def _jensen_gap(g, alpha, p, q, fp, fq):
+    """Row raw Jensen gap J'_alpha(p : q) from fp = F(p) and fq = F(q)."""
+    return alpha * fp + (1.0 - alpha) * fq - g.f(alpha * p + (1.0 - alpha) * q)
+
+
+def _tj(g, alpha, p, q):
+    fp, fq = g.f(p), g.f(q)
+    rho, nz = _rho(fp, fq, p, q)
+    tj = rho * _jensen_gap(g, alpha, p, q, fp, fq)
+    return np.where(nz, tj, 0.0) / (alpha * (1.0 - alpha))
 
 
 def pairwise_total_jensen(g, alpha, p, q):
-    """Row-wise scaled total Jensen divergence tJ_alpha(p_i : q_i)."""
+    """Row-wise scaled total Jensen divergence tJ_alpha(p_i : q_i); the
+    rows broadcast, so one centre is a (1, d) row."""
     _check_alpha(alpha)
     return _tj(g, alpha, _rows(p), _rows(q))
 
 
 def pairwise_conformal(g, p, q):
-    """Row-wise chord conformal factor rho_J(p_i, q_i); 1 on coincident rows."""
-    p = _rows(p)
-    q = _rows(q)
-    df = g.f(p) - g.f(q)
-    dd = ((p - q) ** 2).sum(axis=-1)
-    out = np.ones_like(df)
-    nz = dd > 0.0
-    out[nz] = 1.0 / np.sqrt(1.0 + df[nz] ** 2 / dd[nz])
-    return out
+    """Row-wise chord conformal factor rho_J(p_i, q_i), 1 on coincident
+    rows; the rows broadcast, so one centre is a (1, d) row."""
+    p, q = _rows(p), _rows(q)
+    return _rho(g.f(p), g.f(q), p, q)[0]
 
 
 def min_divergence_assign(g, alpha, x, centers):
-    """Per point: (min_c tJ_alpha(x_i : c), argmin index, lowest on ties)."""
+    """Per point: (min_c tJ_alpha(x_i : c), argmin index, lowest on ties);
+    each of the (k, d) centers meets x as a (1, d) row."""
     _check_alpha(alpha)
     x = _rows(x)
     centers = _rows(centers)
-    vals = np.stack(
-        [_tj(g, alpha, x, np.broadcast_to(c, x.shape)) for c in centers],
-        axis=1)
+    vals = np.stack([_tj(g, alpha, x, c[None, :]) for c in centers], axis=1)
     idx = np.argmin(vals, axis=1)  # argmin takes the first minimum
     return vals[np.arange(len(x)), idx], idx
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import kernels
 from .centroids import WeightedPointSet
-from .divergences import conformal_factors
 from .errors import CapabilityError, ValidationError
 from .generators import Generator, as_point, ensure_domain
 
@@ -110,8 +109,7 @@ def boundedness_sweep(g: Generator, p, y_max: float,
     n = max(2, int(math.ceil(per_decade * decades)) + 1)
     ys = np.geomspace(y0, y_max, n)
     zs = np.array([influence_analytic(g, p, np.array([y])) for y in ys])
-    rhos = np.array(
-        [conformal_factors(g, p, np.array([y])).rho_j for y in ys])
+    rhos = kernels.pairwise_conformal(g, p[None, :], ys[:, None])
 
     azs = np.abs(zs)
     first = azs[ys <= y0 * 10.0]

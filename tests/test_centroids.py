@@ -7,7 +7,7 @@ from dataclasses import replace
 from tjdiv.centroids import (
     CentroidConfig, WeightedPointSet, jensen_centroid_cccp,
     left_sided_centroid, total_jensen_centroid, total_loss)
-from tjdiv.errors import CapabilityError, ValidationError
+from tjdiv.errors import CapabilityError, DomainError, ValidationError
 from tjdiv.generators import make_builtin
 from tjdiv.kernels import pairwise_total_jensen
 
@@ -113,6 +113,19 @@ def test_weights_override_changes_the_pull():
         jensen_centroid_cccp(g, 0.5, data, weights_override=[1.0])
 
 
+@pytest.mark.parametrize("weights", [
+    [0.0, 0.0, 0.0], [np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0],
+    [-1.0, 1.0, 1.0]])
+def test_weights_override_is_checked_like_point_weights(weights):
+    # all-zero, NaN and infinite overrides once came back as [nan]
+    g = make_builtin("shannon")
+    data = WeightedPointSet.make([[1.0], [2.0], [4.0]])
+    with pytest.raises(ValidationError, match="weights must"):
+        jensen_centroid_cccp(g, 0.5, data, weights_override=weights)
+    with pytest.raises(ValidationError, match="weights must"):
+        WeightedPointSet.make(data.points, weights)
+
+
 def test_two_stage_exhibit_and_grid_gap():
     g = make_builtin("shannon")
     data = WeightedPointSet.make([[0.5], [2.0], [8.0]])
@@ -161,6 +174,21 @@ def test_total_loss_uses_original_weights():
                                  np.broadcast_to(c, data.points.shape))
     assert total_loss(g, 0.5, data, c) == pytest.approx(
         float(data.weights @ vals), rel=1e-14)
+
+
+def test_total_loss_checks_the_center():
+    g = make_builtin("shannon", 3)
+    data = WeightedPointSet.make([[1.0, 2.0, 3.0], [0.5, 0.5, 2.0]])
+    # a 1-coordinate centre was broadcast (1.2309...), a centre outside
+    # the domain gave 2.82 and a NaN centre gave 0.0
+    with pytest.raises(ValidationError, match="dimension 1"):
+        total_loss(g, 0.5, data, [1.0])
+    with pytest.raises(ValidationError, match="one point"):
+        total_loss(g, 0.5, data, [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+    with pytest.raises(DomainError, match=r"\[-1.0, 1.0, 1.0\]"):
+        total_loss(g, 0.5, data, [-1.0, 1.0, 1.0])
+    with pytest.raises(DomainError):
+        total_loss(g, 0.5, data, [np.nan, 1.0, 1.0])
 
 
 def test_left_sided_equals_mirrored_right():

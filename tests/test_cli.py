@@ -99,6 +99,42 @@ def test_exit_codes_for_usage_and_domain_errors(capsys):
     assert "error:" in err
 
 
+_PAIR = ["--p", "0.2,0.8", "--q", "0.5,0.5"]
+_GAUSS = ["--mu1", "0", "--cov1", "1", "--mu2", "1", "--cov2", "1"]
+
+
+@pytest.mark.parametrize("kind, extra, flag", [
+    # generator flags on the fixed-generator kinds once went unread
+    ("total-jensen-shannon", ["--generator", "burg", "--alpha", "0.9"]
+     + _PAIR, "--generator"),
+    ("jensen-shannon", ["--dim", "2"] + _PAIR, "--dim"),
+    ("kl-gaussian", ["--alpha", "0.3"] + _GAUSS, "--alpha"),
+    ("kl-gaussian", ["--matrix", "1"] + _GAUSS, "--matrix"),
+    # a point pair on the Gaussian kind
+    ("kl-gaussian", ["--p", "1"] + _GAUSS, "--p"),
+    # Gaussian parameters on a generator kind
+    ("total-jensen", ["--generator", "shannon", "--cov2", "1"] + _PAIR,
+     "--cov2"),
+    # alpha on the kinds that take no skew
+    ("bregman", ["--generator", "shannon", "--alpha", "0.3"] + _PAIR,
+     "--alpha"),
+])
+def test_divergence_rejects_flags_its_kind_does_not_use(
+        capsys, kind, extra, flag):
+    code, rep, err = run_cli(capsys, "divergence", "--kind", kind, *extra)
+    assert code == 1
+    assert rep is None
+    assert f"does not use {flag}" in err
+
+
+def test_divergence_rejects_unused_config_keys(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.cfg", "generator=burg\n")
+    code, _, err = run_cli(capsys, "divergence", "--config", cfg,
+                           "--kind", "jensen-shannon", *_PAIR)
+    assert code == 1
+    assert "does not use --generator" in err
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
 

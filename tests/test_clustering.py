@@ -101,6 +101,28 @@ def test_potential_checks_centers():
         potential(SHANNON, 0.5, X, [[1.0, 2.0]])
 
 
+@pytest.mark.parametrize("name, dim", [
+    ("shannon", 8), ("shannon", 16), ("bit", 12)])
+def test_assignment_sweep_and_pairwise_kernel_agree_bitwise(name, dim):
+    g = make_builtin(name, dim)
+    rng = np.random.default_rng(dim)
+    if name == "bit":
+        x = rng.uniform(0.05, 0.95, size=(2000, dim))
+    else:
+        x = np.exp(rng.normal(0.0, 1.0, size=(2000, dim)))
+    centers = x[rng.choice(len(x), size=5, replace=False)]
+    # the sweep once built stride-0 centre views, whose d >= 8 row sums
+    # came out in another order than the pairwise kernel's
+    mind, idx = min_divergence_assign(g, 0.3, x, centers)
+    assert np.array_equal(mind, pairwise_total_jensen(g, 0.3, x, centers[idx]))
+    c = centers[0]
+    view = np.broadcast_to(c, x.shape)
+    assert np.array_equal(pairwise_total_jensen(g, 0.3, x, c[None, :]),
+                          pairwise_total_jensen(g, 0.3, x, view))
+    assert np.array_equal(kernels.pairwise_conformal(g, x, c[None, :]),
+                          kernels.pairwise_conformal(g, x, view))
+
+
 def test_brute_force_small_cases():
     X = np.array([1.0, 2.0, 2.5, 6.0]).reshape(-1, 1)
     full = brute_force_discrete_optimum(SHANNON, 0.5, X, k=4)
