@@ -3,16 +3,16 @@
 Writes fixed-seed CSV datasets (d = 1, 2, 4, 8, 16) to a temporary
 directory, runs the seeded cluster, seed, centroid, bound-experiment,
 constants, influence and divergence commands in process, and prints one
-`name sha256[:16]` line per `results` block. Run it against two trees and
-diff the output to see which results a change moved:
+`name sha256[:16]` line per `results` block, each followed by one
+`name.key sha256[:16]` line per top-level key of that block. Run it
+against two trees and diff the output to see which results, and which
+fields of them, a change moved:
 
     python scripts/results_hashes.py > change.txt
     python scripts/results_hashes.py --src ../parent/src > parent.txt
     diff parent.txt change.txt
 
-With --keys it also prints one line per top-level key of each block
-(`name.key sha256[:16]`), which shows which fields of a moved block
-differ. Needs only the standard library and numpy.
+Needs only the standard library and numpy.
 """
 
 import argparse
@@ -127,8 +127,6 @@ def main(argv=None):
     ap.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
                     help="directory that holds the tjdiv package "
                          "(default: this repository's src)")
-    ap.add_argument("--keys", action="store_true",
-                    help="also hash each top-level key of each block")
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     from tjdiv.cli import main as tjdiv_main
@@ -137,9 +135,8 @@ def main(argv=None):
         for name, cmd in _commands(_datasets(tmp)):
             results = _run(tjdiv_main, cmd)
             print(name, _digest(results))
-            if args.keys:
-                for key in sorted(results):
-                    print(f"{name}.{key}", _digest(results[key]))
+            for key in sorted(results):
+                print(f"{name}.{key}", _digest(results[key]))
     return 0
 
 

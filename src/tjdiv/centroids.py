@@ -22,19 +22,14 @@ from .generators import Generator, as_points, ensure_domain
 
 
 def _normalized_weights(weights, n: int) -> np.ndarray:
-    """Weights of n points, uniform for None; given weights must be
-    finite, nonnegative and not all zero, and are scaled to sum to 1."""
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=np.float64)
+    """n weights summing to 1: uniform for None, else checked and scaled."""
+    w = np.ones(n) if weights is None else np.asarray(weights, np.float64)
     if w.shape != (n,):
         raise ValidationError(f"{n} points but weight shape {w.shape}")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ValidationError("weights must be finite and nonnegative")
-    total = w.sum()
-    if total <= 0.0:
-        raise ValidationError("weights must not all be zero")
-    return w / total
+    if not (np.all(np.isfinite(w)) and np.all(w >= 0.0) and w.sum() > 0.0):
+        raise ValidationError(
+            "weights must be finite, nonnegative and not all zero")
+    return w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -117,16 +112,11 @@ def jensen_centroid_cccp(g: Generator, alpha, data: WeightedPointSet,
     c = _barycenter(g, data)
     if not trace_loss:
         return kernels.cccp_steps(g, alpha, data.points, w, c, iters)
-    losses = [_jensen_loss(g, alpha, data.points, w, c)]
+    losses = [kernels.jensen_loss(g, alpha, data.points, w, c)]
     for _ in range(int(iters)):
         c = kernels.cccp_steps(g, alpha, data.points, w, c, 1)
-        losses.append(_jensen_loss(g, alpha, data.points, w, c))
+        losses.append(kernels.jensen_loss(g, alpha, data.points, w, c))
     return c, losses
-
-
-def _jensen_loss(g, alpha, pts, w, c):
-    gap = kernels._jensen_gap(g, alpha, pts, c[None, :], g.f(pts), g.f(c))
-    return float(w @ gap) / (alpha * (1.0 - alpha))
 
 
 def total_loss(g: Generator, alpha, data: WeightedPointSet, c) -> float:

@@ -284,7 +284,8 @@ def _cmd_divergence(ns):
         rbq = None
     results = {"kind": kind, "value": value, "rho_j": rho_j,
                "rho_b_q": rbq, "slope_sq": slope_sq}
-    return results, [f"{kind}({g.name}, alpha={ns.alpha}) = {value:.12g}"]
+    alpha = "" if ns.alpha is None else f", alpha={ns.alpha}"
+    return results, [f"{kind}({g.name}{alpha}) = {value:.12g}"]
 
 
 def _cmd_project(ns):
@@ -684,22 +685,20 @@ def _apply_config_and_defaults(ns, parser):
                     f"config key {key!r}: cannot parse {raw!r}")
         else:
             setattr(ns, key, raw)
+    # a flag that --kind never reads is an error, not a no-op, and is
+    # left unset rather than echoed with its default
+    unused = ()
     if ns.cmd == "divergence":
-        _reject_unused_divergence_flags(ns)
-    for key, val in DEFAULTS[ns.cmd].items():
-        if getattr(ns, key, None) is None:
-            setattr(ns, key, val)
-    if _is_stochastic(ns) and ns.rng_seed is None:
-        ns.rng_seed = _fresh_seed()
-
-
-def _reject_unused_divergence_flags(ns):
-    """Before defaults fill them: a flag set on the command line or in
-    the config file that --kind never reads is an error, not a no-op."""
-    for key in _UNUSED_DIVERGENCE_FLAGS[ns.kind]:
+        unused = _UNUSED_DIVERGENCE_FLAGS[ns.kind]
+    for key in unused:
         if getattr(ns, key) is not None:
             raise ValidationError(
                 f"--kind {ns.kind} does not use --{key}; drop it")
+    for key, val in DEFAULTS[ns.cmd].items():
+        if key not in unused and getattr(ns, key, None) is None:
+            setattr(ns, key, val)
+    if _is_stochastic(ns) and ns.rng_seed is None:
+        ns.rng_seed = _fresh_seed()
 
 
 def _is_stochastic(ns):

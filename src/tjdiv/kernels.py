@@ -1,13 +1,11 @@
-"""Hot numeric kernels: row-wise tJ and rho_J, the assignment sweep and
-the CCCP fixed-point step.
+"""Hot numeric kernels: row-wise tJ and rho_J, the Jensen loss, the
+assignment sweep and the CCCP fixed-point step.
 
 Each kernel is vectorized numpy written against the generator's batched
 callables (f, grad, grad_inverse), so builtin, affine-transformed and
-user-supplied generators all take the same path.
-
-Row arguments broadcast, so a centre is one (1, d) row (`c[None, :]`)
-and F is evaluated on it once. rho_J and the Jensen gap are written once
-each, in `_rho` and `_jensen_gap`.
+user-supplied generators all take the same path. Rows broadcast, so a
+centre is one (1, d) row and F runs on it once; rho_J and the Jensen gap
+are each written once, in `_rho` and `_jensen`.
 
 Kernels validate nothing beyond alpha. Domain membership is checked
 once, where an array enters the library: the public functions of
@@ -30,57 +28,59 @@ def _check_alpha(alpha):
 
 
 def _rows(a):
-    # kept for public callers that pass broadcast (stride-0) views, on
-    # which numpy sums g.f's d >= 8 coordinates in another order: the
-    # copy gives them a real array's bits, and is free on contiguous input
+    # public callers may pass stride-0 views, whose d >= 8 rows g.f sums
+    # in another order: copy those, at no cost on contiguous input
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     return a
 
 
+def _jensen(g, alpha, p, q):
+    """(F(p), F(q), row raw Jensen gap J'_alpha(p : q))."""
+    fp, fq = g.f(p), g.f(q)
+    fm = g.f(alpha * p + (1.0 - alpha) * q)
+    return fp, fq, alpha * fp + (1.0 - alpha) * fq - fm
+
+
 def _rho(fp, fq, p, q):
-    """(rho_J per row, 1 where p = q; mask of p != q) from F(p) and F(q)."""
-    df = fp - fq
+    """(rho_J per row, 1 where p = q; mask of p != q) from F(p), F(q)."""
     dd = ((p - q) ** 2).sum(axis=-1)
     nz = dd > 0.0
-    rho = np.ones_like(df)
-    rho[nz] = 1.0 / np.sqrt(1.0 + df[nz] ** 2 / dd[nz])
+    rho = np.ones_like(dd)
+    rho[nz] = 1.0 / np.sqrt(1.0 + (fp - fq)[nz] ** 2 / dd[nz])
     return rho, nz
 
 
-def _jensen_gap(g, alpha, p, q, fp, fq):
-    """Row raw Jensen gap J'_alpha(p : q) from fp = F(p) and fq = F(q)."""
-    return alpha * fp + (1.0 - alpha) * fq - g.f(alpha * p + (1.0 - alpha) * q)
-
-
 def _tj(g, alpha, p, q):
-    fp, fq = g.f(p), g.f(q)
+    fp, fq, gap = _jensen(g, alpha, p, q)
     rho, nz = _rho(fp, fq, p, q)
-    tj = rho * _jensen_gap(g, alpha, p, q, fp, fq)
-    return np.where(nz, tj, 0.0) / (alpha * (1.0 - alpha))
+    return np.where(nz, rho * gap, 0.0) / (alpha * (1.0 - alpha))
 
 
 def pairwise_total_jensen(g, alpha, p, q):
-    """Row-wise scaled total Jensen divergence tJ_alpha(p_i : q_i); the
-    rows broadcast, so one centre is a (1, d) row."""
+    """Row-wise scaled tJ_alpha(p_i : q_i); a (1, d) row broadcasts."""
     _check_alpha(alpha)
     return _tj(g, alpha, _rows(p), _rows(q))
 
 
 def pairwise_conformal(g, p, q):
-    """Row-wise chord conformal factor rho_J(p_i, q_i), 1 on coincident
-    rows; the rows broadcast, so one centre is a (1, d) row."""
+    """Row-wise rho_J(p_i, q_i); 1 on coincident rows, and rows broadcast."""
     p, q = _rows(p), _rows(q)
     return _rho(g.f(p), g.f(q), p, q)[0]
 
 
-def min_divergence_assign(g, alpha, x, centers):
-    """Per point: (min_c tJ_alpha(x_i : c), argmin index, lowest on ties);
-    each of the (k, d) centers meets x as a (1, d) row."""
+def jensen_loss(g, alpha, x, w, c):
+    """Weighted scaled Jensen loss sum_i w_i J_alpha(x_i : c), one centre c."""
     _check_alpha(alpha)
-    x = _rows(x)
-    centers = _rows(centers)
+    gap = _jensen(g, alpha, _rows(x), np.reshape(c, (1, -1)))[2]
+    return float(w @ gap) / (alpha * (1.0 - alpha))
+
+
+def min_divergence_assign(g, alpha, x, centers):
+    """Per point: (min_c tJ_alpha(x_i : c), argmin index, lowest on ties)."""
+    _check_alpha(alpha)
+    x, centers = _rows(x), _rows(centers)
     vals = np.stack([_tj(g, alpha, x, c[None, :]) for c in centers], axis=1)
     idx = np.argmin(vals, axis=1)  # argmin takes the first minimum
     return vals[np.arange(len(x)), idx], idx

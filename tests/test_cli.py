@@ -135,6 +135,25 @@ def test_divergence_rejects_unused_config_keys(tmp_path, capsys):
     assert "does not use --generator" in err
 
 
+def test_divergence_echoes_no_default_for_unused_flags(capsys):
+    # the defaults generator=squared-euclidean and alpha=0.5 were echoed
+    # for kinds that never read them
+    code, rep, _ = run_cli(capsys, "divergence", "--kind", "kl-gaussian",
+                           *_GAUSS)
+    assert code == 0
+    assert rep["command"]["generator"] is None
+    assert rep["command"]["alpha"] is None
+    code, rep, err = run_cli(capsys, "divergence", "--kind", "bregman",
+                             "--generator", "burg", "--p", "1", "--q", "2")
+    assert code == 0
+    assert rep["command"]["alpha"] is None
+    assert "bregman(burg) = " in err
+    code, rep, err = run_cli(capsys, "divergence", "--kind", "total-jensen",
+                             "--generator", "burg", "--p", "1", "--q", "2")
+    assert rep["command"]["alpha"] == 0.5
+    assert "total-jensen(burg, alpha=0.5) = " in err
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
 
