@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import CapabilityError, DomainError, ValidationError
+from .errors import CapabilityError, ValidationError
 from .generators import Generator, as_points, ensure_domain
 
 
@@ -124,13 +124,8 @@ def total_loss(g: Generator, alpha, data: WeightedPointSet, c) -> float:
     c = np.atleast_1d(np.asarray(c, dtype=np.float64))
     if c.ndim != 1:
         raise ValidationError(f"a center is one point, got shape {c.shape}")
-    return _total_loss(g, alpha, data, as_points(c[None, :], g))
-
-
-def _total_loss(g, alpha, data, row):
-    """total_loss at an unchecked (1, d) center row."""
-    vals = kernels.pairwise_total_jensen(g, alpha, data.points, row)
-    return float(data.weights @ vals)
+    return float(data.weights @ kernels.pairwise_total_jensen(
+        g, alpha, data.points, as_points(c[None, :], g)))
 
 
 def total_jensen_centroid(g: Generator, data: WeightedPointSet,
@@ -151,8 +146,12 @@ def _total_jensen_centroid(g: Generator, data: WeightedPointSet,
     """total_jensen_centroid from the start c, with no input checks: the
     caller has checked data.points against g's domain and c against its
     interior (lloyd_cluster does so once for all of a round's clusters)."""
-    alpha = cfg.alpha
-    loss_prev = _total_loss(g, alpha, data, c[None, :])
+    def loss_and_rho(c):  # the loss at c and the next stage's rho_J at c
+        vals, rho = kernels.total_jensen_and_conformal(
+            g, cfg.alpha, data.points, c[None, :])
+        return float(data.weights @ vals), rho
+
+    loss_prev, rho = loss_and_rho(c)
     loss_trace = [loss_prev]
     weights_trace: List[np.ndarray] = []
     best_loss, best_c = loss_prev, c
@@ -160,13 +159,12 @@ def _total_jensen_centroid(g: Generator, data: WeightedPointSet,
     increases = 0
     t = 0
     for t in range(1, cfg.outer_max_iters + 1):
-        rho = kernels.pairwise_conformal(g, data.points, c[None, :])
         wt = data.weights * rho
         wt = wt / wt.sum()
         weights_trace.append(wt)
         c = kernels.cccp_steps(
-            g, alpha, data.points, wt, c, cfg.inner_cccp_iters)
-        loss = _total_loss(g, alpha, data, c[None, :])
+            g, cfg.alpha, data.points, wt, c, cfg.inner_cccp_iters)
+        loss, rho = loss_and_rho(c)
         loss_trace.append(loss)
         if loss < best_loss:
             best_loss, best_c = loss, c

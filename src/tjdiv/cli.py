@@ -27,18 +27,14 @@ from .clustering import (
     DEFAULT_EPS_GRID, SeedingConfig, estimate_bound_constants,
     lloyd_cluster, seed_indices, seeding_bound_experiment)
 from .divergences import (
-    bregman, conformal_factors, jensen_raw, jensen_scaled, jensen_shannon,
-    kl_gaussian, rho_b, total_bregman, total_jensen, total_jensen_shannon)
+    KINDS, bregman, conformal_factors, jensen_raw, jensen_scaled,
+    jensen_shannon, kl_gaussian, rho_b, total_bregman, total_jensen,
+    total_jensen_shannon)
 from .errors import DomainError, TjdivError, ValidationError
-from .generators import ensure_domain, make_builtin
+from .generators import BUILTIN_NAMES, ensure_domain, make_builtin
 from .geometry import project_beta, pythagoras_residual
 from .kernels import min_divergence_assign
-from .robustness import boundedness_sweep, influence_analytic, influence_empirical
-
-GENERATOR_KINDS = (
-    "jensen-raw", "jensen-scaled", "bregman", "total-bregman", "total-jensen")
-ALL_KINDS = GENERATOR_KINDS + (
-    "jensen-shannon", "total-jensen-shannon", "kl-gaussian")
+from .robustness import boundedness_sweep, influence_empirical
 
 # flags that a divergence kind has no use for; giving one is an error
 _GENERATOR_FLAGS = ("generator", "dim", "matrix", "alpha")
@@ -127,7 +123,7 @@ def _mat(text: str) -> np.ndarray:
     return np.array([_vec(r) for r in rows])
 
 
-def load_dataset(path, generator=None, interior=False, weight_column=None):
+def load_dataset(path, weight_column=None):
     """CSV loader: one point per row, optional header, optional weight
     column (named `weight`, or chosen via weight_column). Returns a
     WeightedPointSet plus a metadata dict."""
@@ -194,28 +190,27 @@ def load_dataset(path, generator=None, interior=False, weight_column=None):
     data = WeightedPointSet.make(pts, wts if wcol is not None else None)
     meta = {"rows": data.n, "has_weights": wcol is not None,
             "first_line": 2 if header else 1, "path": path}
-    if generator is not None:
-        _ensure_rows(generator, data, interior, meta)
     return data, meta
 
 
-def _ensure_rows(g, data, interior, meta):
+def _dataset(ns, interior, weighted=False):
+    """(generator, data, meta) for --input: a weight column is rejected
+    unless the command uses weights, and every row is checked against
+    the generator's domain (its interior if asked) once, a bad row
+    named by its file line."""
+    data, meta = load_dataset(ns.input, weight_column=ns.weights)
+    if meta["has_weights"] and not weighted:
+        raise ValidationError(
+            f"{ns.cmd} does not use point weights; drop --weights or "
+            f"the weight column from {meta['path']}")
+    g = _generator_from(ns, data.dim)
     try:
         ensure_domain(g, data.points, interior=interior)
     except DomainError as exc:
         raise DomainError(
             f"{meta['path']} line {meta['first_line'] + exc.row}: {exc}",
             row=exc.row)
-
-
-def _load_unweighted(ns):
-    """Load --input for a command that has no use for point weights."""
-    data, meta = load_dataset(ns.input, weight_column=ns.weights)
-    if meta["has_weights"]:
-        raise ValidationError(
-            f"{ns.cmd} does not use point weights; drop --weights or "
-            f"the weight column from {meta['path']}")
-    return data, meta
+    return g, data, meta
 
 
 def _generator_from(ns, dim=None):
@@ -305,9 +300,7 @@ def _cmd_project(ns):
 
 
 def _cmd_centroid(ns):
-    data, meta = load_dataset(ns.input, weight_column=ns.weights)
-    g = _generator_from(ns, data.dim)
-    _ensure_rows(g, data, True, meta)
+    g, data, meta = _dataset(ns, True, weighted=True)
     cfg = CentroidConfig(alpha=ns.alpha, inner_cccp_iters=ns.inner_iters,
                          outer_tol=ns.outer_tol, outer_max_iters=ns.outer_max)
     fn = left_sided_centroid if ns.side == "left" else total_jensen_centroid
@@ -353,9 +346,7 @@ def _cmd_influence(ns):
 
 
 def _cmd_seed(ns):
-    data, meta = _load_unweighted(ns)
-    g = _generator_from(ns, data.dim)
-    _ensure_rows(g, data, False, meta)
+    g, data, meta = _dataset(ns, False)
     cfg = SeedingConfig(k=ns.k, alpha=ns.alpha, rng_seed=ns.rng_seed)
     idx = seed_indices(g, data.points, cfg)
     centers = data.points[idx]
@@ -373,9 +364,7 @@ def _cmd_seed(ns):
 
 
 def _cmd_cluster(ns):
-    data, meta = _load_unweighted(ns)
-    g = _generator_from(ns, data.dim)
-    _ensure_rows(g, data, True, meta)
+    g, data, meta = _dataset(ns, True)
     cfg = SeedingConfig(k=ns.k, alpha=ns.alpha, rng_seed=ns.rng_seed)
     ccfg = CentroidConfig(alpha=ns.alpha, inner_cccp_iters=ns.inner_iters,
                           outer_tol=ns.outer_tol, outer_max_iters=ns.outer_max)
@@ -406,9 +395,7 @@ def _constants_payload(c):
 
 
 def _cmd_bound_experiment(ns):
-    data, meta = _load_unweighted(ns)
-    g = _generator_from(ns, data.dim)
-    _ensure_rows(g, data, True, meta)
+    g, data, meta = _dataset(ns, True)
     cfg = SeedingConfig(k=ns.k, alpha=ns.alpha, rng_seed=ns.rng_seed,
                         trials=ns.trials)
     grid = (ns.eps,) if ns.eps is not None else DEFAULT_EPS_GRID
@@ -429,9 +416,7 @@ def _cmd_bound_experiment(ns):
 
 
 def _cmd_constants(ns):
-    data, meta = _load_unweighted(ns)
-    g = _generator_from(ns, data.dim)
-    _ensure_rows(g, data, True, meta)
+    g, data, meta = _dataset(ns, True)
     c = estimate_bound_constants(g, data.points, samples=ns.samples,
                                  rng_seed=ns.rng_seed)
     curve = [{"eps": float(e), "u": c.u(e), "v": c.v(e)}
@@ -496,9 +481,7 @@ def _cmd_metric_check(ns):
 
 
 def _add_generator_flags(sp):
-    sp.add_argument("--generator", type=str,
-                    choices=["shannon", "burg", "bit", "squared-mahalanobis",
-                             "squared-euclidean"])
+    sp.add_argument("--generator", type=str, choices=list(BUILTIN_NAMES))
     sp.add_argument("--dim", type=int, default=None,
                     help="override the dimension inferred from inputs")
     sp.add_argument("--matrix", type=str, default=None,
@@ -525,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = new("divergence", help="evaluate one divergence")
-    sp.add_argument("--kind", choices=list(ALL_KINDS), required=True)
+    sp.add_argument("--kind", choices=list(KINDS), required=True)
     _add_generator_flags(sp)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--p", type=str, default=None)

@@ -107,8 +107,10 @@ def _streams(seed: int, n: int):
 def _seed_indices(g, x, k, alpha, rng) -> np.ndarray:
     n = x.shape[0]
     chosen = [int(rng.integers(n))]  # uniform base case
+    mind = np.full(n, np.inf)  # min over chosen centers, one new one a draw
     while len(chosen) < k:
-        mind, _ = kernels.min_divergence_assign(g, alpha, x, x[chosen])
+        mind = np.minimum(mind, kernels.pairwise_total_jensen(
+            g, alpha, x, x[chosen[-1:]]))
         total = float(mind.sum())
         if total <= 0.0:
             # all remaining mass zero (duplicates of chosen); uniform

@@ -16,7 +16,6 @@ keeps the chord factor rho_J (it does NOT become tB).
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,27 +29,18 @@ KINDS = (
 
 @dataclass(frozen=True)
 class ConformalFactors:
-    """Chord data for a pair (p, q): Delta, Delta_F, s^2, rho_J.
+    """Chord data for a pair (p, q): Delta, Delta_F, s^2, rho_J."""
 
-    rho_b_at evaluates the gradient-based factor rho_B at any interior
-    point of the same generator's domain.
-    """
-
-    generator: Generator
     delta: np.ndarray
     delta_f: float
     slope_sq: float
     rho_j: float
-
-    def rho_b_at(self, point) -> float:
-        return rho_b(self.generator, point)
 
 
 @dataclass(frozen=True)
 class DivergenceValue:
     kind: str
     value: float
-    factors: Optional[ConformalFactors] = None
 
     def __float__(self) -> float:
         return self.value
@@ -88,7 +78,7 @@ def conformal_factors(g: Generator, p, q) -> ConformalFactors:
     dd = float(delta @ delta)
     slope_sq = delta_f * delta_f / dd
     return ConformalFactors(
-        generator=g, delta=delta, delta_f=delta_f, slope_sq=slope_sq,
+        delta=delta, delta_f=delta_f, slope_sq=slope_sq,
         rho_j=1.0 / math.sqrt(1.0 + slope_sq))
 
 
@@ -129,10 +119,7 @@ def jensen_scaled(g: Generator, alpha, p, q) -> DivergenceValue:
 def total_bregman(g: Generator, p, q) -> DivergenceValue:
     p, q = _pair(g, p, q, interior_q=True)
     b = bregman(g, p, q).value
-    factors = None
-    if not np.array_equal(p, q):
-        factors = conformal_factors(g, p, q)
-    return DivergenceValue("total-bregman", rho_b(g, q) * b, factors)
+    return DivergenceValue("total-bregman", rho_b(g, q) * b)
 
 
 def total_jensen(g: Generator, alpha, p, q, scaled: bool = True) -> DivergenceValue:
@@ -146,15 +133,15 @@ def total_jensen(g: Generator, alpha, p, q, scaled: bool = True) -> DivergenceVa
     p, q = _pair(g, p, q)
     if np.array_equal(p, q):
         return DivergenceValue("total-jensen", 0.0)
-    factors = conformal_factors(g, p, q)
+    rho_j = conformal_factors(g, p, q).rho_j
     if alpha in (0.0, 1.0):
         if not scaled:
             raise ValidationError(
                 "alpha in {0,1} has a zero raw gap; use the scaled family")
         b = bregman(g, p, q).value if alpha == 0.0 else bregman(g, q, p).value
-        return DivergenceValue("total-jensen", factors.rho_j * b, factors)
+        return DivergenceValue("total-jensen", rho_j * b)
     inner = (jensen_scaled if scaled else jensen_raw)(g, alpha, p, q).value
-    return DivergenceValue("total-jensen", factors.rho_j * inner, factors)
+    return DivergenceValue("total-jensen", rho_j * inner)
 
 
 def stolarsky_epsilon(g: Generator, p, q, tol: float = 1e-12) -> float:

@@ -5,7 +5,8 @@ Each kernel is vectorized numpy written against the generator's batched
 callables (f, grad, grad_inverse), so builtin, affine-transformed and
 user-supplied generators all take the same path. Rows broadcast, so a
 centre is one (1, d) row and F runs on it once; rho_J and the Jensen gap
-are each written once, in `_rho` and `_jensen`.
+are each written once, in `_rho` and `_jensen`. `_tj` returns tJ with the
+rho_J that scaled it: `total_jensen_and_conformal` gives both, one F pass.
 
 Kernels validate nothing beyond alpha. Domain membership is checked
 once, where an array enters the library: the public functions of
@@ -53,15 +54,23 @@ def _rho(fp, fq, p, q):
 
 
 def _tj(g, alpha, p, q):
+    """(row scaled tJ_alpha(p : q), row rho_J(p, q))."""
     fp, fq, gap = _jensen(g, alpha, p, q)
     rho, nz = _rho(fp, fq, p, q)
-    return np.where(nz, rho * gap, 0.0) / (alpha * (1.0 - alpha))
+    return np.where(nz, rho * gap, 0.0) / (alpha * (1.0 - alpha)), rho
+
+
+def total_jensen_and_conformal(g, alpha, p, q):
+    """Row-wise (scaled tJ_alpha(p_i : q_i), rho_J(p_i, q_i)) from one F
+    pass; a (1, d) row broadcasts."""
+    _check_alpha(alpha)
+    return _tj(g, alpha, _rows(p), _rows(q))
 
 
 def pairwise_total_jensen(g, alpha, p, q):
     """Row-wise scaled tJ_alpha(p_i : q_i); a (1, d) row broadcasts."""
     _check_alpha(alpha)
-    return _tj(g, alpha, _rows(p), _rows(q))
+    return _tj(g, alpha, _rows(p), _rows(q))[0]
 
 
 def pairwise_conformal(g, p, q):
@@ -81,7 +90,7 @@ def min_divergence_assign(g, alpha, x, centers):
     """Per point: (min_c tJ_alpha(x_i : c), argmin index, lowest on ties)."""
     _check_alpha(alpha)
     x, centers = _rows(x), _rows(centers)
-    vals = np.stack([_tj(g, alpha, x, c[None, :]) for c in centers], axis=1)
+    vals = np.stack([_tj(g, alpha, x, c[None])[0] for c in centers], axis=1)
     idx = np.argmin(vals, axis=1)  # argmin takes the first minimum
     return vals[np.arange(len(x)), idx], idx
 

@@ -14,7 +14,6 @@ is the quantity that tames the outlier's weight in the total loss.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,7 +29,6 @@ class InfluenceResult:
     z_empirical: float
     x_tilde: float       # perturbed centroid
     epsilon: float
-    bounded_estimate: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -50,17 +48,20 @@ def _scalar_gen(g: Generator):
         raise CapabilityError(f"{g.name} exposes no second derivative")
 
 
+def _z(g, p, ys):
+    """z(y) for each row of ys (m, 1), at a checked interior p of shape (1,)."""
+    num = g.grad(0.5 * (p + ys))[:, 0] - g.grad(p)[0]
+    return 2.0 * num / g.second_deriv(p)[0]
+
+
 def influence_analytic(g: Generator, p, y) -> float:
     _scalar_gen(g)
     p = as_point(p, 1)
     y = as_point(y, 1)
     ensure_domain(g, p, interior=True)
     ensure_domain(g, y)
-    mid = 0.5 * (p + y)
-    ensure_domain(g, mid, interior=True)
-    fpp = float(g.second_deriv(p)[0])
-    num = float(g.grad(mid)[0] - g.grad(p)[0])
-    return 2.0 * num / fpp
+    ensure_domain(g, 0.5 * (p + y), interior=True)
+    return float(_z(g, p, y[None, :])[0])
 
 
 def influence_empirical(g: Generator, p, y, epsilon: float) -> InfluenceResult:
@@ -108,7 +109,10 @@ def boundedness_sweep(g: Generator, p, y_max: float,
     decades = math.log10(y_max / y0)
     n = max(2, int(math.ceil(per_decade * decades)) + 1)
     ys = np.geomspace(y0, y_max, n)
-    zs = np.array([influence_analytic(g, p, np.array([y])) for y in ys])
+    ensure_domain(g, p, interior=True)
+    ensure_domain(g, ys[:, None])
+    ensure_domain(g, 0.5 * (p + ys[:, None]), interior=True)
+    zs = _z(g, p, ys[:, None])
     rhos = kernels.pairwise_conformal(g, p[None, :], ys[:, None])
 
     azs = np.abs(zs)

@@ -9,7 +9,8 @@ from tjdiv.centroids import (
     left_sided_centroid, total_jensen_centroid, total_loss)
 from tjdiv.errors import CapabilityError, DomainError, ValidationError
 from tjdiv.generators import make_builtin
-from tjdiv.kernels import pairwise_total_jensen
+from tjdiv.kernels import (
+    cccp_steps, pairwise_conformal, pairwise_total_jensen)
 
 
 def _loss_on_grid(g, pts, w, alpha, lo, hi, step=1e-5):
@@ -251,3 +252,32 @@ def test_explicit_init_is_respected():
     res = total_jensen_centroid(g, data, CentroidConfig(init=np.array([1.1])))
     assert res.loss_trace[0] == pytest.approx(
         total_loss(g, 0.5, data, [1.1]), rel=1e-12)
+
+
+@pytest.mark.parametrize("name, dim, outer_max", [
+    ("shannon", 4, 1000), ("burg", 2, 1000), ("shannon", 16, 3)])
+def test_stage_traces_match_a_reference_loop_bitwise(name, dim, outer_max):
+    g = make_builtin(name, dim)
+    rng = np.random.default_rng(dim)
+    pts = np.exp(rng.normal(0.0, 0.6, size=(300, dim)))
+    pts[:6] *= 40.0  # outliers make rho_J vary across the points
+    data = WeightedPointSet.make(pts, rng.uniform(0.5, 2.0, size=300))
+    cfg = CentroidConfig(alpha=0.4, inner_cccp_iters=5,
+                         outer_max_iters=outer_max)
+    res = total_jensen_centroid(g, data, cfg)
+
+    def loss(c):
+        return float(data.weights @ pairwise_total_jensen(
+            g, 0.4, data.points, c[None, :]))
+
+    c = data.weights @ data.points
+    losses, weights = [loss(c)], []
+    for _ in range(res.iterations):
+        wt = data.weights * pairwise_conformal(g, data.points, c[None, :])
+        weights.append(wt / wt.sum())
+        c = cccp_steps(g, 0.4, data.points, weights[-1], c, 5)
+        losses.append(loss(c))
+    assert res.loss_trace == losses
+    assert len(res.stage_weights_trace) == len(weights)
+    for got, want in zip(res.stage_weights_trace, weights):
+        assert np.array_equal(got, want)

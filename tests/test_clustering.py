@@ -76,6 +76,65 @@ def test_duplicate_points_fall_back_to_uniform_leftovers():
         assert 3 in idx.tolist()  # the only point carrying divergence mass
 
 
+def _reference_seed_indices(g, x, k, alpha, rng_seed):
+    """k-means++ that re-assigns every point against all chosen centres
+    at each draw, the O(n k^2) form of the running minimum."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
+    n = len(x)
+    chosen = [int(rng.integers(n))]
+    while len(chosen) < k:
+        cols = [pairwise_total_jensen(g, alpha, x, x[j:j + 1]) for j in chosen]
+        mind = np.min(np.stack(cols, axis=1), axis=1)
+        total = float(mind.sum())
+        if total <= 0.0:
+            rest = [i for i in range(n) if i not in chosen]
+            chosen.append(int(rest[rng.integers(len(rest))]))
+            continue
+        r = rng.random() * total
+        i = int(np.searchsorted(np.cumsum(mind), r, side="right"))
+        chosen.append(min(i, n - 1))
+    return np.asarray(chosen, dtype=np.int64)
+
+
+@pytest.mark.parametrize("name, dim", [
+    ("shannon", 8), ("shannon", 16), ("burg", 2)])
+def test_running_min_seeding_matches_the_reference(name, dim):
+    g = make_builtin(name, dim)
+    x = np.exp(np.random.default_rng(dim).normal(0.0, 1.0, size=(60, dim)))
+    for k in range(1, 9):
+        for s in (0, 7):
+            cfg = SeedingConfig(k=k, alpha=0.3, rng_seed=s)
+            assert np.array_equal(seed_indices(g, x, cfg),
+                                  _reference_seed_indices(g, x, k, 0.3, s))
+
+
+def test_running_min_seeding_matches_the_reference_on_duplicates():
+    # after the 2.0 row is drawn every point left duplicates a centre,
+    # so the remaining draws take the uniform total <= 0 branch
+    X = np.array([1.0, 1.0, 2.0, 1.0, 2.0, 1.0]).reshape(-1, 1)
+    for s in range(20):
+        cfg = SeedingConfig(k=5, rng_seed=s)
+        assert np.array_equal(seed_indices(SHANNON, X, cfg),
+                              _reference_seed_indices(SHANNON, X, 5, 0.5, s))
+
+
+def test_seeding_evaluates_one_tj_column_per_new_center(monkeypatch):
+    rows = []
+    tj = kernels._tj
+
+    def counting(g, alpha, p, q):
+        rows.append(np.broadcast_shapes(p.shape, q.shape)[0])
+        return tj(g, alpha, p, q)
+
+    monkeypatch.setattr(kernels, "_tj", counting)
+    x = np.exp(np.random.default_rng(3).normal(size=(50, 2)))
+    g = make_builtin("shannon", 2)
+    for k in (1, 2, 8):
+        rows.clear()
+        seed_indices(g, x, SeedingConfig(k=k, rng_seed=k))
+        assert sum(rows) == 50 * (k - 1)
+
+
 def test_potential_definition():
     X = np.array([0.5, 1.0, 3.0, 5.0]).reshape(-1, 1)
     C = np.array([1.0, 4.0]).reshape(-1, 1)

@@ -96,6 +96,15 @@ def test_chord_factor_decays_like_inverse_log():
     assert rep.ys.shape == rep.z_values.shape == rep.rho_values.shape
 
 
+@pytest.mark.parametrize("name, p, y_max", [
+    ("shannon", 1.0, 1e6), ("burg", 0.7, 1e9), ("bit", 0.05, 0.95)])
+def test_sweep_z_equals_influence_analytic_bitwise(name, p, y_max):
+    g = make_builtin(name)
+    rep = boundedness_sweep(g, p, y_max)
+    one_by_one = [influence_analytic(g, p, y) for y in rep.ys]
+    assert rep.z_values.tolist() == one_by_one
+
+
 def test_epsilon_band_is_enforced():
     g = make_builtin("shannon")
     for eps in (0.0, 0.5, 0.7, -1e-3):
