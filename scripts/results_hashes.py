@@ -1,8 +1,9 @@
 """Fingerprint the seeded CLI `results` blocks of one tjdiv source tree.
 
-Writes fixed-seed CSV datasets (d = 1, 2, 4, 8, 16) to a temporary
-directory, runs the seeded cluster, seed, centroid, bound-experiment,
-constants, influence and divergence commands in process, and prints one
+Writes fixed-seed CSV datasets (d = 1, 2, 4, 8, 16, a 24x2 file and a
+file of repeated rows) to a temporary directory, runs the seeded
+cluster, seed, centroid, bound-experiment, constants, influence and
+divergence commands in process, and prints one
 `name sha256[:16]` line per `results` block, each followed by one
 `name.key sha256[:16]` line per top-level key of that block. Run it
 against two trees and diff the output to see which results, and which
@@ -51,6 +52,10 @@ def _datasets(tmp):
         files[f"mix{d}"] = _write_csv(os.path.join(tmp, f"mix{d}.csv"), x)
     small = np.exp(rng.normal(0.0, 0.7, size=(24, 2)))
     files["small2"] = _write_csv(os.path.join(tmp, "small2.csv"), small)
+    # three distinct rows, four copies each: seeding k = 4 on it reaches
+    # the draw where every remaining point has zero divergence mass
+    dup = np.repeat(small[:3], 4, axis=0)
+    files["dup2"] = _write_csv(os.path.join(tmp, "dup2.csv"), dup)
     return files
 
 
@@ -85,6 +90,15 @@ def _commands(files):
          ["bound-experiment", "--input", files["small2"], "--generator",
           "burg", "--k", "3", "--trials", "200", "--samples", "1024",
           "--rng-seed", "5"]),
+        ("bound-experiment-burg-d2-k1",
+         ["bound-experiment", "--input", files["small2"], "--generator",
+          "burg", "--k", "1", "--trials", "200", "--samples", "1024",
+          "--rng-seed", "6"]),
+        ("bound-experiment-shannon-d2-k2",
+         ["bound-experiment", "--input", files["small2"], "--k", "2",
+          "--trials", "200", "--samples", "1024", "--rng-seed", "7"]),
+        ("seed-shannon-dup2",
+         ["seed", "--input", files["dup2"], "--k", "4", "--rng-seed", "8"]),
         ("influence-shannon",
          ["influence", "--p", "1.0", "--ymax", "1e6"]),
         ("influence-burg-empirical",

@@ -24,8 +24,8 @@ from . import __version__
 from .centroids import CentroidConfig, WeightedPointSet
 from .centroids import total_jensen_centroid, left_sided_centroid
 from .clustering import (
-    DEFAULT_EPS_GRID, SeedingConfig, estimate_bound_constants,
-    lloyd_cluster, seed_indices, seeding_bound_experiment)
+    DEFAULT_EPS_GRID, SeedingConfig, _seed_with_potential,
+    estimate_bound_constants, lloyd_cluster, seeding_bound_experiment)
 from .divergences import (
     KINDS, bregman, conformal_factors, jensen_raw, jensen_scaled,
     jensen_shannon, kl_gaussian, rho_b, total_bregman, total_jensen,
@@ -33,7 +33,6 @@ from .divergences import (
 from .errors import DomainError, TjdivError, ValidationError
 from .generators import BUILTIN_NAMES, ensure_domain, make_builtin
 from .geometry import project_beta, pythagoras_residual
-from .kernels import min_divergence_assign
 from .robustness import boundedness_sweep, influence_empirical
 
 # flags that a divergence kind has no use for; giving one is an error
@@ -348,19 +347,17 @@ def _cmd_influence(ns):
 def _cmd_seed(ns):
     g, data, meta = _dataset(ns, False)
     cfg = SeedingConfig(k=ns.k, alpha=ns.alpha, rng_seed=ns.rng_seed)
-    idx = seed_indices(g, data.points, cfg)
-    centers = data.points[idx]
-    mind, _ = min_divergence_assign(g, ns.alpha, data.points, centers)
+    idx, pot = _seed_with_potential(g, data.points, cfg)
     results = {
         "centers": [
             {"index": int(i), "point": data.points[i].tolist()} for i in idx],
-        "potential": float(mind.sum()),
+        "potential": pot,
         "k": ns.k,
         "n_points": meta["rows"],
     }
     return results, [
         f"seeded {ns.k} centers (rows {[int(i) for i in idx]}), "
-        f"potential {float(mind.sum()):.12g}"]
+        f"potential {pot:.12g}"]
 
 
 def _cmd_cluster(ns):

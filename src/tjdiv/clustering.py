@@ -7,6 +7,12 @@ the divergence to the nearest chosen center. All randomness flows
 through PCG64; multi-trial experiments split streams with
 SeedSequence.spawn so trial t is reproducible in isolation.
 
+On n points every divergence the brute-force optimum and the seeding
+trials need is an entry of one n x n matrix, tJ_alpha(x_i : x_j), so
+for k >= 2 it is built once from n kernel columns and read from then on.
+At k = 1, where the subset budget allows n up to 1e6, no matrix is
+held: each potential is one column's sum, computed a column at a time.
+
 The approximation-bound constants K1 (Hessian eigenvalue spread over
 the closure) and K2 (squared chord slope) are estimated by sampling the
 data's convex closure; the derived U and V keep a free parameter
@@ -16,7 +22,8 @@ reported over a grid instead of a single number.
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from functools import partial
+from itertools import combinations, islice
 from typing import List, Optional
 
 import numpy as np
@@ -104,13 +111,35 @@ def _streams(seed: int, n: int):
             for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _seed_indices(g, x, k, alpha, rng) -> np.ndarray:
+def _tj_column(g, alpha, x, j):
+    """tJ_alpha(x_i : x_j) for every row i: one kernel call."""
+    return kernels.pairwise_total_jensen(g, alpha, x, x[j:j + 1])
+
+
+def _tj_columns(g, alpha, x):
+    """cols[j, i] = tJ_alpha(x_i : x_j) from n kernel columns. Row j is
+    the column of centre x_j, so every read is a contiguous row."""
     n = x.shape[0]
+    cols = np.empty((n, n))
+    for j in range(n):
+        cols[j] = _tj_column(g, alpha, x, j)
+    return cols
+
+
+def _column_sums(g, alpha, x):
+    """sum_i tJ_alpha(x_i : x_j) for each j, one column at a time: the
+    k = 1 potentials, with no n x n matrix held."""
+    return np.array([_tj_column(g, alpha, x, j).sum() for j in range(len(x))])
+
+
+def _seed_indices(column, n, k, rng):
+    """k-means++ draws over n points, column(j) giving tJ(x_i : x_j) for
+    every i. Returns (indices, min over all but the last centre); the
+    seeding's potential is np.minimum(mind, column(indices[-1])).sum()."""
     chosen = [int(rng.integers(n))]  # uniform base case
     mind = np.full(n, np.inf)  # min over chosen centers, one new one a draw
     while len(chosen) < k:
-        mind = np.minimum(mind, kernels.pairwise_total_jensen(
-            g, alpha, x, x[chosen[-1:]]))
+        mind = np.minimum(mind, column(chosen[-1]))
         total = float(mind.sum())
         if total <= 0.0:
             # all remaining mass zero (duplicates of chosen); uniform
@@ -121,26 +150,36 @@ def _seed_indices(g, x, k, alpha, rng) -> np.ndarray:
         r = rng.random() * total
         i = int(np.searchsorted(np.cumsum(mind), r, side="right"))
         chosen.append(min(i, n - 1))
-    return np.asarray(chosen, dtype=np.int64)
+    return np.asarray(chosen, dtype=np.int64), mind
 
 
-def _seeded_indices(g, x, cfg: SeedingConfig) -> np.ndarray:
+def _seeded_indices(g, x, cfg: SeedingConfig):
     # x is already checked by the public caller
     if x.shape[0] < cfg.k:
         raise ValidationError(f"need at least k={cfg.k} points, have {x.shape[0]}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.rng_seed)))
-    return _seed_indices(g, x, cfg.k, cfg.alpha, rng)
+    return _seed_indices(partial(_tj_column, g, cfg.alpha, x), x.shape[0],
+                         cfg.k, rng)
 
 
 def seed_indices(g: Generator, data, cfg: SeedingConfig) -> np.ndarray:
     """Row indices of the chosen centers, deterministic in cfg.rng_seed."""
-    return _seeded_indices(g, as_points(data, g), cfg)
+    return _seeded_indices(g, as_points(data, g), cfg)[0]
 
 
 def seed(g: Generator, data, cfg: SeedingConfig) -> np.ndarray:
     """The chosen center points themselves, shape (k, d)."""
     x = as_points(data, g)
-    return x[_seeded_indices(g, x, cfg)]
+    return x[_seeded_indices(g, x, cfg)[0]]
+
+
+def _seed_with_potential(g: Generator, data, cfg: SeedingConfig):
+    """(seed_indices, their potential): one kernel column more than the
+    draws, not a k-centre sweep."""
+    x = as_points(data, g)
+    idx, mind = _seeded_indices(g, x, cfg)
+    last = _tj_column(g, cfg.alpha, x, idx[-1])
+    return idx, float(np.minimum(mind, last).sum())
 
 
 def potential(g: Generator, alpha, data, centers) -> float:
@@ -151,23 +190,64 @@ def potential(g: Generator, alpha, data, centers) -> float:
     return float(mind.sum())
 
 
-def brute_force_discrete_optimum(g: Generator, alpha, data, k: int) -> ClusterModel:
-    """Exact minimizer of the potential over all k-subsets of the data."""
-    x = as_points(data, g)
-    n = x.shape[0]
+def _check_subsets(n: int, k: int):
     if k < 1 or k > n:
         raise ValidationError(f"k={k} out of range for n={n}")
     if math.comb(n, k) > 10 ** 6:
         raise ValidationError(
             f"C({n},{k}) exceeds the combinatorial budget of 1e6")
+
+
+# bytes of one block of subset minima; the scan holds two such blocks
+# whatever C(n, k) is
+_BLOCK_BYTES = 1 << 18
+
+
+def _optimum(cols, k):
+    """(potential, subset, assignments) of the k-subset S minimising
+    sum_i min_{j in S} cols[j, i], with cols from _tj_columns. Subsets
+    come in lexicographic order and the first minimum wins."""
+    n = cols.shape[1]
+    subsets = combinations(range(n), k)
+    rows = max(1, _BLOCK_BYTES // (8 * n))
     best = None
-    for subset in combinations(range(n), k):
-        mind, idx = kernels.min_divergence_assign(g, alpha, x, x[list(subset)])
-        pot = float(mind.sum())
-        if best is None or pot < best[0]:
-            best = (pot, subset, idx)
-    pot, subset, idx = best
-    return ClusterModel(centers=x[list(subset)], assignments=idx,
+    while True:
+        S = np.fromiter(islice(subsets, rows), dtype=np.dtype((np.int64, k)))
+        if not len(S):
+            break
+        mind = cols[S[:, 0]]
+        for r in range(1, k):
+            np.minimum(mind, cols[S[:, r]], out=mind)
+        # each subset's n minima summed as one contiguous row, in the
+        # pairwise order of a 1-D sum
+        pots = mind.sum(axis=1)
+        b = int(np.argmin(pots))
+        if best is None or pots[b] < best[0]:
+            best = (float(pots[b]), S[b])
+    pot, subset = best
+    # each point's nearest centre, the first on ties, one row at a time:
+    # np.argmin over the gathered (k, n) rows would hold two copies
+    idx = np.zeros(n, dtype=np.intp)
+    near = cols[subset[0]].copy()
+    for r in range(1, k):
+        closer = cols[subset[r]] < near
+        near[closer] = cols[subset[r]][closer]
+        idx[closer] = r
+    return pot, subset, idx
+
+
+def brute_force_discrete_optimum(g: Generator, alpha, data, k: int) -> ClusterModel:
+    """Exact minimizer of the potential over all k-subsets of the data."""
+    x = as_points(data, g)
+    n = x.shape[0]
+    _check_subsets(n, k)
+    if k == 1:
+        sums = _column_sums(g, alpha, x)
+        j = int(np.argmin(sums))
+        pot, subset, idx = float(sums[j]), [j], np.zeros(n, dtype=np.intp)
+    else:
+        pot, subset, idx = _optimum(_tj_columns(g, alpha, x), k)
+    return ClusterModel(centers=x[subset], assignments=idx,
                         potential=pot, rounds=0)
 
 
@@ -184,7 +264,7 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
     clusters use rows of it without checking them again.
     """
     x = as_points(data, g)
-    centers = x[_seeded_indices(g, x, cfg)]
+    centers = x[_seeded_indices(g, x, cfg)[0]]
     ccfg = centroid_cfg or CentroidConfig(alpha=cfg.alpha)
     ccfg = replace(ccfg, alpha=cfg.alpha, init=None)
     prev_idx = None
@@ -225,7 +305,9 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
                 g, members, ccfg, start).center
         centers = new_centers
         prev_idx = idx
-    mind, idx = kernels.min_divergence_assign(g, cfg.alpha, x, centers)
+    else:
+        # the last round moved the centres (or none ran): assign to them
+        mind, idx = kernels.min_divergence_assign(g, cfg.alpha, x, centers)
     return ClusterModel(centers=centers, assignments=idx,
                         potential=float(mind.sum()), rounds=rounds,
                         converged=converged)
@@ -300,15 +382,26 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
     brute-force discrete optimum, with the plug-in multiplier
     2 U^2 (1+V) (2 + log k) tabulated over eps_grid."""
     x = as_points(data, g)
-    opt = brute_force_discrete_optimum(g, cfg.alpha, x, cfg.k)
+    n, k = x.shape[0], cfg.k
+    _check_subsets(n, k)
+    streams = _streams(cfg.rng_seed, cfg.trials)
     pots = np.empty(cfg.trials)
-    for t, rng in enumerate(_streams(cfg.rng_seed, cfg.trials)):
-        idx = _seed_indices(g, x, cfg.k, cfg.alpha, rng)
-        mind, _ = kernels.min_divergence_assign(g, cfg.alpha, x, x[idx])
-        pots[t] = mind.sum()
+    if k == 1:
+        # a trial's potential is its one centre's column sum
+        sums = _column_sums(g, cfg.alpha, x)
+        opt_pot = float(sums.min())
+        for t, rng in enumerate(streams):
+            idx, _ = _seed_indices(None, n, 1, rng)  # one uniform draw
+            pots[t] = sums[idx[0]]
+    else:
+        cols = _tj_columns(g, cfg.alpha, x)
+        opt_pot = _optimum(cols, k)[0]
+        for t, rng in enumerate(streams):
+            idx, mind = _seed_indices(cols.__getitem__, n, k, rng)
+            pots[t] = np.minimum(mind, cols[idx[-1]]).sum()
     mean_pot = float(pots.mean())
-    if opt.potential > 0.0:
-        ratio = mean_pot / opt.potential
+    if opt_pot > 0.0:
+        ratio = mean_pot / opt_pot
     else:
         ratio = 0.0 if mean_pot == 0.0 else math.inf
     constants = estimate_bound_constants(g, x, samples, rng_seed=cfg.rng_seed)
@@ -321,5 +414,5 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
             "eps": float(eps), "u": u, "v": v, "multiplier": mult,
             "satisfied": bool(math.isfinite(mult) and ratio <= mult)})
     return ExperimentReport(
-        mean_potential=mean_pot, opt_potential=opt.potential, ratio=ratio,
+        mean_potential=mean_pot, opt_potential=opt_pot, ratio=ratio,
         constants=constants, curve=curve, trials=cfg.trials, k=cfg.k)

@@ -1,11 +1,13 @@
 """Seeding, Lloyd clustering, brute-force optima, and bound constants."""
 
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from tjdiv import kernels
+from tjdiv import clustering, kernels
 from tjdiv.centroids import (
     CentroidConfig, WeightedPointSet, total_jensen_centroid)
 from tjdiv.clustering import (
@@ -80,6 +82,10 @@ def _reference_seed_indices(g, x, k, alpha, rng_seed):
     """k-means++ that re-assigns every point against all chosen centres
     at each draw, the O(n k^2) form of the running minimum."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
+    return _reference_draws(g, x, k, alpha, rng)
+
+
+def _reference_draws(g, x, k, alpha, rng):
     n = len(x)
     chosen = [int(rng.integers(n))]
     while len(chosen) < k:
@@ -133,6 +139,20 @@ def test_seeding_evaluates_one_tj_column_per_new_center(monkeypatch):
         rows.clear()
         seed_indices(g, x, SeedingConfig(k=k, rng_seed=k))
         assert sum(rows) == 50 * (k - 1)
+
+
+@pytest.mark.parametrize("name", ["shannon", "burg"])
+@pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+def test_seeded_potential_equals_the_sweep_bitwise(name, dim):
+    # the `seed` command's potential: the running minimum plus the last
+    # centre's column, where a k-centre sweep was made before
+    g = make_builtin(name, dim)
+    x = np.exp(np.random.default_rng(dim).normal(0.0, 1.0, size=(300, dim)))
+    for k in (1, 2, 5):
+        cfg = SeedingConfig(k=k, alpha=0.3, rng_seed=k)
+        idx, pot = clustering._seed_with_potential(g, x, cfg)
+        assert np.array_equal(idx, seed_indices(g, x, cfg))
+        assert pot == potential(g, 0.3, x, x[idx])
 
 
 def test_potential_definition():
@@ -195,6 +215,76 @@ def test_brute_force_small_cases():
                                      np.arange(30).reshape(-1, 1), k=15)
 
 
+def _reference_brute_force(g, alpha, x, k):
+    """One assignment sweep per k-subset, the lowest subset winning ties:
+    the form the matrix path replaces."""
+    best = None
+    for subset in combinations(range(len(x)), k):
+        mind, idx = min_divergence_assign(g, alpha, x, x[list(subset)])
+        pot = float(mind.sum())
+        if best is None or pot < best[0]:
+            best = (pot, subset, idx)
+    return best
+
+
+def _assert_reference_optimum(g, alpha, x, k):
+    pot, subset, idx = _reference_brute_force(g, alpha, x, k)
+    model = brute_force_discrete_optimum(g, alpha, x, k)
+    assert model.potential == pot
+    assert np.array_equal(model.centers, x[list(subset)])
+    assert np.array_equal(model.assignments, idx)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("name, dim", [
+    ("shannon", 1), ("shannon", 2), ("shannon", 8), ("burg", 2)])
+def test_matrix_optimum_matches_the_reference(name, dim, block, monkeypatch):
+    if block is not None:
+        # a few subsets per block, so the scan crosses block boundaries
+        monkeypatch.setattr(clustering, "_BLOCK_BYTES", 8 * 12 * block)
+    g = make_builtin(name, dim)
+    x = np.exp(np.random.default_rng(dim).normal(0.0, 1.0, size=(12, dim)))
+    for k in (1, 2, 3, 12):
+        _assert_reference_optimum(g, 0.4, x, k)
+
+
+@pytest.mark.parametrize("block", [None, 1, 4])
+def test_matrix_optimum_ties_go_to_the_lowest_subset(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(clustering, "_BLOCK_BYTES", 8 * 8 * block)
+    # rows 0/1, 2/3 and 4/5 are duplicates, so every best subset has an
+    # exact twin that only its row indices tell apart
+    X = np.array([1.0, 1.0, 2.0, 2.0, 9.0, 9.0, 1.5, 8.0]).reshape(-1, 1)
+    cols = clustering._tj_columns(SHANNON, 0.5, X)
+    # at k = 8 the duplicate centres tie for their own rows' assignments
+    for k in (1, 2, 3, 4, 8):
+        _assert_reference_optimum(SHANNON, 0.5, X, k)
+        if k > 1:
+            subset = _reference_brute_force(SHANNON, 0.5, X, k)[1]
+            assert tuple(clustering._optimum(cols, k)[1].tolist()) == subset
+    three = clustering._tj_columns(SHANNON, 0.5, X[:6])
+    assert clustering._optimum(three, 3)[1].tolist() == [0, 2, 4]
+
+
+def test_k1_optimum_holds_no_matrix():
+    n = 3000
+    x = np.exp(np.random.default_rng(1).normal(0.0, 1.0, size=(n, 1)))
+    tracemalloc.start()
+    try:
+        model = brute_force_discrete_optimum(SHANNON, 0.5, x, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an n x n float64 matrix would be 72 MB
+    assert peak < n * n * 8 / 50
+    sums = [float(pairwise_total_jensen(SHANNON, 0.5, x, x[j:j + 1]).sum())
+            for j in range(n)]
+    j = int(np.argmin(sums))
+    assert model.potential == sums[j]
+    assert np.array_equal(model.centers, x[j:j + 1])
+    assert np.array_equal(model.assignments, np.zeros(n, dtype=int))
+
+
 def test_brute_force_separates_visible_clusters():
     X = np.array([1.0, 1.1, 1.2, 1.3, 9.0, 9.2, 9.4, 9.6]).reshape(-1, 1)
     model = brute_force_discrete_optimum(SHANNON, 0.5, X, k=2)
@@ -221,6 +311,32 @@ def test_lloyd_on_separated_blobs():
     capped = lloyd_cluster(SHANNON, X, SeedingConfig(k=2, rng_seed=11),
                            max_rounds=1)
     assert capped.rounds == 1 and not capped.converged
+
+
+def test_converged_lloyd_makes_one_sweep_per_round(monkeypatch):
+    real = kernels.min_divergence_assign
+    calls = []
+
+    def counting(g, alpha, x, centers):
+        calls.append(len(centers))
+        return real(g, alpha, x, centers)
+
+    monkeypatch.setattr(kernels, "min_divergence_assign", counting)
+    rng = np.random.default_rng(7)
+    X = np.exp(np.concatenate([rng.normal(0.0, 0.1, size=(50, 2)),
+                               rng.normal(2.0, 0.1, size=(50, 2))]))
+    g = make_builtin("shannon", 2)
+    model = lloyd_cluster(g, X, SeedingConfig(k=2, rng_seed=3))
+    assert model.converged and model.rounds >= 2
+    # the converged round's sweep is the result; no sweep repeats it
+    assert len(calls) == model.rounds
+    mind, idx = real(g, 0.5, X, model.centers)
+    assert np.array_equal(idx, model.assignments)
+    assert model.potential == float(mind.sum())
+    calls.clear()
+    capped = lloyd_cluster(g, X, SeedingConfig(k=2, rng_seed=3), max_rounds=1)
+    # stopped after moving the centres: one more sweep assigns to them
+    assert not capped.converged and len(calls) == 2
 
 
 def test_reassignment_raising_the_potential_is_an_error(monkeypatch):
@@ -403,6 +519,48 @@ def test_bound_experiment_trivial_and_small():
         want = 2.0 * row["u"] ** 2 * (1.0 + row["v"]) * (2.0 + math.log(2))
         assert row["multiplier"] == pytest.approx(want, rel=1e-12)
         assert row["satisfied"] == (rep.ratio <= row["multiplier"])
+
+
+@pytest.mark.parametrize("name, dim, k", [
+    ("burg", 2, 3), ("shannon", 1, 1), ("shannon", 8, 2), ("shannon", 2, 4)])
+def test_bound_experiment_matches_per_trial_draws(name, dim, k):
+    g = make_builtin(name, dim)
+    x = np.exp(np.random.default_rng(k).normal(0.0, 0.7, size=(14, dim)))
+    cfg = SeedingConfig(k=k, alpha=0.3, rng_seed=21, trials=40)
+    rep = seeding_bound_experiment(g, x, cfg, samples=64)
+    streams = [np.random.Generator(np.random.PCG64(s))
+               for s in np.random.SeedSequence(21).spawn(40)]
+    pots = np.array([
+        potential(g, 0.3, x, x[_reference_draws(g, x, k, 0.3, rng)])
+        for rng in streams])
+    assert rep.mean_potential == float(pots.mean())
+    assert rep.opt_potential == _reference_brute_force(g, 0.3, x, k)[0]
+
+
+def test_bound_experiment_on_duplicates_takes_the_uniform_branch():
+    # three distinct rows and k = 4: every trial's last draw has zero mass
+    X = np.repeat(np.array([1.0, 2.0, 5.0]), 3).reshape(-1, 1)
+    cfg = SeedingConfig(k=4, rng_seed=2, trials=30)
+    rep = seeding_bound_experiment(SHANNON, X, cfg, samples=64)
+    assert rep.mean_potential == 0.0 and rep.opt_potential == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_bound_experiment_computes_each_column_once(k, monkeypatch):
+    calls = []
+    tj = kernels._tj
+
+    def counting(g, alpha, p, q):
+        calls.append(1)
+        return tj(g, alpha, p, q)
+
+    monkeypatch.setattr(kernels, "_tj", counting)
+    x = np.exp(np.random.default_rng(4).normal(0.0, 0.7, size=(24, 2)))
+    g = make_builtin("burg", 2)
+    seeding_bound_experiment(
+        g, x, SeedingConfig(k=k, rng_seed=1, trials=1000), samples=64)
+    # one column per point (the n x n matrix, or k = 1's column sums)
+    assert len(calls) <= len(x) + 1
 
 
 def test_bound_holds_for_euclidean_at_unit_eps():
