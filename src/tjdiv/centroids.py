@@ -112,10 +112,11 @@ def jensen_centroid_cccp(g: Generator, alpha, data: WeightedPointSet,
     c = _barycenter(g, data)
     if not trace_loss:
         return kernels.cccp_steps(g, alpha, data.points, w, c, iters)
-    losses = [kernels.jensen_loss(g, alpha, data.points, w, c)]
+    fx = g.f(data.points)
+    losses = [kernels.jensen_loss(g, alpha, data.points, w, c, fx=fx)]
     for _ in range(int(iters)):
         c = kernels.cccp_steps(g, alpha, data.points, w, c, 1)
-        losses.append(kernels.jensen_loss(g, alpha, data.points, w, c))
+        losses.append(kernels.jensen_loss(g, alpha, data.points, w, c, fx=fx))
     return c, losses
 
 
@@ -138,17 +139,19 @@ def total_jensen_centroid(g: Generator, data: WeightedPointSet,
         ensure_domain(g, c, interior=True)
     else:
         c = _barycenter(g, data)
-    return _total_jensen_centroid(g, data, cfg, c)
+    return _total_jensen_centroid(g, data, cfg, c, g.f(data.points))
 
 
 def _total_jensen_centroid(g: Generator, data: WeightedPointSet,
-                           cfg: CentroidConfig, c: np.ndarray) -> CentroidResult:
+                           cfg: CentroidConfig, c: np.ndarray,
+                           fx: np.ndarray) -> CentroidResult:
     """total_jensen_centroid from the start c, with no input checks: the
     caller has checked data.points against g's domain and c against its
-    interior (lloyd_cluster does so once for all of a round's clusters)."""
+    interior (lloyd_cluster does so once for all of a round's clusters).
+    fx = F(data.points), which every stage reads."""
     def loss_and_rho(c):  # the loss at c and the next stage's rho_J at c
         vals, rho = kernels.total_jensen_and_conformal(
-            g, cfg.alpha, data.points, c[None, :])
+            g, cfg.alpha, data.points, c[None, :], fp=fx)
         return float(data.weights @ vals), rho
 
     loss_prev, rho = loss_and_rho(c)

@@ -9,9 +9,12 @@ SeedSequence.spawn so trial t is reproducible in isolation.
 
 On n points every divergence the brute-force optimum and the seeding
 trials need is an entry of one n x n matrix, tJ_alpha(x_i : x_j), so
-for k >= 2 it is built once from n kernel columns and read from then on.
-At k = 1, where the subset budget allows n up to 1e6, no matrix is
-held: each potential is one column's sum, computed a column at a time.
+for k >= 2 it is built once from n kernel columns and read from then on;
+the subset budget caps that matrix at C(n, 2) <= 1e6 pairs. At k = 1,
+where the budget allows n up to 1e6, no matrix is held: each potential
+is one column's sum, computed a column at a time. F(x) depends only on
+the points, so it is computed once per point set and every column,
+sweep and centroid stage over those points reads it.
 
 The approximation-bound constants K1 (Hessian eigenvalue spread over
 the closure) and K2 (squared chord slope) are estimated by sampling the
@@ -111,25 +114,28 @@ def _streams(seed: int, n: int):
             for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _tj_column(g, alpha, x, j):
-    """tJ_alpha(x_i : x_j) for every row i: one kernel call."""
-    return kernels.pairwise_total_jensen(g, alpha, x, x[j:j + 1])
+def _tj_column(g, alpha, x, fx, j):
+    """tJ_alpha(x_i : x_j) for every row i, fx = F(x): one kernel call."""
+    return kernels.pairwise_total_jensen(g, alpha, x, x[j:j + 1], fp=fx)
 
 
 def _tj_columns(g, alpha, x):
     """cols[j, i] = tJ_alpha(x_i : x_j) from n kernel columns. Row j is
     the column of centre x_j, so every read is a contiguous row."""
     n = x.shape[0]
+    fx = g.f(x)
     cols = np.empty((n, n))
     for j in range(n):
-        cols[j] = _tj_column(g, alpha, x, j)
+        cols[j] = _tj_column(g, alpha, x, fx, j)
     return cols
 
 
 def _column_sums(g, alpha, x):
     """sum_i tJ_alpha(x_i : x_j) for each j, one column at a time: the
     k = 1 potentials, with no n x n matrix held."""
-    return np.array([_tj_column(g, alpha, x, j).sum() for j in range(len(x))])
+    fx = g.f(x)
+    return np.array([_tj_column(g, alpha, x, fx, j).sum()
+                     for j in range(len(x))])
 
 
 def _seed_indices(column, n, k, rng):
@@ -153,12 +159,14 @@ def _seed_indices(column, n, k, rng):
     return np.asarray(chosen, dtype=np.int64), mind
 
 
-def _seeded_indices(g, x, cfg: SeedingConfig):
-    # x is already checked by the public caller
+def _seeded_indices(g, x, cfg: SeedingConfig, fx=None):
+    # x is already checked by the public caller; fx = F(x), if known
     if x.shape[0] < cfg.k:
         raise ValidationError(f"need at least k={cfg.k} points, have {x.shape[0]}")
+    if fx is None and cfg.k > 1:  # k = 1 draws once and reads no column
+        fx = g.f(x)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.rng_seed)))
-    return _seed_indices(partial(_tj_column, g, cfg.alpha, x), x.shape[0],
+    return _seed_indices(partial(_tj_column, g, cfg.alpha, x, fx), x.shape[0],
                          cfg.k, rng)
 
 
@@ -177,8 +185,9 @@ def _seed_with_potential(g: Generator, data, cfg: SeedingConfig):
     """(seed_indices, their potential): one kernel column more than the
     draws, not a k-centre sweep."""
     x = as_points(data, g)
-    idx, mind = _seeded_indices(g, x, cfg)
-    last = _tj_column(g, cfg.alpha, x, idx[-1])
+    fx = g.f(x)
+    idx, mind = _seeded_indices(g, x, cfg, fx)
+    last = _tj_column(g, cfg.alpha, x, fx, idx[-1])
     return idx, float(np.minimum(mind, last).sum())
 
 
@@ -196,6 +205,12 @@ def _check_subsets(n: int, k: int):
     if math.comb(n, k) > 10 ** 6:
         raise ValidationError(
             f"C({n},{k}) exceeds the combinatorial budget of 1e6")
+    if k >= 2 and math.comb(n, 2) > 10 ** 6:
+        # k >= 2 reads the n x n tJ table: C(n, 2) bounds its size, and
+        # with it the k = n - 1 scan, where C(n, k) = n does not
+        raise ValidationError(
+            f"k={k} needs the {n}x{n} divergence table, and its "
+            f"C({n},2) pairs exceed the table budget of 1e6")
 
 
 # bytes of one block of subset minima; the scan holds two such blocks
@@ -260,21 +275,23 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
     InvariantError); the centroid update uses the two-stage total Jensen
     centroid and is heuristic, so the potential across full rounds is
     not required to fall. Empty clusters are re-seeded on the farthest
-    point. `data` is checked once here; seeding and each round's
-    clusters use rows of it without checking them again.
+    point. `data` is checked once here, and F(data) computed once;
+    seeding, every sweep and each round's clusters use rows of both.
     """
     x = as_points(data, g)
-    centers = x[_seeded_indices(g, x, cfg)[0]]
+    fx = g.f(x)
+    centers = x[_seeded_indices(g, x, cfg, fx)[0]]
     ccfg = centroid_cfg or CentroidConfig(alpha=cfg.alpha)
     ccfg = replace(ccfg, alpha=cfg.alpha, init=None)
     prev_idx = None
     rounds = 0
     converged = False
     for rounds in range(1, max_rounds + 1):
-        mind, idx = kernels.min_divergence_assign(g, cfg.alpha, x, centers)
+        mind, idx = kernels.min_divergence_assign(
+            g, cfg.alpha, x, centers, fx=fx)
         if prev_idx is not None:
             held = kernels.pairwise_total_jensen(
-                g, cfg.alpha, x, centers[prev_idx])
+                g, cfg.alpha, x, centers[prev_idx], fp=fx)
             old_pot = float(held.sum())
             new_pot = float(mind.sum())
             # re-assignment under fixed centers never increases the potential
@@ -287,7 +304,7 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
                 centers = centers.copy()
                 centers[j] = x[int(np.argmax(mind))]
                 mind, idx = kernels.min_divergence_assign(
-                    g, cfg.alpha, x, centers)
+                    g, cfg.alpha, x, centers, fx=fx)
         if prev_idx is not None and np.array_equal(idx, prev_idx):
             converged = True
             break
@@ -302,12 +319,13 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
         new_centers = centers.copy()
         for (j, members), start in zip(clusters.items(), starts):
             new_centers[j] = _total_jensen_centroid(
-                g, members, ccfg, start).center
+                g, members, ccfg, start, fx[idx == j]).center
         centers = new_centers
         prev_idx = idx
     else:
         # the last round moved the centres (or none ran): assign to them
-        mind, idx = kernels.min_divergence_assign(g, cfg.alpha, x, centers)
+        mind, idx = kernels.min_divergence_assign(
+            g, cfg.alpha, x, centers, fx=fx)
     return ClusterModel(centers=centers, assignments=idx,
                         potential=float(mind.sum()), rounds=rounds,
                         converged=converged)

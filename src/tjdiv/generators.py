@@ -131,11 +131,9 @@ def ensure_domain(g: Generator, x: np.ndarray, interior: bool = False) -> None:
 
 
 def _xlogx(x):
+    """x log x, 0 at x = 0: log runs on 1 there, with no masked copies."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    m = x > 0.0
-    out[m] = x[m] * np.log(x[m])
-    return out
+    return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
 def _shannon(dim):

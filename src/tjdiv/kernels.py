@@ -8,6 +8,14 @@ centre is one (1, d) row and F runs on it once; rho_J and the Jensen gap
 are each written once, in `_rho` and `_jensen`. `_tj` returns tJ with the
 rho_J that scaled it: `total_jensen_and_conformal` gives both, one F pass.
 
+F of the point side depends only on the point set, so a caller that
+sweeps the same points against many centres, or runs many centroid
+stages on them, computes it once and passes it in: the keyword-only
+`fp=` of `pairwise_total_jensen` and `total_jensen_and_conformal`, and
+`fx=` of `min_divergence_assign` and `jensen_loss`. Left out, it is
+computed from the points, with the same bits. `cccp_steps` forms the
+data side alpha * x once per call, not once per step.
+
 Kernels validate nothing beyond alpha. Domain membership is checked
 once, where an array enters the library: the public functions of
 divergences, geometry, robustness, centroids and clustering check their
@@ -37,9 +45,12 @@ def _rows(a):
     return a
 
 
-def _jensen(g, alpha, p, q):
-    """(F(p), F(q), row raw Jensen gap J'_alpha(p : q))."""
-    fp, fq = g.f(p), g.f(q)
+def _jensen(g, alpha, p, q, fp=None):
+    """(F(p), F(q), row raw Jensen gap J'_alpha(p : q)); fp is F(p) when
+    the caller holds it."""
+    if fp is None:
+        fp = g.f(p)
+    fq = g.f(q)
     fm = g.f(alpha * p + (1.0 - alpha) * q)
     return fp, fq, alpha * fp + (1.0 - alpha) * fq - fm
 
@@ -53,24 +64,25 @@ def _rho(fp, fq, p, q):
     return rho, nz
 
 
-def _tj(g, alpha, p, q):
-    """(row scaled tJ_alpha(p : q), row rho_J(p, q))."""
-    fp, fq, gap = _jensen(g, alpha, p, q)
+def _tj(g, alpha, p, q, fp=None):
+    """(row scaled tJ_alpha(p : q), row rho_J(p, q)); fp as in _jensen."""
+    fp, fq, gap = _jensen(g, alpha, p, q, fp)
     rho, nz = _rho(fp, fq, p, q)
     return np.where(nz, rho * gap, 0.0) / (alpha * (1.0 - alpha)), rho
 
 
-def total_jensen_and_conformal(g, alpha, p, q):
+def total_jensen_and_conformal(g, alpha, p, q, *, fp=None):
     """Row-wise (scaled tJ_alpha(p_i : q_i), rho_J(p_i, q_i)) from one F
-    pass; a (1, d) row broadcasts."""
+    pass; a (1, d) row broadcasts, and fp is F(p) if already known."""
     _check_alpha(alpha)
-    return _tj(g, alpha, _rows(p), _rows(q))
+    return _tj(g, alpha, _rows(p), _rows(q), fp=fp)
 
 
-def pairwise_total_jensen(g, alpha, p, q):
-    """Row-wise scaled tJ_alpha(p_i : q_i); a (1, d) row broadcasts."""
+def pairwise_total_jensen(g, alpha, p, q, *, fp=None):
+    """Row-wise scaled tJ_alpha(p_i : q_i); a (1, d) row broadcasts, and
+    fp is F(p) if already known."""
     _check_alpha(alpha)
-    return _tj(g, alpha, _rows(p), _rows(q))[0]
+    return _tj(g, alpha, _rows(p), _rows(q), fp=fp)[0]
 
 
 def pairwise_conformal(g, p, q):
@@ -79,18 +91,23 @@ def pairwise_conformal(g, p, q):
     return _rho(g.f(p), g.f(q), p, q)[0]
 
 
-def jensen_loss(g, alpha, x, w, c):
-    """Weighted scaled Jensen loss sum_i w_i J_alpha(x_i : c), one centre c."""
+def jensen_loss(g, alpha, x, w, c, *, fx=None):
+    """Weighted scaled Jensen loss sum_i w_i J_alpha(x_i : c), one centre
+    c; fx is F(x) if already known."""
     _check_alpha(alpha)
-    gap = _jensen(g, alpha, _rows(x), np.reshape(c, (1, -1)))[2]
+    gap = _jensen(g, alpha, _rows(x), np.reshape(c, (1, -1)), fx)[2]
     return float(w @ gap) / (alpha * (1.0 - alpha))
 
 
-def min_divergence_assign(g, alpha, x, centers):
-    """Per point: (min_c tJ_alpha(x_i : c), argmin index, lowest on ties)."""
+def min_divergence_assign(g, alpha, x, centers, *, fx=None):
+    """Per point: (min_c tJ_alpha(x_i : c), argmin index, lowest on ties).
+    F(x) is computed once for all centres, or taken from fx."""
     _check_alpha(alpha)
     x, centers = _rows(x), _rows(centers)
-    vals = np.stack([_tj(g, alpha, x, c[None])[0] for c in centers], axis=1)
+    if fx is None:
+        fx = g.f(x)
+    vals = np.stack([_tj(g, alpha, x, c[None], fp=fx)[0] for c in centers],
+                    axis=1)
     idx = np.argmin(vals, axis=1)  # argmin takes the first minimum
     return vals[np.arange(len(x)), idx], idx
 
@@ -108,13 +125,13 @@ def cccp_steps(g, alpha, x, w, c0, iters):
     inverse gradients map into the open domain).
     """
     _check_alpha(alpha)
-    x = _rows(x)
+    ax = alpha * _rows(x)  # the data side, the same at every step
     w = np.asarray(w, dtype=np.float64)
     c = np.array(c0, dtype=np.float64, ndmin=1)
     lo = g.domain.lo + 1e-12
     hi = g.domain.hi - 1e-12
     for _ in range(int(iters)):
-        grads = g.grad(alpha * x + (1.0 - alpha) * c[None, :])
+        grads = g.grad(ax + (1.0 - alpha) * c[None, :])
         c = g.grad_inverse(w @ grads)
         c = np.clip(c, lo, hi)
     return c

@@ -1,7 +1,9 @@
 """Seeding, Lloyd clustering, brute-force optima, and bound constants."""
 
+import inspect
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 
 from tjdiv import clustering, kernels
 from tjdiv.centroids import (
-    CentroidConfig, WeightedPointSet, total_jensen_centroid)
+    CentroidConfig, WeightedPointSet, jensen_centroid_cccp,
+    total_jensen_centroid)
 from tjdiv.clustering import (
     DEFAULT_EPS_GRID, SeedingConfig, brute_force_discrete_optimum,
     estimate_bound_constants, lloyd_cluster, potential, seed, seed_indices,
@@ -128,9 +131,9 @@ def test_seeding_evaluates_one_tj_column_per_new_center(monkeypatch):
     rows = []
     tj = kernels._tj
 
-    def counting(g, alpha, p, q):
+    def counting(g, alpha, p, q, **kw):
         rows.append(np.broadcast_shapes(p.shape, q.shape)[0])
-        return tj(g, alpha, p, q)
+        return tj(g, alpha, p, q, **kw)
 
     monkeypatch.setattr(kernels, "_tj", counting)
     x = np.exp(np.random.default_rng(3).normal(size=(50, 2)))
@@ -139,6 +142,71 @@ def test_seeding_evaluates_one_tj_column_per_new_center(monkeypatch):
         rows.clear()
         seed_indices(g, x, SeedingConfig(k=k, rng_seed=k))
         assert sum(rows) == 50 * (k - 1)
+
+
+def _counting_f(g):
+    """g with an f that records each argument it is called on."""
+    seen = []
+
+    def f(x):
+        seen.append(np.array(x))
+        return g.f(x)
+
+    return replace(g, f=f), seen
+
+
+def _f_rows(seen):
+    return sum(int(np.prod(a.shape[:-1])) for a in seen)
+
+
+def test_seeding_evaluates_f_of_the_points_once():
+    n = 40
+    x = np.exp(np.random.default_rng(5).normal(size=(n, 2)))
+    g, seen = _counting_f(make_builtin("shannon", 2))
+    for k in (1, 2, 5):
+        seen.clear()
+        idx = seed_indices(g, x, SeedingConfig(k=k, rng_seed=k))
+        # F(x) once, then per new centre its own row and the n midpoints;
+        # k = 1 draws one uniform index and evaluates nothing
+        assert _f_rows(seen) == (0 if k == 1 else n + (k - 1) * (n + 1))
+        assert np.array_equal(
+            idx, seed_indices(make_builtin("shannon", 2), x,
+                              SeedingConfig(k=k, rng_seed=k)))
+
+
+def test_centroids_evaluate_f_of_the_points_once():
+    n = 60
+    data = WeightedPointSet.make(
+        np.exp(np.random.default_rng(8).normal(size=(n, 3))))
+    plain = make_builtin("shannon", 3)
+    g, seen = _counting_f(plain)
+    res = total_jensen_centroid(g, data)
+    # F(x) once, then per loss evaluation (one before the first stage,
+    # one after each of S stages) the centre's row and n midpoints
+    assert _f_rows(seen) == n + (res.iterations + 1) * (n + 1)
+    assert np.array_equal(res.center,
+                          total_jensen_centroid(plain, data).center)
+    seen.clear()
+    c, losses = jensen_centroid_cccp(g, 0.4, data, iters=7, trace_loss=True)
+    assert len(losses) == 8 and _f_rows(seen) == n + 8 * (n + 1)
+    assert losses == jensen_centroid_cccp(
+        plain, 0.4, data, iters=7, trace_loss=True)[1]
+
+
+def test_lloyd_evaluates_f_of_the_points_once():
+    rng = np.random.default_rng(7)
+    x = np.exp(np.concatenate([rng.normal(0.0, 0.1, size=(50, 2)),
+                               rng.normal(2.0, 0.1, size=(50, 2))]))
+    g, seen = _counting_f(make_builtin("shannon", 2))
+    model = lloyd_cluster(g, x, SeedingConfig(k=2, rng_seed=3))
+    assert model.rounds >= 2
+    # each sweep's midpoints also have n rows, so count calls on x itself
+    assert sum(a.shape == x.shape and np.array_equal(a, x)
+               for a in seen) == 1
+    plain = lloyd_cluster(make_builtin("shannon", 2), x,
+                          SeedingConfig(k=2, rng_seed=3))
+    assert np.array_equal(model.centers, plain.centers)
+    assert model.potential == plain.potential
 
 
 @pytest.mark.parametrize("name", ["shannon", "burg"])
@@ -202,6 +270,35 @@ def test_assignment_sweep_and_pairwise_kernel_agree_bitwise(name, dim):
                           kernels.pairwise_conformal(g, x, view))
 
 
+def test_kernel_positional_parameters_are_fixed():
+    # perfbench/spans.py unpacks these positional arguments, so an added
+    # argument (such as a precomputed F) must be keyword-only
+    want = {
+        min_divergence_assign: ["g", "alpha", "x", "centers"],
+        kernels.cccp_steps: ["g", "alpha", "x", "w", "c0", "iters"],
+        pairwise_total_jensen: ["g", "alpha", "p", "q"],
+        kernels.pairwise_conformal: ["g", "p", "q"],
+    }
+    for fn, names in want.items():
+        params = inspect.signature(fn).parameters.values()
+        assert [p.name for p in params
+                if p.kind is p.POSITIONAL_OR_KEYWORD] == names
+        assert all(p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+                   for p in params)
+
+
+def test_precomputed_f_gives_the_same_bits():
+    g = make_builtin("shannon", 16)
+    x = np.exp(np.random.default_rng(2).normal(size=(200, 16)))
+    fx = g.f(x)
+    c = x[[3, 70, 150]]
+    for got, want in zip(min_divergence_assign(g, 0.3, x, c, fx=fx),
+                         min_divergence_assign(g, 0.3, x, c)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(pairwise_total_jensen(g, 0.3, x, c[:1], fp=fx),
+                          pairwise_total_jensen(g, 0.3, x, c[:1]))
+
+
 def test_brute_force_small_cases():
     X = np.array([1.0, 2.0, 2.5, 6.0]).reshape(-1, 1)
     full = brute_force_discrete_optimum(SHANNON, 0.5, X, k=4)
@@ -213,6 +310,23 @@ def test_brute_force_small_cases():
     with pytest.raises(ValidationError):
         brute_force_discrete_optimum(SHANNON, 0.5, np.ones((30, 1)) + \
                                      np.arange(30).reshape(-1, 1), k=15)
+
+
+def test_subset_budget_bounds_the_divergence_table():
+    # C(n, n) = 1 and C(n, n - 1) = n pass the subset budget, but k >= 2
+    # reads an n x n table, so n is capped at C(n, 2) <= 1e6 (n <= 1414)
+    x = np.linspace(1.0, 2.0, 1500).reshape(-1, 1)
+    for k in (1500, 1499):
+        with pytest.raises(ValidationError, match="table budget of 1e6"):
+            brute_force_discrete_optimum(SHANNON, 0.5, x, k)
+        with pytest.raises(ValidationError, match="table budget of 1e6"):
+            seeding_bound_experiment(SHANNON, x, SeedingConfig(k=k))
+    clustering._check_subsets(1414, 1414)
+    with pytest.raises(ValidationError, match="combinatorial budget"):
+        clustering._check_subsets(1500, 2)
+    # the benchmark's bound experiment: 24 points, k = 3
+    x = np.exp(np.random.default_rng(4).normal(0.0, 0.7, size=(24, 2)))
+    _assert_reference_optimum(make_builtin("burg", 2), 0.5, x, 3)
 
 
 def _reference_brute_force(g, alpha, x, k):
@@ -317,9 +431,9 @@ def test_converged_lloyd_makes_one_sweep_per_round(monkeypatch):
     real = kernels.min_divergence_assign
     calls = []
 
-    def counting(g, alpha, x, centers):
+    def counting(g, alpha, x, centers, **kw):
         calls.append(len(centers))
-        return real(g, alpha, x, centers)
+        return real(g, alpha, x, centers, **kw)
 
     monkeypatch.setattr(kernels, "min_divergence_assign", counting)
     rng = np.random.default_rng(7)
@@ -342,8 +456,8 @@ def test_converged_lloyd_makes_one_sweep_per_round(monkeypatch):
 def test_reassignment_raising_the_potential_is_an_error(monkeypatch):
     real = kernels.min_divergence_assign
 
-    def inflated(g, alpha, x, centers):
-        mind, idx = real(g, alpha, x, centers)
+    def inflated(g, alpha, x, centers, **kw):
+        mind, idx = real(g, alpha, x, centers, **kw)
         return mind + 1.0, idx
 
     monkeypatch.setattr(kernels, "min_divergence_assign", inflated)
@@ -550,9 +664,9 @@ def test_bound_experiment_computes_each_column_once(k, monkeypatch):
     calls = []
     tj = kernels._tj
 
-    def counting(g, alpha, p, q):
+    def counting(g, alpha, p, q, **kw):
         calls.append(1)
-        return tj(g, alpha, p, q)
+        return tj(g, alpha, p, q, **kw)
 
     monkeypatch.setattr(kernels, "_tj", counting)
     x = np.exp(np.random.default_rng(4).normal(0.0, 0.7, size=(24, 2)))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tjdiv.errors import DomainError, ValidationError
 from tjdiv.generators import (
-    BUILTIN_NAMES, affine_postcompose, affine_precompose, as_point,
+    BUILTIN_NAMES, _xlogx, affine_postcompose, affine_precompose, as_point,
     ensure_domain, hessian_at, make_builtin)
 
 POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
@@ -229,3 +229,41 @@ def test_bit_grad_inverse_is_logistic(x):
     y = float(g.grad(np.array([x]))[0])
     assert float(g.grad_inverse(np.array([y]))[0]) == pytest.approx(
         1.0 / (1.0 + math.exp(-y)), rel=1e-12)
+
+
+def _masked_xlogx(x):
+    """The masked gather/scatter form of x log x that _xlogx replaced."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(x)
+    m = x > 0.0
+    out[m] = x[m] * np.log(x[m])
+    return out
+
+
+@pytest.mark.parametrize("name", ["shannon", "bit"])
+def test_entropy_generators_keep_their_bits(name):
+    if name == "shannon":
+        old_f = lambda x: (_masked_xlogx(x) - x).sum(axis=-1)
+        edges = [0.0, -0.0, 5e-324, 1e-300, 1.0, 1e300]
+        rand = np.exp(np.random.default_rng(1).normal(0.0, 3.0, (20000, 4)))
+    else:
+        old_f = lambda x: (_masked_xlogx(x) + _masked_xlogx(1.0 - x)).sum(
+            axis=-1)
+        edges = [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0]  # 1.0: bit's endpoint
+        rand = np.random.default_rng(1).random((20000, 4))
+    g = make_builtin(name)
+    x = np.array(edges).reshape(-1, 1)
+    # compared as bit patterns, so the sign of a zero counts
+    assert np.array_equal(g.f(x).view(np.uint64), old_f(x).view(np.uint64))
+    g4 = make_builtin(name, 4)
+    assert np.array_equal(g4.f(rand).view(np.uint64),
+                          old_f(rand).view(np.uint64))
+
+
+def test_xlogx_sign_of_zero_does_not_reach_f():
+    # x * log(1) keeps the sign of -0.0, where the masked form wrote +0.0
+    assert np.signbit(_xlogx(np.array([-0.0])))[0]
+    assert not np.signbit(_masked_xlogx(np.array([-0.0])))[0]
+    for name in ("shannon", "bit"):
+        v = make_builtin(name).f(np.array([[-0.0]]))
+        assert v[0] == 0.0 and not np.signbit(v[0])
