@@ -1,7 +1,8 @@
 """Fingerprint the seeded CLI `results` blocks of one tjdiv source tree.
 
-Writes fixed-seed CSV datasets (d = 1, 2, 4, 8, 16, a 24x2 file and a
-file of repeated rows) to a temporary directory, runs the seeded
+Writes fixed-seed CSV datasets (d = 1, 2, 4, 8, 16, a 24x2 file, a
+file of repeated rows, and the 24x2 points again under a header with a
+weight column and a blank line) to a temporary directory, runs the seeded
 cluster, seed, centroid, bound-experiment, constants, influence and
 divergence commands in process, and prints one
 `name sha256[:16]` line per `results` block, each followed by one
@@ -56,6 +57,15 @@ def _datasets(tmp):
     # the draw where every remaining point has zero divergence mass
     dup = np.repeat(small[:3], 4, axis=0)
     files["dup2"] = _write_csv(os.path.join(tmp, "dup2.csv"), dup)
+    # a header row, a weight column and a blank line: the ingest path
+    # that headerless files never take
+    table = np.column_stack([small, rng.uniform(0.5, 2.0, size=len(small))])
+    rows = [",".join(format(v, ".17g") for v in r) for r in table.tolist()]
+    path = os.path.join(tmp, "weighted2.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(["x,y,weight"] + rows[:12] + [""] + rows[12:]))
+        fh.write("\n")
+    files["weighted2"] = path
     return files
 
 
@@ -97,6 +107,8 @@ def _commands(files):
         ("bound-experiment-shannon-d2-k2",
          ["bound-experiment", "--input", files["small2"], "--k", "2",
           "--trials", "200", "--samples", "1024", "--rng-seed", "7"]),
+        ("centroid-weighted-shannon-d2",
+         ["centroid", "--input", files["weighted2"], "--outer-max", "200"]),
         ("seed-shannon-dup2",
          ["seed", "--input", files["dup2"], "--k", "4", "--rng-seed", "8"]),
         ("influence-shannon",

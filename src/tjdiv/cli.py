@@ -7,12 +7,19 @@ re-running a command with the seed echoed under "command" reproduces
 the "results" object byte for byte. Exit codes: 0 success, 1 domain or
 validation failure, 2 usage error.
 
+"timings" holds wall-clock seconds, outside "results" so that reruns
+stay byte-identical: total_s covers config, defaults and the command;
+load_s, present for every command that reads --input, covers the
+dataset stage within it (CSV parse, weight check, domain check).
+
 A config file of key=value lines can pre-set any flag; explicit flags
 win. Keys match flag names with either dashes or underscores.
 """
 
 import argparse
 import csv
+import io
+import itertools
 import math
 import os
 import sys
@@ -79,6 +86,17 @@ def _canon(x, out):
             _canon(x[key], out)
         out.append("}")
     elif isinstance(x, (list, tuple)):
+        # a flat list of exact ints or exact floats (no bool, no numpy
+        # scalar) is written in one join, with the items' scalar forms
+        kinds = set(map(type, x))
+        if kinds == {int}:
+            out.append("[" + ",".join(map(str, x)) + "]")
+            return
+        if kinds == {float}:
+            out.append("[" + ",".join([
+                format(v, ".17g") if math.isfinite(v) else "null"
+                for v in x]) + "]")
+            return
         out.append("[")
         for i, v in enumerate(x):
             if i:
@@ -122,30 +140,104 @@ def _mat(text: str) -> np.ndarray:
     return np.array([_vec(r) for r in rows])
 
 
-def load_dataset(path, weight_column=None):
-    """CSV loader: one point per row, optional header, optional weight
-    column (named `weight`, or chosen via weight_column). Returns a
-    WeightedPointSet plus a metadata dict."""
+def _read_text(path):
     if not os.path.exists(path):
         raise ValidationError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        raw = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    if not raw:
-        raise ValidationError(f"{path} holds no data rows")
+        return fh.read()
 
-    def _floatable(cell):
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
 
-    header = None
-    if not all(_floatable(c) for c in raw[0]):
-        header = [c.strip() for c in raw[0]]
-        raw = raw[1:]
-        if not raw:
-            raise ValidationError(f"{path} has a header but no data rows")
+def _csv_rows(text):
+    """(physical line, cells) for each CSV record of text that holds a
+    non-blank cell; a record is numbered by the line it starts on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    line = 1
+    for row in reader:
+        if any(c.strip() for c in row):
+            yield line, row
+        line = reader.line_num + 1
+
+
+def _floatable(cell):
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def _data_rows(text):
+    """(header cells or None, iterator over the data rows of _csv_rows).
+    The first non-blank row is a header unless every cell is a number."""
+    rows = _csv_rows(text)
+    first = next(rows, None)
+    if first is None:
+        return None, rows
+    if all(_floatable(c) for c in first[1]):
+        return None, itertools.chain([first], rows)
+    return [c.strip() for c in first[1]], rows
+
+
+def _parse_fast(text, first_line):
+    """The data rows from first_line on as one (n, width) array, parsed
+    in one np.loadtxt pass; None where loadtxt rejects the text or could
+    read it differently from _parse_rows:
+    - a bare CR ends a line for csv but not for loadtxt, so the line
+      numbers of the two would disagree;
+    - loadtxt strips U+001C..U+001F around a number, float() does not.
+    Otherwise each value is float()'s: what float() reads and loadtxt
+    does not (quoted cells, `1_0`, non-ASCII digits, whitespace-only
+    rows) goes to _parse_rows."""
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
+        return None
+    if any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        return np.loadtxt(text.split("\n")[first_line - 1:], delimiter=",",
+                          comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _parse_rows(path, rows, width, wcol):
+    """The per-line parse of (line, cells) rows into an (n, width) array.
+    It names the physical line of the first bad row; it runs only when
+    _parse_fast gives no array, or one that fails a check."""
+    vals = []
+    for i, row in rows:
+        if len(row) != width:
+            raise ValidationError(
+                f"{path} line {i}: expected {width} columns, got {len(row)}")
+        cells = []
+        for j, cell in enumerate(row):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ValidationError(
+                    f"{path} line {i}, column {j + 1}: "
+                    f"cannot parse {cell.strip()!r}")
+            if not math.isfinite(v):
+                raise ValidationError(
+                    f"{path} line {i}, column {j + 1}: non-finite value")
+            cells.append(v)
+        if wcol is not None and cells[wcol] < 0:
+            raise ValidationError(f"{path} line {i}: negative weight")
+        vals.append(cells)
+    return np.array(vals, dtype=np.float64)
+
+
+def load_dataset(path, weight_column=None):
+    """CSV loader: one point per row, optional header, optional weight
+    column (named `weight`, or chosen via weight_column). Blank rows are
+    skipped; a header fixes the width. Returns a WeightedPointSet plus a
+    metadata dict."""
+    text = _read_text(path)
+    header, rows = _data_rows(text)
+    first = next(rows, None)
+    if first is None:
+        raise ValidationError(
+            f"{path} has a header but no data rows" if header
+            else f"{path} holds no data rows")
 
     wcol = None
     if weight_column is not None:
@@ -161,42 +253,37 @@ def load_dataset(path, weight_column=None):
         if "weight" in lowered:
             wcol = lowered.index("weight")
 
-    width = len(raw[0])
-    pts, wts = [], []
-    for i, row in enumerate(raw, start=(2 if header else 1)):
-        if len(row) != width:
-            raise ValidationError(
-                f"{path} line {i}: expected {width} columns, got {len(row)}")
-        vals = []
-        for j, cell in enumerate(row):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{path} line {i}, column {j + 1}: "
-                    f"cannot parse {cell.strip()!r}")
-            if not math.isfinite(v):
-                raise ValidationError(
-                    f"{path} line {i}, column {j + 1}: non-finite value")
-            vals.append(v)
-        if wcol is not None:
-            w = vals.pop(wcol)
-            if w < 0:
-                raise ValidationError(f"{path} line {i}: negative weight")
-            wts.append(w)
-        pts.append(vals)
+    width = len(header) if header else len(first[1])
 
-    data = WeightedPointSet.make(pts, wts if wcol is not None else None)
-    meta = {"rows": data.n, "has_weights": wcol is not None,
-            "first_line": 2 if header else 1, "path": path}
+    vals = _parse_fast(text, first[0])
+    if (vals is None or vals.shape[1] != width
+            or not np.isfinite(vals).all()
+            or (wcol is not None and (vals[:, wcol] < 0).any())):
+        vals = _parse_rows(path, itertools.chain([first], rows), width, wcol)
+
+    weights = None
+    if wcol is not None:
+        weights = vals[:, wcol]
+        vals = np.delete(vals, wcol, axis=1)
+    data = WeightedPointSet.make(vals, weights)
+    meta = {"rows": data.n, "has_weights": wcol is not None, "path": path}
     return data, meta
 
 
-def _dataset(ns, interior, weighted=False):
+def _file_line(path, row):
+    """The physical line of data row `row` (0-based) of a file that
+    load_dataset accepted; found by reading the file again, so that a
+    successful load keeps no per-row line list."""
+    _, rows = _data_rows(_read_text(path))
+    return next(itertools.islice(rows, row, None))[0]
+
+
+def _dataset(ns, timings, interior, weighted=False):
     """(generator, data, meta) for --input: a weight column is rejected
     unless the command uses weights, and every row is checked against
     the generator's domain (its interior if asked) once, a bad row
-    named by its file line."""
+    named by its file line. The stage's time is timings["load_s"]."""
+    t0 = time.perf_counter()
     data, meta = load_dataset(ns.input, weight_column=ns.weights)
     if meta["has_weights"] and not weighted:
         raise ValidationError(
@@ -206,9 +293,9 @@ def _dataset(ns, interior, weighted=False):
     try:
         ensure_domain(g, data.points, interior=interior)
     except DomainError as exc:
-        raise DomainError(
-            f"{meta['path']} line {meta['first_line'] + exc.row}: {exc}",
-            row=exc.row)
+        line = _file_line(meta["path"], exc.row)
+        raise DomainError(f"{meta['path']} line {line}: {exc}", row=exc.row)
+    timings["load_s"] = time.perf_counter() - t0
     return g, data, meta
 
 
@@ -228,10 +315,11 @@ def _fresh_seed() -> int:
     return int.from_bytes(os.urandom(8), "big") >> 1
 
 
-# command handlers, each returning (results dict, summary lines)
+# command handlers: each takes (ns, timings), may add stage times to
+# timings, and returns (results dict, summary lines)
 
 
-def _cmd_divergence(ns):
+def _cmd_divergence(ns, timings):
     kind = ns.kind
     if kind == "kl-gaussian":
         for flag in ("mu1", "cov1", "mu2", "cov2"):
@@ -282,7 +370,7 @@ def _cmd_divergence(ns):
     return results, [f"{kind}({g.name}{alpha}) = {value:.12g}"]
 
 
-def _cmd_project(ns):
+def _cmd_project(ns, timings):
     p, q = _vec(ns.p), _vec(ns.q)
     g = _generator_from(ns, p.size)
     res = project_beta(g, ns.alpha, p, q)
@@ -298,8 +386,8 @@ def _cmd_project(ns):
         f"projection foot at beta={res.beta:.12g}, distance={res.distance:.12g}"]
 
 
-def _cmd_centroid(ns):
-    g, data, meta = _dataset(ns, True, weighted=True)
+def _cmd_centroid(ns, timings):
+    g, data, meta = _dataset(ns, timings, True, weighted=True)
     cfg = CentroidConfig(alpha=ns.alpha, inner_cccp_iters=ns.inner_iters,
                          outer_tol=ns.outer_tol, outer_max_iters=ns.outer_max)
     fn = left_sided_centroid if ns.side == "left" else total_jensen_centroid
@@ -323,7 +411,7 @@ def _cmd_centroid(ns):
         f"loss {best:.12g}"]
 
 
-def _cmd_influence(ns):
+def _cmd_influence(ns, timings):
     g = _generator_from(ns)
     sweep = boundedness_sweep(g, ns.p, ns.ymax, per_decade=ns.per_decade)
     table = []
@@ -344,8 +432,8 @@ def _cmd_influence(ns):
         f"({sweep.classification})"]
 
 
-def _cmd_seed(ns):
-    g, data, meta = _dataset(ns, False)
+def _cmd_seed(ns, timings):
+    g, data, meta = _dataset(ns, timings, False)
     cfg = SeedingConfig(k=ns.k, alpha=ns.alpha, rng_seed=ns.rng_seed)
     idx, pot = _seed_with_potential(g, data.points, cfg)
     results = {
@@ -360,8 +448,8 @@ def _cmd_seed(ns):
         f"potential {pot:.12g}"]
 
 
-def _cmd_cluster(ns):
-    g, data, meta = _dataset(ns, True)
+def _cmd_cluster(ns, timings):
+    g, data, meta = _dataset(ns, timings, True)
     cfg = SeedingConfig(k=ns.k, alpha=ns.alpha, rng_seed=ns.rng_seed)
     ccfg = CentroidConfig(alpha=ns.alpha, inner_cccp_iters=ns.inner_iters,
                           outer_tol=ns.outer_tol, outer_max_iters=ns.outer_max)
@@ -391,8 +479,8 @@ def _constants_payload(c):
     }
 
 
-def _cmd_bound_experiment(ns):
-    g, data, meta = _dataset(ns, True)
+def _cmd_bound_experiment(ns, timings):
+    g, data, meta = _dataset(ns, timings, True)
     cfg = SeedingConfig(k=ns.k, alpha=ns.alpha, rng_seed=ns.rng_seed,
                         trials=ns.trials)
     grid = (ns.eps,) if ns.eps is not None else DEFAULT_EPS_GRID
@@ -412,8 +500,8 @@ def _cmd_bound_experiment(ns):
         f"(opt {rep.opt_potential:.12g})"]
 
 
-def _cmd_constants(ns):
-    g, data, meta = _dataset(ns, True)
+def _cmd_constants(ns, timings):
+    g, data, meta = _dataset(ns, timings, True)
     c = estimate_bound_constants(g, data.points, samples=ns.samples,
                                  rng_seed=ns.rng_seed)
     curve = [{"eps": float(e), "u": c.u(e), "v": c.v(e)}
@@ -428,7 +516,7 @@ def _sqrt_tjs(p, q):
     return math.sqrt(total_jensen_shannon(p, q).value)
 
 
-def _cmd_metric_check(ns):
+def _cmd_metric_check(ns, timings):
     if not ns.search:
         p, q, r = COUNTEREXAMPLE
         d1, d2, d3 = _sqrt_tjs(p, q), _sqrt_tjs(q, r), _sqrt_tjs(p, r)
@@ -702,17 +790,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors carry code 2
         return int(exc.code or 0)
     t0 = time.perf_counter()
+    timings = {}
     try:
         _apply_config_and_defaults(ns, parser)
-        results, summary = HANDLERS[ns.cmd](ns)
+        results, summary = HANDLERS[ns.cmd](ns, timings)
     except TjdivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    elapsed = time.perf_counter() - t0
+    timings["total_s"] = time.perf_counter() - t0
     report = {
         "command": _echo(ns),
         "results": results,
-        "timings": {"total_s": elapsed},
+        "timings": timings,
     }
     sys.stdout.write(canonical_dumps(report) + "\n")
     for line in summary:

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from tjdiv.cli import canonical_dumps, main
+from tjdiv import cli
+from tjdiv.cli import canonical_dumps, load_dataset, main
 from tjdiv.divergences import conformal_factors, total_jensen
 from tjdiv.errors import ValidationError
 from tjdiv.generators import make_builtin
@@ -42,6 +43,51 @@ def test_canonical_dumps_rejects_junk():
         canonical_dumps(object())
 
 
+def _canon_reference(x):
+    """The item-by-item serializer that the flat-list joins replace."""
+    if isinstance(x, dict):
+        return "{" + ",".join(
+            json.dumps(k, ensure_ascii=False) + ":" + _canon_reference(x[k])
+            for k in sorted(x)) + "}"
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join(_canon_reference(v) for v in x) + "]"
+    if isinstance(x, np.ndarray):
+        return _canon_reference(x.tolist())
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        v = float(x)
+        return format(v, ".17g") if math.isfinite(v) else "null"
+    if x is None:
+        return "null"
+    return json.dumps(x, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("obj", [
+    list(range(-3, 2000)),
+    [2**70, 0, -1],
+    [True, False, True],
+    [1, True],
+    [0.1, float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300],
+    [1, 2.5, 3],
+    [np.float64(0.5), 0.25],
+    [np.int64(4), 5],
+    [],
+    (),
+    [[], [1], [1.5, float("nan")], [[2, 3], [4.0]]],
+    np.array([1.5, -0.0, np.inf, 3.0]),
+    np.array([[1.0, 2.0], [np.nan, 1e-310]]),
+    np.arange(12).reshape(3, 4),
+    np.array([True, False]),
+    {"assignments": [0, 1, 1, 0], "centers": [[0.1, 0.2], [0.3, np.nan]],
+     "k": 2, "flags": (None, "a")},
+])
+def test_canonical_dumps_matches_the_item_by_item_form(obj):
+    assert canonical_dumps(obj) == _canon_reference(obj)
+
+
 # divergence command
 
 
@@ -58,6 +104,7 @@ def test_divergence_matches_library(capsys):
     assert rep["command"]["subcommand"] == "divergence"
     assert rep["command"]["alpha"] == 0.5
     assert rep["timings"]["total_s"] >= 0.0
+    assert "load_s" not in rep["timings"]  # no --input to load
 
 
 def test_dimension_inferred_from_vectors(capsys):
@@ -267,6 +314,123 @@ def test_domain_errors_carry_file_line_numbers(tmp_path, capsys):
                    "the interior of shannon's domain [0.0, inf)\n")
 
 
+def test_error_lines_count_blank_rows(tmp_path, capsys):
+    bad_cell = _write(tmp_path / "a.csv", "1.0\n\n2.0\nfoo\n")
+    code, _, err = run_cli(capsys, "centroid", "--input", bad_cell)
+    assert code == 1
+    assert err == f"error: {bad_cell} line 4, column 1: cannot parse 'foo'\n"
+
+    for name, eol in (("lf.csv", "\n"), ("crlf.csv", "\r\n"),
+                      ("cr.csv", "\r")):
+        data = _write(tmp_path / name, eol.join(
+            ["x", "1.0", "", "", "2.0", "0.0", ""]))
+        code, _, err = run_cli(capsys, "cluster", "--input", data, "--k", "1",
+                               "--rng-seed", "0")
+        assert code == 1
+        assert err == (f"error: {data} line 6: point [0.0] is outside the "
+                       "interior of shannon's domain [0.0, inf)\n")
+
+
+@pytest.mark.parametrize("text, weights, want", [
+    ("x,weight\n1\n2\n", None, "line 2: expected 2 columns, got 1"),
+    ("a,b,c\n1,2\n3,4\n", None, "line 2: expected 3 columns, got 2"),
+    ("a,mass,c\n1,2\n3,4\n", "mass", "line 2: expected 3 columns, got 2"),
+    ('"a",b,c\n"1",2\n', None, "line 2: expected 3 columns, got 2"),
+])
+def test_header_fixes_the_width(tmp_path, capsys, text, weights, want):
+    data = _write(tmp_path / "w.csv", text)
+    argv = ["--weights", weights] if weights else []
+    code, rep, err = run_cli(capsys, "centroid", "--input", data,
+                             "--generator", "squared-euclidean", *argv)
+    assert code == 1 and rep is None
+    assert err == f"error: {data} {want}\n"
+
+
+# load_dataset on files the vectorised parse takes and files it leaves to
+# the per-line parse; the expected values are the ones the item-by-item
+# loader it replaced returned: (points, normalized weights) or an error
+LOADER_TABLE = [
+    ("headerless", "1.5,2\n3,4.25\n", None,
+     ([[1.5, 2.0], [3.0, 4.25]], [0.5, 0.5])),
+    ("header", "x,y\n1,2\n3,4\n", None,
+     ([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])),
+    ("auto weight", "x,Weight\n1,9\n4,1\n", None,
+     ([[1.0], [4.0]], [0.9, 0.1])),
+    ("named weight", "a,mass,b\n1,2,3\n4,5,6\n", "mass",
+     ([[1.0, 3.0], [4.0, 6.0]], [0.2857142857142857, 0.7142857142857143])),
+    ("crlf", "x,y\r\n1,2\r\n3,4\r\n", None,
+     ([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])),
+    ("bare cr", "1,2\r3,4\r", None, ([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])),
+    ("padded cells", " 1 , 2 \n\t3,4 \n", None,
+     ([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])),
+    ("whitespace-only rows", "1,2\n   \n3,4\n , \n", None,
+     ([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])),
+    ("quoted cells", '"1","2"\n3,"4"\n', None,
+     ([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])),
+    ("underscore digits", "1_0,2\n3,4\n", None,
+     ([[10.0, 2.0], [3.0, 4.0]], [0.5, 0.5])),
+    ("unicode digits", "\u0661,2\n3,\uff14\n", None,
+     ([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])),
+    ("bom first cell", "\ufeff1,2\n3,4\n", None, ([[3.0, 4.0]], [1.0])),
+    ("no final newline", "1,2\n3,4", None,
+     ([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])),
+    ("leading blank lines", "\n\nx,y\n1,2\n", None, ([[1.0, 2.0]], [1.0])),
+    ("bare cr before the data", "x\ry\n1\n", None,
+     "{path} line 2, column 1: cannot parse 'y'"),
+    ("separator control char", "1,2\n3\x1c,4\n", None,
+     "{path} line 2, column 1: cannot parse '3'"),
+    ("trailing comma", "1,2,\n3,4,\n", None,
+     "{path} line 2, column 3: cannot parse ''"),
+    ("hash in a cell", "x,y\n1,2#\n", None,
+     "{path} line 2, column 2: cannot parse '2#'"),
+    ("nan", "1,2\nnan,4\n", None, "{path} line 2, column 1: non-finite value"),
+    ("inf", "1,2\n3,-inf\n", None,
+     "{path} line 2, column 2: non-finite value"),
+    ("overflow", "1e400,2\n", None,
+     "{path} line 1, column 1: non-finite value"),
+]
+
+
+@pytest.mark.parametrize("name, text, weights, want", LOADER_TABLE,
+                         ids=[case[0] for case in LOADER_TABLE])
+def test_load_dataset_table(tmp_path, name, text, weights, want):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(want, str):
+        with pytest.raises(ValidationError) as info:
+            load_dataset(str(path), weight_column=weights)
+        assert str(info.value) == want.format(path=path)
+        return
+    data, meta = load_dataset(str(path), weight_column=weights)
+    points, normalized = want
+    assert data.points.tolist() == points
+    assert data.weights.tolist() == normalized
+    assert meta["rows"] == len(points)
+    assert meta["has_weights"] == name.endswith("weight")
+
+
+def test_vectorised_and_per_line_parses_agree(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    x = rng.lognormal(0.0, 2.0, size=(300, 3)) * rng.choice([-1.0, 1.0], 3)
+    w = rng.uniform(0.0, 5.0, size=300)
+    rows = [",".join(map(repr, r)) for r in np.column_stack([x, w]).tolist()]
+    vectorised = {"lf": "\n".join(rows[:150] + [""] + rows[150:]),
+                  "crlf": "\r\n".join(rows)}
+    per_line = {"cr": "\r".join(rows),
+                "quoted": "\n".join('"' + r.replace(",", '","') + '"'
+                                    for r in rows)}
+    loaded = {}
+    for name, body in (*per_line.items(), *vectorised.items()):
+        if name in vectorised:
+            monkeypatch.setattr(cli, "_parse_rows", None)  # not reached
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(("a,b,c,weight\n" + body + "\n").encode("utf-8"))
+        loaded[name], _ = load_dataset(str(path))
+    for name, data in loaded.items():
+        assert np.array_equal(data.points, x), name
+        assert np.array_equal(data.weights, w / w.sum()), name
+
+
 def test_seed_takes_closed_domain_points_cluster_needs_interior(
         tmp_path, capsys):
     data = _write(tmp_path / "z.csv", "1.0\n0.0\n2.0\n")
@@ -322,6 +486,9 @@ def test_cluster_command_round_trip(tmp_path, capsys):
     _, _, err = run_cli(capsys, "cluster", "--input", data, "--k", "2",
                         "--rng-seed", "5", "--max-rounds", "1")
     assert "in 1 rounds (stopped at max-rounds)" in err
+    timings = rep["timings"]
+    assert set(timings) == {"load_s", "total_s"}
+    assert 0.0 <= timings["load_s"] <= timings["total_s"]
     res = rep["results"]
     assert len(res["assignments"]) == 8
     assert len(res["centers"]) == 2
