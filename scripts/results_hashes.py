@@ -53,8 +53,9 @@ def _datasets(tmp):
         files[f"mix{d}"] = _write_csv(os.path.join(tmp, f"mix{d}.csv"), x)
     small = np.exp(rng.normal(0.0, 0.7, size=(24, 2)))
     files["small2"] = _write_csv(os.path.join(tmp, "small2.csv"), small)
-    # three distinct rows, four copies each: seeding k = 4 on it reaches
-    # the draw where every remaining point has zero divergence mass
+    # three distinct rows, four copies each: seeding and the bound
+    # experiment at k = 4 on it reach the draw where every remaining
+    # point has zero divergence mass
     dup = np.repeat(small[:3], 4, axis=0)
     files["dup2"] = _write_csv(os.path.join(tmp, "dup2.csv"), dup)
     # a header row, a weight column and a blank line: the ingest path
@@ -107,6 +108,10 @@ def _commands(files):
         ("bound-experiment-shannon-d2-k2",
          ["bound-experiment", "--input", files["small2"], "--k", "2",
           "--trials", "200", "--samples", "1024", "--rng-seed", "7"]),
+        # every trial's fourth draw takes the zero-mass branch
+        ("bound-experiment-shannon-dup2-k4",
+         ["bound-experiment", "--input", files["dup2"], "--k", "4",
+          "--trials", "200", "--samples", "1024", "--rng-seed", "9"]),
         ("centroid-weighted-shannon-d2",
          ["centroid", "--input", files["weighted2"], "--outer-max", "200"]),
         ("seed-shannon-dup2",

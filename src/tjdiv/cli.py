@@ -143,8 +143,18 @@ def _mat(text: str) -> np.ndarray:
 def _read_text(path):
     if not os.path.exists(path):
         raise ValidationError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line as _csv_rows numbers it: \n, \r\n and a bare \r each
+        # end one
+        head = raw[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ValidationError(
+            f"{path} line {line}: not UTF-8 text ({exc.reason} at byte "
+            f"{exc.start})") from None
 
 
 def _csv_rows(text):
@@ -722,10 +732,10 @@ _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
 
 
-def _subcommand_actions(parser, cmd):
+def _subparser(parser, cmd):
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return {a.dest: a for a in action.choices[cmd]._actions}
+            return action.choices[cmd]
     raise ValidationError("parser has no subcommands")
 
 
@@ -733,7 +743,7 @@ def _apply_config_and_defaults(ns, parser):
     config = {}
     if getattr(ns, "config", None):
         config = _read_config(ns.config)
-    actions = _subcommand_actions(parser, ns.cmd)
+    actions = {a.dest: a for a in _subparser(parser, ns.cmd)._actions}
     for key, raw in config.items():
         if key == "config" or key not in actions or not hasattr(ns, key):
             raise ValidationError(f"config key {key!r} is not a {ns.cmd} flag")
@@ -793,6 +803,14 @@ def main(argv=None) -> int:
     timings = {}
     try:
         _apply_config_and_defaults(ns, parser)
+        if getattr(ns, "input", "") is None:
+            # required, but a config file may supply it: argparse alone
+            # cannot tell
+            sub = _subparser(parser, ns.cmd)
+            sub.print_usage(sys.stderr)
+            print(f"{sub.prog}: error: --input is required, as a flag or "
+                  "a config key", file=sys.stderr)
+            return 2
         results, summary = HANDLERS[ns.cmd](ns, timings)
     except TjdivError as exc:
         print(f"error: {exc}", file=sys.stderr)

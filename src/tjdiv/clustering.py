@@ -5,7 +5,12 @@ divergence as the distortion: first center uniform, every later center
 drawn without replacement (by index) with probability proportional to
 the divergence to the nearest chosen center. All randomness flows
 through PCG64; multi-trial experiments split streams with
-SeedSequence.spawn so trial t is reproducible in isolation.
+SeedSequence.spawn so trial t is reproducible in isolation. One
+seeding routine draws every trial of a batch at once, a (trials, n)
+block of running minima a step at a time; each stream still makes
+the draws it would make alone, in the same order, so trial t's centres
+do not depend on the batch it is drawn in. Single seedings are a batch
+of one.
 
 On n points every divergence the brute-force optimum and the seeding
 trials need is an entry of one n x n matrix, tJ_alpha(x_i : x_j), so
@@ -25,7 +30,6 @@ reported over a grid instead of a single number.
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import combinations, islice
 from typing import List, Optional
 
@@ -138,25 +142,32 @@ def _column_sums(g, alpha, x):
                      for j in range(len(x))])
 
 
-def _seed_indices(column, n, k, rng):
-    """k-means++ draws over n points, column(j) giving tJ(x_i : x_j) for
-    every i. Returns (indices, min over all but the last centre); the
-    seeding's potential is np.minimum(mind, column(indices[-1])).sum()."""
-    chosen = [int(rng.integers(n))]  # uniform base case
-    mind = np.full(n, np.inf)  # min over chosen centers, one new one a draw
-    while len(chosen) < k:
-        mind = np.minimum(mind, column(chosen[-1]))
-        total = float(mind.sum())
-        if total <= 0.0:
-            # all remaining mass zero (duplicates of chosen); uniform
-            # over the not-yet-chosen indices
-            rest = [i for i in range(n) if i not in chosen]
-            chosen.append(int(rest[rng.integers(len(rest))]))
-            continue
-        r = rng.random() * total
-        i = int(np.searchsorted(np.cumsum(mind), r, side="right"))
-        chosen.append(min(i, n - 1))
-    return np.asarray(chosen, dtype=np.int64), mind
+def _seed_indices(rows, n, k, rngs):
+    """k-means++ draws over n points, one trial per stream of rngs, all
+    trials a step at a time. rows(j), j the (T,) newest centres, gives
+    tJ(x_i : x_j[t]) as a (T, n) block, or as one (n,) column when T = 1.
+    Returns ((T, k) indices, (T, n) min over all but the last centre);
+    trial t's potential is np.minimum(mind[t], c).sum(), c the tJ column
+    of its last centre.
+    Each stream draws exactly what it would draw alone: the contiguous
+    rows sum in the pairwise order of a 1-D sum, and cumsum runs along
+    each row."""
+    chosen = np.empty((len(rngs), k), dtype=np.int64)
+    chosen[:, 0] = [rng.integers(n) for rng in rngs]  # uniform base case
+    mind = np.full((len(rngs), n), np.inf)  # min over chosen centers
+    for s in range(1, k):
+        np.minimum(mind, rows(chosen[:, s - 1]), out=mind)
+        cums = np.cumsum(mind, axis=1)
+        for t, (rng, total) in enumerate(zip(rngs, mind.sum(axis=1).tolist())):
+            if total <= 0.0:
+                # all remaining mass zero (duplicates of chosen); uniform
+                # over the not-yet-chosen indices
+                rest = np.setdiff1d(np.arange(n), chosen[t, :s])
+                chosen[t, s] = rest[rng.integers(len(rest))]
+            else:
+                i = int(cums[t].searchsorted(rng.random() * total, "right"))
+                chosen[t, s] = min(i, n - 1)
+    return chosen, mind
 
 
 def _seeded_indices(g, x, cfg: SeedingConfig, fx=None):
@@ -166,8 +177,9 @@ def _seeded_indices(g, x, cfg: SeedingConfig, fx=None):
     if fx is None and cfg.k > 1:  # k = 1 draws once and reads no column
         fx = g.f(x)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.rng_seed)))
-    return _seed_indices(partial(_tj_column, g, cfg.alpha, x, fx), x.shape[0],
-                         cfg.k, rng)
+    idx, mind = _seed_indices(lambda j: _tj_column(g, cfg.alpha, x, fx, j[0]),
+                              x.shape[0], cfg.k, [rng])
+    return idx[0], mind[0]
 
 
 def seed_indices(g: Generator, data, cfg: SeedingConfig) -> np.ndarray:
@@ -403,20 +415,16 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
     n, k = x.shape[0], cfg.k
     _check_subsets(n, k)
     streams = _streams(cfg.rng_seed, cfg.trials)
-    pots = np.empty(cfg.trials)
     if k == 1:
         # a trial's potential is its one centre's column sum
         sums = _column_sums(g, cfg.alpha, x)
         opt_pot = float(sums.min())
-        for t, rng in enumerate(streams):
-            idx, _ = _seed_indices(None, n, 1, rng)  # one uniform draw
-            pots[t] = sums[idx[0]]
+        pots = sums[_seed_indices(None, n, 1, streams)[0][:, 0]]
     else:
         cols = _tj_columns(g, cfg.alpha, x)
         opt_pot = _optimum(cols, k)[0]
-        for t, rng in enumerate(streams):
-            idx, mind = _seed_indices(cols.__getitem__, n, k, rng)
-            pots[t] = np.minimum(mind, cols[idx[-1]]).sum()
+        idx, mind = _seed_indices(cols.__getitem__, n, k, streams)
+        pots = np.minimum(mind, cols[idx[:, -1]]).sum(axis=1)
     mean_pot = float(pots.mean())
     if opt_pot > 0.0:
         ratio = mean_pot / opt_pot

@@ -296,6 +296,34 @@ def test_loader_error_messages(tmp_path, capsys):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["centroid"], ["seed", "--k", "1"], ["cluster", "--k", "1"],
+    ["bound-experiment", "--k", "1"], ["constants"]])
+def test_missing_input_is_a_usage_error(tmp_path, capsys, argv):
+    code, rep, err = run_cli(capsys, *argv)
+    assert code == 2 and rep is None
+    assert "--input is required" in err
+    # a config file may supply it instead of the flag
+    data = _write(tmp_path / "d.csv", "1.0\n2.0\n4.0\n")
+    cfg = _write(tmp_path / "c.cfg", f"input={data}\n")
+    code, rep, _ = run_cli(capsys, *argv, "--config", cfg)
+    assert code == 0 and rep["command"]["input"] == data
+
+
+@pytest.mark.parametrize("raw, line", [
+    (b"x\xe9\n1.0\n", 1),
+    (b"x\n1.0\n\n2\xe9\n", 4),
+    # CRLF ends one line, a bare CR one more
+    (b"x\r\n1.0\r2.0\r\n\xff\r\n", 4)],
+    ids=["first-line", "after-blank", "cr-endings"])
+def test_non_utf8_dataset_names_file_and_line(tmp_path, capsys, raw, line):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(raw)
+    code, _, err = run_cli(capsys, "centroid", "--input", str(path))
+    assert code == 1
+    assert f"{path} line {line}: not UTF-8" in err
+
+
 def test_domain_errors_carry_file_line_numbers(tmp_path, capsys):
     data = _write(tmp_path / "h.csv", "1.0\n0.0\n")  # burg rejects 0
     code, _, err = run_cli(capsys, "seed", "--input", data, "--generator",

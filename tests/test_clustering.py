@@ -127,6 +127,36 @@ def test_running_min_seeding_matches_the_reference_on_duplicates():
                               _reference_seed_indices(SHANNON, X, 5, 0.5, s))
 
 
+@pytest.mark.parametrize("trials, k", [(1, 3), (60, 1), (60, 3), (60, 8)])
+def test_batched_seeding_mixes_zero_mass_and_weighted_draws(
+        trials, k, monkeypatch):
+    # a synthetic column matrix whose row z is all zeros: only the trials
+    # that draw z take the total <= 0 branch, the rest of the batch draws
+    # by weight at the same step. A negative entry, as near-coincident tJ
+    # can give, makes cumsum rows non-monotone; it is large here, so that
+    # a count of cumsum <= r would disagree with numpy's binary search
+    n, z = 8, 2
+    cols = np.random.default_rng(11).uniform(0.5, 2.0, size=(n, n))
+    np.fill_diagonal(cols, 0.0)
+    cols[z] = 0.0
+    cols[5, 6] = -0.4
+    # point i is the 1-D point i, and the kernel _reference_draws calls
+    # reads column i of the matrix
+    monkeypatch.setitem(globals(), "pairwise_total_jensen",
+                        lambda g, alpha, x, q: cols[int(q[0, 0])])
+    x = np.arange(n, dtype=float).reshape(-1, 1)
+    idx, mind = clustering._seed_indices(
+        cols.__getitem__, n, k, clustering._streams(4, trials))
+    want = [_reference_draws(None, x, k, 0.5, rng)
+            for rng in clustering._streams(4, trials)]
+    assert idx.shape == (trials, k)
+    assert np.array_equal(idx, want)
+    if k > 1:
+        assert np.array_equal(mind, cols[idx[:, :-1]].min(axis=1))
+    if trials > 1 and k > 1:
+        assert 0 < int((idx[:, 0] == z).sum()) < trials
+
+
 def test_seeding_evaluates_one_tj_column_per_new_center(monkeypatch):
     rows = []
     tj = kernels._tj
