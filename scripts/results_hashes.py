@@ -3,8 +3,8 @@
 Writes fixed-seed CSV datasets (d = 1, 2, 4, 8, 16, a 24x2 file, a
 file of repeated rows, and the 24x2 points again under a header with a
 weight column and a blank line) to a temporary directory, runs the seeded
-cluster, seed, centroid, bound-experiment, constants, influence and
-divergence commands in process, and prints one
+cluster, seed, centroid, bound-experiment, constants, influence,
+divergence and project commands in process, and prints one
 `name sha256[:16]` line per `results` block, each followed by one
 `name.key sha256[:16]` line per top-level key of that block. Run it
 against two trees and diff the output to see which results, and which
@@ -128,14 +128,25 @@ def _commands(files):
             runs.append((f"divergence-{kind}-{gen}",
                          ["divergence", "--kind", kind, "--generator", gen,
                           "--alpha", "0.3"] + pair))
+    # d = 1, where the scalar and the row sums add in the same order
+    for kind in ("jensen-raw", "jensen-scaled", "total-jensen"):
+        runs.append((f"divergence-{kind}-shannon-d1",
+                     ["divergence", "--kind", kind, "--generator", "shannon",
+                      "--alpha", "0.3", "--p", "0.7", "--q", "2.5"]))
+    for gen in ("bit", "shannon"):
+        runs.append((f"project-{gen}",
+                     ["project", "--generator", gen, "--alpha", "0.4"]
+                     + pair))
     for kind in ("bregman", "total-bregman"):
         for gen in ("shannon", "burg"):
             runs.append((f"divergence-{kind}-{gen}",
                          ["divergence", "--kind", kind, "--generator", gen]
                          + pair))
+    # "-simplex": the total-jensen run on shannon is already
+    # divergence-total-jensen-shannon
     for kind in ("jensen-shannon", "total-jensen-shannon"):
-        runs.append((f"divergence-{kind}", ["divergence", "--kind", kind]
-                     + pair))
+        runs.append((f"divergence-{kind}-simplex",
+                     ["divergence", "--kind", kind] + pair))
     runs.append(("divergence-kl-gaussian",
                  ["divergence", "--kind", "kl-gaussian", "--mu1", "0,1",
                   "--cov1", "2,0.5;0.5,1", "--mu2", "1,0",
