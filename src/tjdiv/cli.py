@@ -141,6 +141,8 @@ def _mat(text: str) -> np.ndarray:
 
 
 def _read_text(path):
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ValidationError(f"expected a file path, got {path!r}")
     if not os.path.exists(path):
         raise ValidationError(f"no such file: {path}")
     with open(path, "rb") as fh:
@@ -331,14 +333,13 @@ def _fresh_seed() -> int:
 
 def _cmd_divergence(ns, timings):
     kind = ns.kind
+    results = {"kind": kind, "rho_j": None, "rho_b_q": None, "slope_sq": None}
     if kind == "kl-gaussian":
         for flag in ("mu1", "cov1", "mu2", "cov2"):
             if getattr(ns, flag) is None:
                 raise ValidationError(f"kl-gaussian needs --{flag}")
-        value = kl_gaussian(_vec(ns.mu1), _mat(ns.cov1),
-                            _vec(ns.mu2), _mat(ns.cov2)).value
-        results = {"kind": kind, "value": value, "rho_j": None,
-                   "rho_b_q": None, "slope_sq": None}
+        value = results["value"] = kl_gaussian(
+            _vec(ns.mu1), _mat(ns.cov1), _vec(ns.mu2), _mat(ns.cov2)).value
         return results, [f"kl-gaussian = {value:.12g}"]
 
     if ns.p is None or ns.q is None:
@@ -347,35 +348,26 @@ def _cmd_divergence(ns, timings):
 
     if kind in ("jensen-shannon", "total-jensen-shannon"):
         fn = jensen_shannon if kind == "jensen-shannon" else total_jensen_shannon
-        value = fn(p, q).value
-        rho = None
+        value = results["value"] = fn(p, q).value
         if not np.array_equal(p, q):
-            rho = conformal_factors(make_builtin("shannon", p.size), p, q).rho_j
-        results = {"kind": kind, "value": value, "rho_j": rho,
-                   "rho_b_q": None, "slope_sq": None}
+            results["rho_j"] = conformal_factors(
+                make_builtin("shannon", p.size), p, q).rho_j
         return results, [f"{kind} = {value:.12g}"]
 
     g = _generator_from(ns, p.size)
-    if kind == "jensen-raw":
-        value = jensen_raw(g, ns.alpha, p, q).value
-    elif kind == "jensen-scaled":
-        value = jensen_scaled(g, ns.alpha, p, q).value
-    elif kind == "bregman":
-        value = bregman(g, p, q).value
-    elif kind == "total-bregman":
-        value = total_bregman(g, p, q).value
-    else:
-        value = total_jensen(g, ns.alpha, p, q).value
-    rho_j = slope_sq = None
+    fn = {"jensen-raw": jensen_raw, "jensen-scaled": jensen_scaled,
+          "bregman": bregman, "total-bregman": total_bregman,
+          "total-jensen": total_jensen}[kind]
+    # the Bregman kinds take no alpha, and leave --alpha unset
+    args = (g, p, q) if ns.alpha is None else (g, ns.alpha, p, q)
+    value = results["value"] = fn(*args).value
     if not np.array_equal(p, q):
         cf = conformal_factors(g, p, q)
-        rho_j, slope_sq = cf.rho_j, cf.slope_sq
+        results.update(rho_j=cf.rho_j, slope_sq=cf.slope_sq)
     try:
-        rbq = rho_b(g, q)
+        results["rho_b_q"] = rho_b(g, q)
     except DomainError:
-        rbq = None
-    results = {"kind": kind, "value": value, "rho_j": rho_j,
-               "rho_b_q": rbq, "slope_sq": slope_sq}
+        pass
     alpha = "" if ns.alpha is None else f", alpha={ns.alpha}"
     return results, [f"{kind}({g.name}{alpha}) = {value:.12g}"]
 
@@ -384,12 +376,11 @@ def _cmd_project(ns, timings):
     p, q = _vec(ns.p), _vec(ns.q)
     g = _generator_from(ns, p.size)
     res = project_beta(g, ns.alpha, p, q)
-    cf = conformal_factors(g, p, q)
     results = {
         "beta": res.beta,
         "distance": res.distance,
         "j_raw": jensen_raw(g, ns.alpha, p, q).value,
-        "rho_j": cf.rho_j,
+        "rho_j": conformal_factors(g, p, q).rho_j,
         "pythagoras_residual": pythagoras_residual(g, ns.alpha, p, q),
     }
     return results, [
@@ -712,19 +703,18 @@ HANDLERS = {
 
 
 def _read_config(path):
-    if not os.path.exists(path):
-        raise ValidationError(f"no such config file: {path}")
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(
-                    f"{path} line {lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+    # \n, \r\n and a bare \r each end a line, as _read_text counts them
+    lines = io.StringIO(_read_text(path), newline=None)
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(
+                f"{path} line {lineno}: expected key=value")
+        key, _, val = line.partition("=")
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 

@@ -380,21 +380,15 @@ def estimate_bound_constants(g: Generator, data, samples: int = 4096,
     else:
         raise CapabilityError(f"{g.name} exposes no curvature information")
 
-    # K2: squared chord slope over sampled pairs
-    ii = rng.integers(0, len(pts), size=samples)
-    jj = rng.integers(0, len(pts), size=samples)
-    keep = ii != jj
-    a, b = pts[ii[keep]], pts[jj[keep]]
-    dd = ((a - b) ** 2).sum(axis=-1)
-    keep2 = dd > 0.0
-    df = (np.atleast_1d(g.f(a)) - np.atleast_1d(g.f(b)))[keep2]
-    s2 = df * df / dd[keep2]
+    # K2: the largest squared chord slope over sampled pairs
+    a = pts[rng.integers(0, len(pts), size=samples)]
+    b = pts[rng.integers(0, len(pts), size=samples)]
+    s2 = kernels.chord_factors(g, a, b)[1]
     k2_i = int(np.argmax(s2))
     k2_hat = float(s2[k2_i])
-    k2_wit = (a[keep2][k2_i], b[keep2][k2_i])
+    k2_wit = (a[k2_i], b[k2_i])
 
-    grads = np.atleast_2d(g.grad(ipts))
-    rho = 1.0 / np.sqrt(1.0 + (grads ** 2).sum(axis=-1))
+    rho = kernels.gradient_conformal(g, ipts)
     return BoundConstants(
         k1_hat=k1_hat, k2_hat=k2_hat,
         rho_min=float(rho.min()), rho_max=float(rho.max()),

@@ -12,6 +12,10 @@ Definitions, with Delta = p - q and Delta_F = F(p) - F(q) throughout:
 rho_J depends only on squares, so it is symmetric in (p, q) and
 indifferent to the sign convention. At a in {0, 1} the total family
 keeps the chord factor rho_J (it does NOT become tB).
+
+alpha lies in [0, 1] (the raw gap: (0, 1)), else ValidationError. Past
+their own checks these functions read J'_a, the chord slope, rho_J and
+rho_B from `kernels` on (1, d) rows: a value is the kernel entry's float.
 """
 
 import math
@@ -19,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from . import kernels
+from .errors import CapabilityError, DomainError, SearchError, ValidationError
 from .generators import Generator, as_point, ensure_domain, make_builtin
 
 KINDS = (
@@ -46,10 +51,13 @@ class DivergenceValue:
         return self.value
 
 
-def _alpha_ok(alpha) -> float:
+def _alpha_ok(alpha, raw=False) -> float:
     alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValidationError(f"alpha must be finite, got {alpha}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValidationError(f"alpha must lie in [0,1], got {alpha}")
+    if raw and alpha in (0.0, 1.0):
+        raise ValidationError(
+            "alpha in {0,1} has a zero raw gap; use the scaled family")
     return alpha
 
 
@@ -65,36 +73,23 @@ def rho_b(g: Generator, q) -> float:
     """Gradient conformal factor 1/sqrt(1 + |grad F(q)|^2)."""
     q = as_point(q, g.dim)
     ensure_domain(g, q, interior=True)
-    gr = np.asarray(g.grad(q), dtype=np.float64)
-    return float(1.0 / math.sqrt(1.0 + float(gr @ gr)))
+    return float(kernels.gradient_conformal(g, q[None])[0])
 
 
 def conformal_factors(g: Generator, p, q) -> ConformalFactors:
     p, q = _pair(g, p, q)
     if np.array_equal(p, q):
         raise DomainError("conformal factors are undefined at p = q (0/0)")
-    delta = p - q
-    delta_f = float(g.f(p) - g.f(q))
-    dd = float(delta @ delta)
-    slope_sq = delta_f * delta_f / dd
-    return ConformalFactors(
-        delta=delta, delta_f=delta_f, slope_sq=slope_sq,
-        rho_j=1.0 / math.sqrt(1.0 + slope_sq))
+    df, s2, rho = kernels.chord_factors(g, p[None], q[None])
+    return ConformalFactors(p - q, float(df[0]), float(s2[0]), float(rho[0]))
 
 
 def jensen_raw(g: Generator, alpha, p, q) -> DivergenceValue:
     """Unscaled Jensen gap; alpha in {0,1} is rejected (gap degenerates)."""
-    alpha = _alpha_ok(alpha)
-    if alpha in (0.0, 1.0):
-        raise ValidationError(
-            "alpha in {0,1} has a zero raw gap; use the scaled family")
+    alpha = _alpha_ok(alpha, raw=True)
     p, q = _pair(g, p, q)
-    if np.array_equal(p, q):
-        return DivergenceValue("jensen-raw", 0.0)
-    mix = alpha * p + (1.0 - alpha) * q
-    ensure_domain(g, mix)  # can exit the domain when alpha is outside [0,1]
-    value = float(alpha * g.f(p) + (1.0 - alpha) * g.f(q) - g.f(mix))
-    return DivergenceValue("jensen-raw", value)
+    gap = kernels.jensen_gap_and_conformal(g, alpha, p[None], q[None])[0]
+    return DivergenceValue("jensen-raw", float(gap[0]))
 
 
 def bregman(g: Generator, p, q) -> DivergenceValue:
@@ -117,31 +112,31 @@ def jensen_scaled(g: Generator, alpha, p, q) -> DivergenceValue:
 
 
 def total_bregman(g: Generator, p, q) -> DivergenceValue:
-    p, q = _pair(g, p, q, interior_q=True)
-    b = bregman(g, p, q).value
+    b = bregman(g, p, q).value  # checks p, and q on the interior
     return DivergenceValue("total-bregman", rho_b(g, q) * b)
 
 
 def total_jensen(g: Generator, alpha, p, q, scaled: bool = True) -> DivergenceValue:
     """rho_J(p,q) * J_a(p:q); pass scaled=False for rho_J * J'_a.
 
-    p = q returns 0 without touching the undefined chord factor. At
-    alpha in {0,1} the scaled family returns rho_J * B (keeping the
-    chord factor, which is what the limits actually give).
+    p = q returns 0. At alpha in {0,1} the scaled family returns
+    rho_J * B (keeping the chord factor, which is what the limits
+    actually give).
     """
-    alpha = _alpha_ok(alpha)
+    alpha = _alpha_ok(alpha, raw=not scaled)
     p, q = _pair(g, p, q)
     if np.array_equal(p, q):
         return DivergenceValue("total-jensen", 0.0)
-    rho_j = conformal_factors(g, p, q).rho_j
+    p1, q1 = p[None], q[None]
     if alpha in (0.0, 1.0):
-        if not scaled:
-            raise ValidationError(
-                "alpha in {0,1} has a zero raw gap; use the scaled family")
-        b = bregman(g, p, q).value if alpha == 0.0 else bregman(g, q, p).value
-        return DivergenceValue("total-jensen", rho_j * b)
-    inner = (jensen_scaled if scaled else jensen_raw)(g, alpha, p, q).value
-    return DivergenceValue("total-jensen", rho_j * inner)
+        value = (kernels.pairwise_conformal(g, p1, q1)
+                 * jensen_scaled(g, alpha, p, q).value)
+    elif scaled:
+        value = kernels.total_jensen_and_conformal(g, alpha, p1, q1)[0]
+    else:
+        gap, rho = kernels.jensen_gap_and_conformal(g, alpha, p1, q1)
+        value = rho * gap
+    return DivergenceValue("total-jensen", float(value[0]))
 
 
 def stolarsky_epsilon(g: Generator, p, q, tol: float = 1e-12) -> float:
@@ -152,8 +147,6 @@ def stolarsky_epsilon(g: Generator, p, q, tol: float = 1e-12) -> float:
     derivative of a strictly convex F is increasing, so the bracket
     [min(p,q), max(p,q)] always holds a sign change).
     """
-    from .errors import CapabilityError, SearchError
-
     if g.dim != 1:
         raise CapabilityError(
             "the chord-slope point is defined for scalar generators only")
@@ -208,11 +201,10 @@ def total_jensen_shannon(p, q) -> DivergenceValue:
     """rho_J * JS with the chord factor taken from F(x) = sum x log x - x."""
     p = as_point(p)
     q = as_point(q)
-    js = jensen_shannon(p, q).value
-    if np.array_equal(p, q):
-        return DivergenceValue("total-jensen-shannon", 0.0)
-    rho = conformal_factors(make_builtin("shannon", p.size), p, q).rho_j
-    return DivergenceValue("total-jensen-shannon", rho * js)
+    js = jensen_shannon(p, q).value  # checks the pair; 0 where p = q
+    rho = kernels.pairwise_conformal(make_builtin("shannon", p.size),
+                                     p[None], q[None])[0]
+    return DivergenceValue("total-jensen-shannon", float(rho) * js)
 
 
 def kl_gaussian(mu1, sigma1, mu2, sigma2) -> DivergenceValue:

@@ -4,24 +4,29 @@ assignment sweep and the CCCP fixed-point step.
 Each kernel is vectorized numpy written against the generator's batched
 callables (f, grad, grad_inverse), so builtin, affine-transformed and
 user-supplied generators all take the same path. Rows broadcast, so a
-centre is one (1, d) row and F runs on it once; rho_J and the Jensen gap
-are each written once, in `_rho` and `_jensen`. `_tj` returns tJ with the
-rho_J that scaled it: `total_jensen_and_conformal` gives both, one F pass.
+centre is one (1, d) row and F runs on it once.
+
+The formulas are written here, once each, and nowhere else outside the
+geometry oracle: the raw gap J'_alpha (`_jensen`), the squared chord
+slope and rho_J (`_chord`), rho_B (`gradient_conformal`), and tJ_alpha =
+rho_J J'_alpha / (alpha (1 - alpha)) from one F pass
+(`total_jensen_and_conformal`). Callers: divergences, on (1, d) rows, so
+a scalar value is the kernel entry's float; seeding, Lloyd, the bound
+experiment and the centroids (tJ); the influence sweep (rho_J); the
+bound constants (K2 from `chord_factors`, rho_B).
 
 F of the point side depends only on the point set, so a caller that
 sweeps the same points against many centres, or runs many centroid
 stages on them, computes it once and passes it in: the keyword-only
-`fp=` of `pairwise_total_jensen` and `total_jensen_and_conformal`, and
+`fp=` of `jensen_gap_and_conformal` and the tJ kernels built on it, and
 `fx=` of `min_divergence_assign` and `jensen_loss`. Left out, it is
 computed from the points, with the same bits. `cccp_steps` forms the
 data side alpha * x once per call, not once per step.
 
-Kernels validate nothing beyond alpha. Domain membership is checked
-once, where an array enters the library: the public functions of
-divergences, geometry, robustness, centroids and clustering check their
-arguments (generators.as_point or as_points, then ensure_domain, one
-vectorized pass per array) before any kernel sees them, and the CLI
-checks each loaded file the same way.
+Kernels validate nothing beyond alpha: the public functions of
+divergences, geometry, robustness, centroids and clustering, and the
+CLI's loader, check each array once (as_point or as_points, then one
+vectorized ensure_domain pass) before any kernel sees it.
 """
 
 import numpy as np
@@ -55,40 +60,57 @@ def _jensen(g, alpha, p, q, fp=None):
     return fp, fq, alpha * fp + (1.0 - alpha) * fq - fm
 
 
-def _rho(fp, fq, p, q):
-    """(rho_J per row, 1 where p = q; mask of p != q) from F(p), F(q)."""
+def _chord(df, p, q):
+    """(row squared chord slope Delta_F^2/<Delta,Delta>, row rho_J, mask
+    of p != q) from df = F(p) - F(q); slope 0 and rho_J 1 where p = q."""
     dd = ((p - q) ** 2).sum(axis=-1)
     nz = dd > 0.0
-    rho = np.ones_like(dd)
-    rho[nz] = 1.0 / np.sqrt(1.0 + (fp - fq)[nz] ** 2 / dd[nz])
-    return rho, nz
+    s2 = np.zeros_like(dd)
+    s2[nz] = df[nz] ** 2 / dd[nz]
+    return s2, 1.0 / np.sqrt(1.0 + s2), nz
 
 
-def _tj(g, alpha, p, q, fp=None):
-    """(row scaled tJ_alpha(p : q), row rho_J(p, q)); fp as in _jensen."""
+def jensen_gap_and_conformal(g, alpha, p, q, *, fp=None):
+    """Row-wise (raw gap J'_alpha(p_i : q_i), exactly 0 where p_i = q_i;
+    rho_J(p_i, q_i)) from one F pass; a (1, d) row broadcasts, and fp is
+    F(p) if already known."""
+    _check_alpha(alpha)
+    p, q = _rows(p), _rows(q)
     fp, fq, gap = _jensen(g, alpha, p, q, fp)
-    rho, nz = _rho(fp, fq, p, q)
-    return np.where(nz, rho * gap, 0.0) / (alpha * (1.0 - alpha)), rho
+    _, rho, nz = _chord(fp - fq, p, q)
+    return np.where(nz, gap, 0.0), rho
 
 
 def total_jensen_and_conformal(g, alpha, p, q, *, fp=None):
     """Row-wise (scaled tJ_alpha(p_i : q_i), rho_J(p_i, q_i)) from one F
     pass; a (1, d) row broadcasts, and fp is F(p) if already known."""
-    _check_alpha(alpha)
-    return _tj(g, alpha, _rows(p), _rows(q), fp=fp)
+    gap, rho = jensen_gap_and_conformal(g, alpha, p, q, fp=fp)
+    return rho * gap / (alpha * (1.0 - alpha)), rho
 
 
 def pairwise_total_jensen(g, alpha, p, q, *, fp=None):
     """Row-wise scaled tJ_alpha(p_i : q_i); a (1, d) row broadcasts, and
     fp is F(p) if already known."""
-    _check_alpha(alpha)
-    return _tj(g, alpha, _rows(p), _rows(q), fp=fp)[0]
+    return total_jensen_and_conformal(g, alpha, p, q, fp=fp)[0]
+
+
+def chord_factors(g, p, q):
+    """Row-wise (Delta_F, squared chord slope, rho_J) of (p_i, q_i) from
+    one F pass, as in _chord; rows broadcast."""
+    p, q = _rows(p), _rows(q)
+    df = g.f(p) - g.f(q)
+    return (df,) + _chord(df, p, q)[:2]
 
 
 def pairwise_conformal(g, p, q):
     """Row-wise rho_J(p_i, q_i); 1 on coincident rows, and rows broadcast."""
-    p, q = _rows(p), _rows(q)
-    return _rho(g.f(p), g.f(q), p, q)[0]
+    return chord_factors(g, p, q)[2]
+
+
+def gradient_conformal(g, q):
+    """Row-wise rho_B(q_i) = 1/sqrt(1 + |grad F(q_i)|^2), q_i interior."""
+    gr = g.grad(_rows(q))
+    return 1.0 / np.sqrt(1.0 + (gr ** 2).sum(axis=-1))
 
 
 def jensen_loss(g, alpha, x, w, c, *, fx=None):
@@ -106,8 +128,8 @@ def min_divergence_assign(g, alpha, x, centers, *, fx=None):
     x, centers = _rows(x), _rows(centers)
     if fx is None:
         fx = g.f(x)
-    vals = np.stack([_tj(g, alpha, x, c[None], fp=fx)[0] for c in centers],
-                    axis=1)
+    vals = np.stack([total_jensen_and_conformal(g, alpha, x, c[None], fp=fx)[0]
+                     for c in centers], axis=1)
     idx = np.argmin(vals, axis=1)  # argmin takes the first minimum
     return vals[np.arange(len(x)), idx], idx
 

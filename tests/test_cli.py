@@ -107,6 +107,14 @@ def test_divergence_matches_library(capsys):
     assert "load_s" not in rep["timings"]  # no --input to load
 
 
+def test_divergence_rejects_alpha_outside_unit_interval(capsys):
+    code, rep, err = run_cli(capsys, "divergence", "--kind", "jensen-raw",
+                             "--generator", "shannon", "--alpha", "-0.5",
+                             "--p", "0.5", "--q", "1")
+    assert code == 1 and rep is None
+    assert "alpha must lie in [0,1], got -0.5" in err
+
+
 def test_dimension_inferred_from_vectors(capsys):
     code, rep, _ = run_cli(capsys, "divergence", "--kind", "bregman",
                            "--generator", "squared-euclidean",
@@ -322,6 +330,14 @@ def test_non_utf8_dataset_names_file_and_line(tmp_path, capsys, raw, line):
     code, _, err = run_cli(capsys, "centroid", "--input", str(path))
     assert code == 1
     assert f"{path} line {line}: not UTF-8" in err
+    # a config file is read the same way
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(raw)
+    ok = _write(tmp_path / "ok.csv", "1.0\n2.0\n")
+    code, _, err = run_cli(capsys, "centroid", "--input", ok,
+                           "--config", str(cfg))
+    assert code == 1
+    assert f"{cfg} line {line}: not UTF-8" in err
 
 
 def test_domain_errors_carry_file_line_numbers(tmp_path, capsys):
@@ -417,6 +433,11 @@ LOADER_TABLE = [
     ("overflow", "1e400,2\n", None,
      "{path} line 1, column 1: non-finite value"),
 ]
+
+
+def test_load_dataset_needs_a_path():
+    with pytest.raises(ValidationError, match="expected a file path"):
+        load_dataset(None)
 
 
 @pytest.mark.parametrize("name, text, weights, want", LOADER_TABLE,

@@ -159,13 +159,13 @@ def test_batched_seeding_mixes_zero_mass_and_weighted_draws(
 
 def test_seeding_evaluates_one_tj_column_per_new_center(monkeypatch):
     rows = []
-    tj = kernels._tj
+    tj = kernels.jensen_gap_and_conformal
 
     def counting(g, alpha, p, q, **kw):
         rows.append(np.broadcast_shapes(p.shape, q.shape)[0])
         return tj(g, alpha, p, q, **kw)
 
-    monkeypatch.setattr(kernels, "_tj", counting)
+    monkeypatch.setattr(kernels, "jensen_gap_and_conformal", counting)
     x = np.exp(np.random.default_rng(3).normal(size=(50, 2)))
     g = make_builtin("shannon", 2)
     for k in (1, 2, 8):
@@ -692,13 +692,13 @@ def test_bound_experiment_on_duplicates_takes_the_uniform_branch():
 @pytest.mark.parametrize("k", [1, 3])
 def test_bound_experiment_computes_each_column_once(k, monkeypatch):
     calls = []
-    tj = kernels._tj
+    tj = kernels.jensen_gap_and_conformal
 
     def counting(g, alpha, p, q, **kw):
         calls.append(1)
         return tj(g, alpha, p, q, **kw)
 
-    monkeypatch.setattr(kernels, "_tj", counting)
+    monkeypatch.setattr(kernels, "jensen_gap_and_conformal", counting)
     x = np.exp(np.random.default_rng(4).normal(0.0, 0.7, size=(24, 2)))
     g = make_builtin("burg", 2)
     seeding_bound_experiment(
