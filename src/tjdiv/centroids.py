@@ -11,25 +11,16 @@ plus a consecutive-increase guard that falls back to the best center
 seen. Callers must not assume the outer trace decreases.
 """
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import CapabilityError, ValidationError
-from .generators import Generator, as_points, ensure_domain
-
-
-def _normalized_weights(weights, n: int) -> np.ndarray:
-    """n weights summing to 1: uniform for None, else checked and scaled."""
-    w = np.ones(n) if weights is None else np.asarray(weights, np.float64)
-    if w.shape != (n,):
-        raise ValidationError(f"{n} points but weight shape {w.shape}")
-    if not (np.all(np.isfinite(w)) and np.all(w >= 0.0) and w.sum() > 0.0):
-        raise ValidationError(
-            "weights must be finite, nonnegative and not all zero")
-    return w / w.sum()
+from .generators import (
+    Generator, as_count, as_points, as_real, ensure_domain)
 
 
 @dataclass(frozen=True)
@@ -39,8 +30,17 @@ class WeightedPointSet:
 
     @classmethod
     def make(cls, points, weights: Optional[Sequence[float]] = None):
+        """Checked points with weights scaled to sum to 1 (uniform for
+        None)."""
         pts = as_points(points)
-        return cls(points=pts, weights=_normalized_weights(weights, len(pts)))
+        n = len(pts)
+        w = np.ones(n) if weights is None else np.asarray(weights, np.float64)
+        if w.shape != (n,):
+            raise ValidationError(f"{n} points but weight shape {w.shape}")
+        if not (np.all(np.isfinite(w)) and np.all(w >= 0.0) and w.sum() > 0.0):
+            raise ValidationError(
+                "weights must be finite, nonnegative and not all zero")
+        return cls(points=pts, weights=w / w.sum())
 
     @property
     def n(self) -> int:
@@ -60,12 +60,10 @@ class CentroidConfig:
     init: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must lie in (0,1), got {self.alpha}")
-        if self.outer_tol <= 0.0:
-            raise ValidationError("outer_tol must be positive")
-        if self.inner_cccp_iters < 1 or self.outer_max_iters < 1:
-            raise ValidationError("iteration counts must be >= 1")
+        as_real("alpha", self.alpha)
+        as_count("inner_cccp_iters", self.inner_cccp_iters)
+        as_real("outer_tol", self.outer_tol, hi=math.inf)
+        as_count("outer_max_iters", self.outer_max_iters)
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,6 @@ class CentroidResult:
     stage_weights_trace: List[np.ndarray]
     converged: bool
     iterations: int
-    clamp_events: int = field(default=0)
 
 
 def _check_inputs(g: Generator, data: WeightedPointSet):
@@ -95,26 +92,23 @@ def _barycenter(g: Generator, data: WeightedPointSet) -> np.ndarray:
 
 
 def jensen_centroid_cccp(g: Generator, alpha, data: WeightedPointSet,
-                         weights_override=None, iters: int = 20,
-                         trace_loss: bool = False):
-    """Fixed-count fixed-point iteration from the barycenter.
+                         iters: int = 20, trace_loss: bool = False):
+    """Fixed-count fixed-point iteration from the barycenter, under the
+    point weights of data.
 
     With trace_loss=True also returns the inner loss sum_i w_i J_a(p_i:c)
     before the first step and after each step (length iters + 1).
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0,1), got {alpha}")
+    alpha = as_real("alpha", alpha)
+    iters = as_count("iters", iters, lo=0)
     _check_inputs(g, data)
     w = data.weights
-    if weights_override is not None:
-        w = _normalized_weights(weights_override, data.n)
     c = _barycenter(g, data)
     if not trace_loss:
         return kernels.cccp_steps(g, alpha, data.points, w, c, iters)
     fx = g.f(data.points)
     losses = [kernels.jensen_loss(g, alpha, data.points, w, c, fx=fx)]
-    for _ in range(int(iters)):
+    for _ in range(iters):
         c = kernels.cccp_steps(g, alpha, data.points, w, c, 1)
         losses.append(kernels.jensen_loss(g, alpha, data.points, w, c, fx=fx))
     return c, losses

@@ -38,7 +38,7 @@ from .divergences import (
     jensen_shannon, kl_gaussian, rho_b, total_bregman, total_jensen,
     total_jensen_shannon)
 from .errors import DomainError, TjdivError, ValidationError
-from .generators import BUILTIN_NAMES, ensure_domain, make_builtin
+from .generators import BUILTIN_NAMES, as_count, ensure_domain, make_builtin
 from .geometry import project_beta, pythagoras_residual
 from .robustness import boundedness_sweep, influence_empirical
 
@@ -135,9 +135,9 @@ def _vec(text: str) -> np.ndarray:
         raise ValidationError(f"cannot parse vector {text!r}")
 
 
-def _mat(text: str) -> np.ndarray:
-    rows = [r for r in str(text).split(";") if r != ""]
-    return np.array([_vec(r) for r in rows])
+def _mat(text: str) -> list:
+    """The rows of 'a,b;c,d'; generators.as_spd checks their shape."""
+    return [_vec(r) for r in str(text).split(";") if r != ""]
 
 
 def _read_text(path):
@@ -315,7 +315,10 @@ def _generator_from(ns, dim=None):
     matrix = None
     if getattr(ns, "matrix", None):
         if os.path.exists(ns.matrix):
-            matrix = np.loadtxt(ns.matrix, delimiter=",", ndmin=2)
+            try:
+                matrix = np.loadtxt(ns.matrix, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ValidationError(f"{ns.matrix}: {exc}") from None
         else:
             matrix = _mat(ns.matrix)
     if ns.dim is not None:
@@ -532,6 +535,11 @@ def _cmd_metric_check(ns, timings):
             f"sqrt(tJS) triple: d1+d2 = {d1 + d2:.12g} < d3 = {d3:.12g}, "
             f"deficiency {deficiency:.17g}"]
 
+    # the 1-simplex is the one point [1], which makes no triangle; the
+    # worst triple needs a trial
+    as_count("trials", ns.trials)
+    as_count("dim", ns.dim, lo=2)
+    as_count("rng_seed", ns.rng_seed, lo=0)
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(ns.rng_seed)))
     worst = -math.inf

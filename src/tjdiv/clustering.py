@@ -39,7 +39,8 @@ from . import kernels
 from .centroids import (
     CentroidConfig, WeightedPointSet, _total_jensen_centroid)
 from .errors import CapabilityError, InvariantError, ValidationError
-from .generators import Generator, as_points, ensure_domain, hessian_at
+from .generators import (
+    Generator, as_count, as_points, as_real, ensure_domain, hessian_at)
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,10 @@ class SeedingConfig:
     trials: int = 1
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError("k must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must lie in (0,1), got {self.alpha}")
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
+        as_count("k", self.k)
+        as_real("alpha", self.alpha)
+        as_count("rng_seed", self.rng_seed, lo=0)
+        as_count("trials", self.trials)
 
 
 @dataclass(frozen=True)
@@ -87,18 +86,12 @@ class BoundConstants:
     epsilon_note: str = field(
         default="U and V depend on a free eps in (0,1); use u(eps)/v(eps)")
 
-    def _check_eps(self, eps: float) -> float:
-        eps = float(eps)
-        if not 0.0 < eps < 1.0:
-            raise ValidationError(f"eps must lie in (0,1), got {eps}")
-        return eps
-
     def u(self, eps: float) -> float:
-        eps = self._check_eps(eps)
+        eps = as_real("eps", eps)
         return 2.0 * (1.0 + self.k2_hat) * self.k1_hat ** 2 / eps
 
     def v(self, eps: float) -> float:
-        eps = self._check_eps(eps)
+        eps = as_real("eps", eps)
         return self.k1_hat ** 2 * (1.0 + self.k2_hat) / eps
 
 
@@ -212,7 +205,7 @@ def potential(g: Generator, alpha, data, centers) -> float:
 
 
 def _check_subsets(n: int, k: int):
-    if k < 1 or k > n:
+    if as_count("k", k) > n:
         raise ValidationError(f"k={k} out of range for n={n}")
     if math.comb(n, k) > 10 ** 6:
         raise ValidationError(
@@ -290,6 +283,7 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
     point. `data` is checked once here, and F(data) computed once;
     seeding, every sweep and each round's clusters use rows of both.
     """
+    max_rounds = as_count("max_rounds", max_rounds, lo=0)
     x = as_points(data, g)
     fx = g.f(x)
     centers = x[_seeded_indices(g, x, cfg, fx)[0]]
@@ -350,8 +344,8 @@ def estimate_bound_constants(g: Generator, data, samples: int = 4096,
     with their witness rather than raised."""
     x = as_points(data, g)
     n = x.shape[0]
-    if samples < 2:
-        raise ValidationError("samples must be >= 2")
+    samples = as_count("samples", samples, lo=2)
+    as_count("rng_seed", rng_seed, lo=0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
     lam = rng.dirichlet(np.ones(n), size=samples)
     pts = np.vstack([x, lam @ x])

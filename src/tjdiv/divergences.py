@@ -14,8 +14,9 @@ indifferent to the sign convention. At a in {0, 1} the total family
 keeps the chord factor rho_J (it does NOT become tB).
 
 alpha lies in [0, 1] (the raw gap: (0, 1)), else ValidationError. Past
-their own checks these functions read J'_a, the chord slope, rho_J and
-rho_B from `kernels` on (1, d) rows: a value is the kernel entry's float.
+the checks of `generators` these functions read J'_a, the chord slope,
+rho_J and rho_B from `kernels` on (1, d) rows: a value is the kernel
+entry's float.
 """
 
 import math
@@ -25,7 +26,8 @@ import numpy as np
 
 from . import kernels
 from .errors import CapabilityError, DomainError, SearchError, ValidationError
-from .generators import Generator, as_point, ensure_domain, make_builtin
+from .generators import (
+    Generator, as_pair, as_point, as_real, as_spd, ensure_domain, make_builtin)
 
 KINDS = (
     "jensen-raw", "jensen-scaled", "bregman", "total-bregman",
@@ -52,21 +54,11 @@ class DivergenceValue:
 
 
 def _alpha_ok(alpha, raw=False) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha must lie in [0,1], got {alpha}")
+    alpha = as_real("alpha", alpha, closed=True)
     if raw and alpha in (0.0, 1.0):
         raise ValidationError(
             "alpha in {0,1} has a zero raw gap; use the scaled family")
     return alpha
-
-
-def _pair(g, p, q, interior_q=False):
-    p = as_point(p, g.dim)
-    q = as_point(q, g.dim)
-    ensure_domain(g, p)
-    ensure_domain(g, q, interior=interior_q)
-    return p, q
 
 
 def rho_b(g: Generator, q) -> float:
@@ -77,7 +69,7 @@ def rho_b(g: Generator, q) -> float:
 
 
 def conformal_factors(g: Generator, p, q) -> ConformalFactors:
-    p, q = _pair(g, p, q)
+    p, q = as_pair(g, p, q)
     if np.array_equal(p, q):
         raise DomainError("conformal factors are undefined at p = q (0/0)")
     df, s2, rho = kernels.chord_factors(g, p[None], q[None])
@@ -87,13 +79,13 @@ def conformal_factors(g: Generator, p, q) -> ConformalFactors:
 def jensen_raw(g: Generator, alpha, p, q) -> DivergenceValue:
     """Unscaled Jensen gap; alpha in {0,1} is rejected (gap degenerates)."""
     alpha = _alpha_ok(alpha, raw=True)
-    p, q = _pair(g, p, q)
+    p, q = as_pair(g, p, q)
     gap = kernels.jensen_gap_and_conformal(g, alpha, p[None], q[None])[0]
     return DivergenceValue("jensen-raw", float(gap[0]))
 
 
 def bregman(g: Generator, p, q) -> DivergenceValue:
-    p, q = _pair(g, p, q, interior_q=True)
+    p, q = as_pair(g, p, q, interior_q=True)
     if np.array_equal(p, q):
         return DivergenceValue("bregman", 0.0)
     gq = np.asarray(g.grad(q), dtype=np.float64)
@@ -124,7 +116,7 @@ def total_jensen(g: Generator, alpha, p, q, scaled: bool = True) -> DivergenceVa
     actually give).
     """
     alpha = _alpha_ok(alpha, raw=not scaled)
-    p, q = _pair(g, p, q)
+    p, q = as_pair(g, p, q)
     if np.array_equal(p, q):
         return DivergenceValue("total-jensen", 0.0)
     p1, q1 = p[None], q[None]
@@ -150,7 +142,7 @@ def stolarsky_epsilon(g: Generator, p, q, tol: float = 1e-12) -> float:
     if g.dim != 1:
         raise CapabilityError(
             "the chord-slope point is defined for scalar generators only")
-    p, q = _pair(g, p, q)
+    p, q = as_pair(g, p, q)
     if np.array_equal(p, q):
         raise DomainError("p = q leaves the chord slope undefined")
     slope = float((g.f(p) - g.f(q)) / (p[0] - q[0]))
@@ -161,20 +153,26 @@ def stolarsky_epsilon(g: Generator, p, q, tol: float = 1e-12) -> float:
     def resid(x):
         return float(np.asarray(g.grad(np.array([x])))[0]) - slope
 
-    rlo, rhi = resid(lo), resid(hi)
-    if rlo > 0.0 or rhi < 0.0:
+    if resid(lo) > 0.0 or resid(hi) < 0.0:
         raise SearchError("no sign change in the chord bracket")
+    return bisect(resid, lo, hi, tol)
+
+
+def bisect(resid, lo: float, hi: float, tol: float) -> float:
+    """The root of resid in [lo, hi], where resid < 0 left of the root
+    and > 0 right of it: the first midpoint with |resid| <= tol, or the
+    last one before the bracket stops shrinking."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         rm = resid(mid)
-        if abs(rm) <= tol:
+        if abs(rm) <= tol or mid in (lo, hi):
             return mid
         if rm < 0.0:
             lo = mid
         else:
             hi = mid
     raise SearchError(
-        f"dichotomic search did not reach tolerance {tol} in 200 steps")
+        f"bisection did not reach tolerance {tol} in 200 steps")
 
 
 def _js_sum(a, b):
@@ -186,43 +184,43 @@ def _js_sum(a, b):
     return out
 
 
-def jensen_shannon(p, q) -> DivergenceValue:
+def _js_pair(p, q):
+    """p and q as nonnegative points of one dimension."""
     p = as_point(p)
     q = as_point(q)
     if p.shape != q.shape:
         raise ValidationError("p and q must have the same dimension")
     if np.any(p < 0.0) or np.any(q < 0.0):
         raise ValidationError("jensen-shannon needs nonnegative components")
-    value = 0.5 * _js_sum(p, q) + 0.5 * _js_sum(q, p)
-    return DivergenceValue("jensen-shannon", value)
+    return p, q
+
+
+def _js(p, q):
+    """JS of a checked pair; 0 where p = q."""
+    return 0.5 * _js_sum(p, q) + 0.5 * _js_sum(q, p)
+
+
+def jensen_shannon(p, q) -> DivergenceValue:
+    return DivergenceValue("jensen-shannon", _js(*_js_pair(p, q)))
 
 
 def total_jensen_shannon(p, q) -> DivergenceValue:
     """rho_J * JS with the chord factor taken from F(x) = sum x log x - x."""
-    p = as_point(p)
-    q = as_point(q)
-    js = jensen_shannon(p, q).value  # checks the pair; 0 where p = q
+    p, q = _js_pair(p, q)
     rho = kernels.pairwise_conformal(make_builtin("shannon", p.size),
                                      p[None], q[None])[0]
-    return DivergenceValue("total-jensen-shannon", float(rho) * js)
+    return DivergenceValue("total-jensen-shannon", float(rho) * _js(p, q))
 
 
 def kl_gaussian(mu1, sigma1, mu2, sigma2) -> DivergenceValue:
     """KL between two Gaussians; invariant under shared rigid motions."""
     mu1 = as_point(mu1)
     mu2 = as_point(mu2)
-    s1 = np.atleast_2d(np.asarray(sigma1, dtype=np.float64))
-    s2 = np.atleast_2d(np.asarray(sigma2, dtype=np.float64))
     d = mu1.shape[0]
-    if mu2.shape[0] != d or s1.shape != (d, d) or s2.shape != (d, d):
-        raise ValidationError("dimension mismatch between means/covariances")
-    for s in (s1, s2):
-        if not np.allclose(s, s.T, atol=1e-10):
-            raise ValidationError("covariance must be symmetric")
-        try:
-            np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
-            raise ValidationError("covariance must be positive-definite")
+    if mu2.shape[0] != d:
+        raise ValidationError("the means differ in dimension")
+    s1 = as_spd("covariance", sigma1, d)
+    s2 = as_spd("covariance", sigma2, d)
     dm = mu1 - mu2
     tr = float(np.trace(np.linalg.solve(s2, s1)))
     quad = float(dm @ np.linalg.solve(s2, dm))

@@ -8,9 +8,16 @@ are batched: `f` maps (..., d) arrays to (...) values, `grad`,
 Boundary conventions: evaluation at a closed boundary returns the limit
 value (0*log 0 = 0 for shannon and bit), but gradients are only defined
 on the open interior and requesting one at a boundary raises.
+
+The package's argument checks live here, each written once: points and
+pairs (`as_point`, `as_points`, `as_pair`, `ensure_domain`), real
+options in an interval (`as_real`), counts (`as_count`) and symmetric
+positive-definite matrices (`as_spd`). Other modules call these rather
+than restate a domain, interval, count or matrix test.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -130,6 +137,64 @@ def ensure_domain(g: Generator, x: np.ndarray, interior: bool = False) -> None:
         f"{g.name}'s domain {g.domain.describe()}", row=row)
 
 
+def as_pair(g: Generator, p, q, interior_q: bool = False):
+    """(p, q) as points of g in its domain, q in its interior if asked."""
+    p = as_point(p, g.dim)
+    q = as_point(q, g.dim)
+    ensure_domain(g, p)
+    ensure_domain(g, q, interior=interior_q)
+    return p, q
+
+
+def as_real(name: str, x, lo: float = 0.0, hi: float = 1.0,
+            closed: bool = False) -> float:
+    """x as a float in the open interval (lo, hi), or in [lo, hi] when
+    closed; any other value, NaN included, raises ValidationError. With
+    hi = inf the open form rejects +inf."""
+    try:
+        v = float(x)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {x!r}") from None
+    if (lo <= v <= hi) if closed else (lo < v < hi):
+        return v
+    lb, rb = "[]" if closed else "()"
+    raise ValidationError(f"{name} must lie in {lb}{lo:g},{hi:g}{rb}, got {v}")
+
+
+def as_count(name: str, n, lo: int = 1) -> int:
+    """n as an int >= lo. A float is not a count, integral or not: no
+    truncation decides how many rounds, draws or points run."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {n!r}") from None
+    if k < lo:
+        raise ValidationError(f"{name} must be >= {lo}, got {k}")
+    return k
+
+
+def as_spd(name: str, m, dim: int) -> np.ndarray:
+    """m as a finite, symmetric positive-definite (dim, dim) float64
+    matrix; a scalar is a 1 x 1 matrix."""
+    try:
+        m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    except (TypeError, ValueError):  # ragged rows, or not numbers
+        raise ValidationError(
+            f"{name} is not a rectangular array of numbers") from None
+    if m.shape != (dim, dim):
+        raise ValidationError(
+            f"{name} shape {m.shape} does not match dimension {dim}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"{name} contains NaN or Inf")
+    if not np.allclose(m, m.T, atol=1e-10):
+        raise ValidationError(f"{name} must be symmetric")
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise ValidationError(f"{name} must be positive-definite") from None
+    return m
+
+
 def _xlogx(x):
     """x log x, 0 at x = 0: log runs on 1 there, with no masked copies."""
     x = np.asarray(x, dtype=np.float64)
@@ -190,16 +255,7 @@ def _bit(dim):
 
 
 def _quadratic(name, dim, q):
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (dim, dim):
-        raise ValidationError(
-            f"matrix shape {q.shape} does not match dimension {dim}")
-    if not np.allclose(q, q.T, atol=1e-12):
-        raise ValidationError("matrix must be symmetric")
-    try:
-        np.linalg.cholesky(q)
-    except np.linalg.LinAlgError:
-        raise ValidationError("matrix must be positive-definite")
+    q = as_spd("matrix", q, dim)
     q_inv = np.linalg.inv(q)
     is_identity = bool(np.array_equal(q, np.eye(dim)))
 
@@ -231,8 +287,7 @@ def make_builtin(name: str, dimension: int = 1, matrix=None) -> Generator:
     `matrix` is required (and must be symmetric positive-definite) for
     squared-mahalanobis and rejected for every other name.
     """
-    if dimension < 1:
-        raise ValidationError(f"dimension must be >= 1, got {dimension}")
+    dimension = as_count("dimension", dimension)
     if name not in BUILTIN_NAMES:
         raise ValidationError(
             f"unknown generator {name!r}; choose from {BUILTIN_NAMES}")
@@ -272,10 +327,10 @@ def hessian_at(g: Generator, x: np.ndarray) -> np.ndarray:
 
 def affine_precompose(g: Generator, a: float, b: float = 0.0) -> Generator:
     """G(x) = F(a*x) + b. Strict convexity survives any nonzero a."""
+    a = as_real("a", a, -math.inf, math.inf)
+    b = as_real("b", b, -math.inf, math.inf)
     if a == 0:
         raise ValidationError("scale a must be nonzero")
-    a = float(a)
-    b = float(b)
     if a > 0:
         dom = Domain(g.domain.lo / a, g.domain.hi / a,
                      g.domain.eval_closed_lo, g.domain.eval_closed_hi)
@@ -303,10 +358,8 @@ def affine_precompose(g: Generator, a: float, b: float = 0.0) -> Generator:
 
 def affine_postcompose(g: Generator, lam: float, c: float = 0.0) -> Generator:
     """G(x) = lam*F(x) + c for lam > 0; same domain, scaled geometry."""
-    if lam <= 0:
-        raise ValidationError("lam must be positive to preserve convexity")
-    lam = float(lam)
-    c = float(c)
+    lam = as_real("lam", lam, hi=math.inf)  # > 0 preserves convexity
+    c = as_real("c", c, -math.inf, math.inf)
     ginv = None
     if g.grad_inverse is not None:
         ginv = lambda y: g.grad_inverse(np.asarray(y) / lam)

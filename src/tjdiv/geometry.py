@@ -15,9 +15,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .divergences import jensen_raw
-from .errors import DomainError, SearchError, ValidationError
-from .generators import Generator, as_point, ensure_domain
+from .divergences import bisect, jensen_raw
+from .errors import DomainError
+from .generators import Generator, as_pair, as_real
 
 
 @dataclass(frozen=True)
@@ -35,27 +35,26 @@ class ProjectionResult:
     distance: float
 
 
-def _chord_data(g, alpha, p, q):
-    p = as_point(p, g.dim)
-    q = as_point(q, g.dim)
-    ensure_domain(g, p)
-    ensure_domain(g, q)
+def _chord(g, p, q):
+    """(p, q, Delta, <Delta,Delta>, F(p), F(q)) of a checked pair p != q."""
+    p, q = as_pair(g, p, q)
     if np.array_equal(p, q):
         raise DomainError("the chord degenerates at p = q")
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0,1), got {alpha}")
     delta = p - q
-    dd = float(delta @ delta)
-    fp = float(g.f(p))
-    fq = float(g.f(q))
-    mix = alpha * p + (1.0 - alpha) * q
-    fmix = float(g.f(mix))
-    return p, q, alpha, delta, dd, fp, fq, mix, fmix
+    return p, q, delta, float(delta @ delta), float(g.f(p)), float(g.f(q))
 
 
-def project_beta(g: Generator, alpha, p, q) -> ProjectionResult:
-    p, q, alpha, delta, dd, fp, fq, mix, fmix = _chord_data(g, alpha, p, q)
+def _chord_data(g, alpha, p, q):
+    """_chord's tuple with alpha and F((pq)_alpha) spliced in:
+    (p, q, alpha, Delta, <Delta,Delta>, F(p), F(q), F((pq)_alpha))."""
+    p, q, delta, dd, fp, fq = _chord(g, p, q)
+    alpha = as_real("alpha", alpha)
+    fmix = float(g.f(alpha * p + (1.0 - alpha) * q))
+    return p, q, alpha, delta, dd, fp, fq, fmix
+
+
+def _foot(p, q, alpha, delta, dd, fp, fq, fmix) -> ProjectionResult:
+    """The projection of the graph point onto the chord of _chord_data."""
     df = fp - fq
     beta = (df * (fmix - fq) + alpha * dd) / (dd + df * df)
     foot_pt = beta * p + (1.0 - beta) * q
@@ -66,6 +65,10 @@ def project_beta(g: Generator, alpha, p, q) -> ProjectionResult:
                             distance=float(distance))
 
 
+def project_beta(g: Generator, alpha, p, q) -> ProjectionResult:
+    return _foot(*_chord_data(g, alpha, p, q))
+
+
 def geometric_oracle_tj(g: Generator, alpha, p, q, rotation: float = 0.0) -> float:
     """Unscaled total Jensen value as a raw 2D point-to-line distance.
 
@@ -73,7 +76,7 @@ def geometric_oracle_tj(g: Generator, alpha, p, q, rotation: float = 0.0) -> flo
     `rotation` spins the three section points by an angle first, which
     cannot change the answer (the testable form of rotation invariance).
     """
-    _, _, alpha, _, dd, fp, fq, _, fmix = _chord_data(g, alpha, p, q)
+    _, _, alpha, _, dd, fp, fq, fmix = _chord_data(g, alpha, p, q)
     width = math.sqrt(dd)
     pts = np.array([
         [0.0, fq],            # chord end at q
@@ -91,12 +94,10 @@ def geometric_oracle_tj(g: Generator, alpha, p, q, rotation: float = 0.0) -> flo
 
 def pythagoras_residual(g: Generator, alpha, p, q) -> float:
     """Relative residual of l^2 + tJ'^2 = J'^2 at the projection foot."""
-    res = project_beta(g, alpha, p, q)
-    p = as_point(p, g.dim)
-    q = as_point(q, g.dim)
-    delta = p - q
-    dd = float(delta @ delta)
-    df = float(g.f(p) - g.f(q))
+    chord = _chord_data(g, alpha, p, q)
+    res = _foot(*chord)
+    p, q, alpha, _, dd, fp, fq, _ = chord
+    df = fp - fq
     jr = jensen_raw(g, alpha, p, q).value
     leg = abs(alpha - res.beta) * math.sqrt(dd + df * df)
     lhs = leg * leg + res.distance * res.distance
@@ -104,105 +105,27 @@ def pythagoras_residual(g: Generator, alpha, p, q) -> float:
     return abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
 
-def _feasible_alpha_interval(g, p, q):
-    # alphas for which q + alpha*(p - q) stays evaluable, shrunk a hair
-    # inside any open boundary
-    lo, hi = -math.inf, math.inf
-    dom = g.domain
-    for j in range(p.shape[0]):
-        dj = p[j] - q[j]
-        if dj == 0.0:
-            if not dom.contains(np.array([q[j]])):
-                raise DomainError("stationary coordinate outside the domain")
-            continue
-        if math.isfinite(dom.lo):
-            b = (dom.lo - q[j]) / dj
-            if dj > 0:
-                lo = max(lo, b)
-            else:
-                hi = min(hi, b)
-        if math.isfinite(dom.hi):
-            b = (dom.hi - q[j]) / dj
-            if dj > 0:
-                hi = min(hi, b)
-            else:
-                lo = max(lo, b)
-    margin = 1e-12 * max(1.0, abs(lo) if math.isfinite(lo) else 0.0,
-                         abs(hi) if math.isfinite(hi) else 0.0)
-    if math.isfinite(lo) and not dom.eval_closed_lo:
-        lo += margin
-    if math.isfinite(hi) and not dom.eval_closed_hi:
-        hi -= margin
-    return lo, hi
-
-
 def second_kind_tj(g: Generator, beta: float, p, q, tol: float = 1e-12) -> float:
     """Distance-to-graph variant: drop a perpendicular from the chord
-    point at parameter beta onto the generator's graph.
+    point at parameter beta onto the generator's graph, and return its
+    length scaled by 1/(beta(1-beta)).
 
-    The foot parameter alpha solves Delta_F*F(q + alpha*Delta) +
-    alpha*<Delta,Delta> = a, found by bracketed bisection (no closed
-    form in general). The returned value is scaled by 1/(beta(1-beta)).
+    The foot is the intersection on the arc between q and p: its
+    parameter alpha solves h(alpha) = Delta_F*F(q + alpha*Delta) +
+    alpha*<Delta,Delta> - a = 0, and h(0) = -beta(|Delta|^2 + Delta_F^2)
+    < 0 < h(1) = (1-beta)(|Delta|^2 + Delta_F^2). h is convex or concave
+    (as Delta_F's sign), so [0, 1], a segment of the domain, holds its
+    one root there, found by bisection (no closed form in general).
     """
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise ValidationError(f"beta must lie in (0,1), got {beta}")
-    p = as_point(p, g.dim)
-    q = as_point(q, g.dim)
-    ensure_domain(g, p)
-    ensure_domain(g, q)
-    if np.array_equal(p, q):
-        raise DomainError("the chord degenerates at p = q")
-    delta = p - q
-    dd = float(delta @ delta)
-    fp = float(g.f(p))
-    fq = float(g.f(q))
+    beta = as_real("beta", beta)
+    p, q, delta, dd, fp, fq = _chord(g, p, q)
     df = fp - fq
     a = beta * (dd + df * df) + df * fq
 
     def resid(al):
         return df * float(g.f(q + al * delta)) + al * dd - a
 
-    flo, fhi = _feasible_alpha_interval(g, p, q)
-    lo = max(-2.0, flo)
-    hi = min(3.0, fhi)
-    if not lo < hi:
-        raise SearchError("empty search interval for the foot parameter")
-
-    found = None
-    for _ in range(60):
-        grid = np.linspace(lo, hi, 129)
-        vals = np.array([resid(x) for x in grid])
-        sign = np.sign(vals)
-        flips = np.nonzero(np.diff(sign) != 0)[0]
-        if len(flips):
-            i = flips[0]
-            found = (grid[i], grid[i + 1])
-            break
-        # widen geometrically, clipped to the feasible interval
-        span = hi - lo
-        nlo = max(flo, lo - span)
-        nhi = min(fhi, hi + span)
-        if nlo == lo and nhi == hi:
-            break
-        lo, hi = nlo, nhi
-    if found is None:
-        raise SearchError("no sign change found for the foot parameter")
-
-    lo, hi = found
-    rlo = resid(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        rm = resid(mid)
-        if abs(rm) <= tol or (hi - lo) < 1e-15 * max(1.0, abs(mid)):
-            lo = hi = mid
-            break
-        if (rm < 0.0) == (rlo < 0.0):
-            lo, rlo = mid, rm
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
-
+    alpha = bisect(resid, 0.0, 1.0, tol)
     fmix = float(g.f(q + alpha * delta))
     chord_val = beta * fp + (1.0 - beta) * fq
     dist = math.hypot((alpha - beta) * math.sqrt(dd), fmix - chord_val)

@@ -23,7 +23,8 @@ stages on them, computes it once and passes it in: the keyword-only
 computed from the points, with the same bits. `cccp_steps` forms the
 data side alpha * x once per call, not once per step.
 
-Kernels validate nothing beyond alpha: the public functions of
+Kernels validate nothing beyond alpha in (0, 1) (`generators.as_real`;
+the limit cases belong to the divergence API): the public functions of
 divergences, geometry, robustness, centroids and clustering, and the
 CLI's loader, check each array once (as_point or as_points, then one
 vectorized ensure_domain pass) before any kernel sees it.
@@ -31,14 +32,7 @@ vectorized ensure_domain pass) before any kernel sees it.
 
 import numpy as np
 
-from .errors import ValidationError
-
-
-def _check_alpha(alpha):
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(
-            f"kernels require alpha in (0,1), got {alpha}; "
-            "limit cases are handled by the divergence API")
+from .generators import as_real
 
 
 def _rows(a):
@@ -74,7 +68,7 @@ def jensen_gap_and_conformal(g, alpha, p, q, *, fp=None):
     """Row-wise (raw gap J'_alpha(p_i : q_i), exactly 0 where p_i = q_i;
     rho_J(p_i, q_i)) from one F pass; a (1, d) row broadcasts, and fp is
     F(p) if already known."""
-    _check_alpha(alpha)
+    alpha = as_real("alpha", alpha)
     p, q = _rows(p), _rows(q)
     fp, fq, gap = _jensen(g, alpha, p, q, fp)
     _, rho, nz = _chord(fp - fq, p, q)
@@ -116,7 +110,7 @@ def gradient_conformal(g, q):
 def jensen_loss(g, alpha, x, w, c, *, fx=None):
     """Weighted scaled Jensen loss sum_i w_i J_alpha(x_i : c), one centre
     c; fx is F(x) if already known."""
-    _check_alpha(alpha)
+    alpha = as_real("alpha", alpha)
     gap = _jensen(g, alpha, _rows(x), np.reshape(c, (1, -1)), fx)[2]
     return float(w @ gap) / (alpha * (1.0 - alpha))
 
@@ -124,7 +118,7 @@ def jensen_loss(g, alpha, x, w, c, *, fx=None):
 def min_divergence_assign(g, alpha, x, centers, *, fx=None):
     """Per point: (min_c tJ_alpha(x_i : c), argmin index, lowest on ties).
     F(x) is computed once for all centres, or taken from fx."""
-    _check_alpha(alpha)
+    alpha = as_real("alpha", alpha)
     x, centers = _rows(x), _rows(centers)
     if fx is None:
         fx = g.f(x)
@@ -146,7 +140,7 @@ def cccp_steps(g, alpha, x, w, c0, iters):
     lands outside (cannot happen for the builtin generators, whose
     inverse gradients map into the open domain).
     """
-    _check_alpha(alpha)
+    alpha = as_real("alpha", alpha)
     ax = alpha * _rows(x)  # the data side, the same at every step
     w = np.asarray(w, dtype=np.float64)
     c = np.array(c0, dtype=np.float64, ndmin=1)

@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from .centroids import WeightedPointSet
 from .errors import CapabilityError, ValidationError
-from .generators import Generator, as_point, ensure_domain
+from .generators import Generator, as_count, as_point, as_real, ensure_domain
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,7 @@ def influence_analytic(g: Generator, p, y) -> float:
 def influence_empirical(g: Generator, p, y, epsilon: float) -> InfluenceResult:
     """Centroid shift per unit outlier mass, measured by actually
     computing the alpha=1/2 centroid of {(p, 1/(1+eps)), (y, eps/(1+eps))}."""
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 0.5:
-        raise ValidationError(f"epsilon must lie in (0, 0.5), got {epsilon}")
+    epsilon = as_real("epsilon", epsilon, hi=0.5)
     z_a = influence_analytic(g, p, y)
     data = WeightedPointSet.make(
         [[float(np.atleast_1d(p)[0])], [float(np.atleast_1d(y)[0])]],
@@ -96,6 +94,7 @@ def boundedness_sweep(g: Generator, p, y_max: float,
     decay rho_J(p, y). Classification compares the first and last decade
     of |z|: a bounded influence flattens, an unbounded one keeps growing."""
     _scalar_gen(g)
+    per_decade = as_count("per_decade", per_decade)
     p = as_point(p, 1)
     p0 = float(p[0])
     y0 = 2.0 * abs(p0) if p0 != 0.0 else 1.0

@@ -47,12 +47,14 @@ def test_point_set_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
-        CentroidConfig(alpha=0.0)
-    with pytest.raises(ValidationError):
-        CentroidConfig(outer_tol=0.0)
-    with pytest.raises(ValidationError):
-        CentroidConfig(inner_cccp_iters=0)
+    # NaN once passed the outer_tol test and ran every stage; a float
+    # count once ran int(count) steps
+    for bad in ({"alpha": 0.0}, {"alpha": np.nan}, {"outer_tol": 0.0},
+                {"outer_tol": np.nan}, {"outer_tol": np.inf},
+                {"inner_cccp_iters": 0}, {"inner_cccp_iters": 2.5},
+                {"outer_max_iters": 0}, {"outer_max_iters": 3.0}):
+        with pytest.raises(ValidationError):
+            CentroidConfig(**bad)
 
 
 def test_half_square_cccp_is_weighted_mean():
@@ -104,27 +106,24 @@ def test_inner_loss_trace_non_increasing():
 
 
 def test_weights_override_changes_the_pull():
+    # weights enter through WeightedPointSet.make, the one weight check
     g = make_builtin("shannon")
-    data = WeightedPointSet.make([[1.0], [4.0]])
-    c_even = jensen_centroid_cccp(g, 0.5, data, iters=50)
-    c_tilted = jensen_centroid_cccp(g, 0.5, data,
-                                    weights_override=[9.0, 1.0], iters=50)
+    even = WeightedPointSet.make([[1.0], [4.0]])
+    tilted = WeightedPointSet.make(even.points, [9.0, 1.0])
+    c_even = jensen_centroid_cccp(g, 0.5, even, iters=50)
+    c_tilted = jensen_centroid_cccp(g, 0.5, tilted, iters=50)
     assert float(c_tilted[0]) < float(c_even[0])
     with pytest.raises(ValidationError):
-        jensen_centroid_cccp(g, 0.5, data, weights_override=[1.0])
+        WeightedPointSet.make(even.points, [1.0])
 
 
 @pytest.mark.parametrize("weights", [
     [0.0, 0.0, 0.0], [np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0],
     [-1.0, 1.0, 1.0]])
 def test_weights_override_is_checked_like_point_weights(weights):
-    # all-zero, NaN and infinite overrides once came back as [nan]
-    g = make_builtin("shannon")
-    data = WeightedPointSet.make([[1.0], [2.0], [4.0]])
+    # all-zero, NaN and infinite weights once came back as [nan]
     with pytest.raises(ValidationError, match="weights must"):
-        jensen_centroid_cccp(g, 0.5, data, weights_override=weights)
-    with pytest.raises(ValidationError, match="weights must"):
-        WeightedPointSet.make(data.points, weights)
+        WeightedPointSet.make([[1.0], [2.0], [4.0]], weights)
 
 
 def test_two_stage_exhibit_and_grid_gap():

@@ -143,6 +143,21 @@ def test_kl_gaussian_paths(capsys):
     assert "--cov1" in err
 
 
+def test_ragged_matrix_is_an_error(tmp_path, capsys):
+    # ragged rows, inline or in a file, once ended in a numpy traceback
+    code, _, err = run_cli(capsys, "divergence", "--kind", "kl-gaussian",
+                           "--mu1", "0,0", "--cov1", "1,0;1", "--mu2", "0,0",
+                           "--cov2", "1,0;0,1")
+    assert code == 1
+    assert err == "error: covariance is not a rectangular array of numbers\n"
+    bad = _write(tmp_path / "m.csv", "1,0\n0\n")
+    code, _, err = run_cli(capsys, "divergence", "--kind", "total-jensen",
+                           "--generator", "squared-mahalanobis", "--matrix",
+                           bad, "--p", "1,2", "--q", "2,1")
+    assert code == 1
+    assert err.startswith(f"error: {bad}: ")
+
+
 def test_exit_codes_for_usage_and_domain_errors(capsys):
     code, _, _ = run_cli(capsys, "divergence", "--no-such-flag")
     assert code == 2
@@ -611,6 +626,24 @@ def test_metric_check_search_mode(capsys):
     assert res["violations_found"] > 0
     assert res["worst_deficiency"] > 0.0
     assert "rng_seed=77" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["centroid", "--outer-tol", "nan"], "outer_tol"),
+    (["cluster", "--k", "2", "--max-rounds", "-4"], "max_rounds"),
+    (["seed", "--k", "2", "--rng-seed", "-3"], "rng_seed"),
+    (["bound-experiment", "--k", "2", "--samples", "1"], "samples"),
+    (["influence", "--p", "1.0", "--per-decade", "-5"], "per_decade"),
+    (["metric-check", "--search", "--trials", "0"], "trials"),
+    (["metric-check", "--search", "--dim", "1"], "dim"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_numeric_option_out_of_range_is_an_error(tmp_path, capsys, argv, name):
+    # each of these once exited 0 or ended in a traceback
+    if argv[0] not in ("influence", "metric-check"):
+        argv = argv + ["--input", _write(tmp_path / "d.csv", "1.0\n2.0\n4.0\n")]
+    code, rep, err = run_cli(capsys, *argv)
+    assert code == 1 and rep is None
+    assert err.startswith(f"error: {name} must ")
 
 
 # config files

@@ -26,12 +26,12 @@ SHANNON = make_builtin("shannon")
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
-        SeedingConfig(k=0)
-    with pytest.raises(ValidationError):
-        SeedingConfig(k=2, alpha=1.0)
-    with pytest.raises(ValidationError):
-        SeedingConfig(k=2, trials=0)
+    # k=2.5 once ended in a numpy TypeError, rng_seed=-1 in a ValueError
+    for bad in ({"k": 0}, {"k": 2.5}, {"k": 2, "alpha": 1.0},
+                {"k": 2, "alpha": np.nan}, {"k": 2, "trials": 0},
+                {"k": 2, "trials": 1.0}, {"k": 2, "rng_seed": -1}):
+        with pytest.raises(ValidationError):
+            SeedingConfig(**bad)
 
 
 def test_seeding_is_deterministic_and_without_replacement():
@@ -455,6 +455,10 @@ def test_lloyd_on_separated_blobs():
     capped = lloyd_cluster(SHANNON, X, SeedingConfig(k=2, rng_seed=11),
                            max_rounds=1)
     assert capped.rounds == 1 and not capped.converged
+    # max_rounds=-3 once returned after 0 rounds
+    for bad in (-3, 2.0):
+        with pytest.raises(ValidationError, match="max_rounds"):
+            lloyd_cluster(SHANNON, X, SeedingConfig(k=2), max_rounds=bad)
 
 
 def test_converged_lloyd_makes_one_sweep_per_round(monkeypatch):
@@ -597,8 +601,11 @@ def test_bound_constants_report_singular_boundaries():
                                   samples=256, rng_seed=0)
     assert bs.boundary_excluded >= 1
     assert math.isfinite(bs.k1_hat) and bs.k1_hat > 1.0
-    with pytest.raises(ValidationError):
-        estimate_bound_constants(SHANNON, np.array([[1.0]]), samples=1)
+    # samples=nan once ended in a numpy TypeError
+    for bad in ({"samples": 1}, {"samples": np.nan}, {"samples": 64.0},
+                {"rng_seed": -2}):
+        with pytest.raises(ValidationError):
+            estimate_bound_constants(SHANNON, np.array([[1.0]]), **bad)
 
 
 def test_plugin_multiplier_arithmetic():

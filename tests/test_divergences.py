@@ -368,6 +368,8 @@ def test_kl_gaussian_rejects_bad_covariance():
         kl_gaussian([0.0, 0.0], [[1.0, 0.5], [0.4, 1.0]], [0.0, 0.0], np.eye(2))
     with pytest.raises(ValidationError):
         kl_gaussian([0.0], [[1.0]], [0.0, 0.0], np.eye(2))
+    with pytest.raises(ValidationError):  # once gave a non-finite value
+        kl_gaussian([0.0], [[np.inf]], [0.0], [[1.0]])
 
 
 def test_divergence_value_floats():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from tjdiv.errors import DomainError, ValidationError
 from tjdiv.generators import (
-    BUILTIN_NAMES, _xlogx, affine_postcompose, affine_precompose, as_point,
-    ensure_domain, hessian_at, make_builtin)
+    BUILTIN_NAMES, _xlogx, affine_postcompose, affine_precompose, as_count,
+    as_point, as_real, as_spd, ensure_domain, hessian_at, make_builtin)
 
 POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
 UNIT_OPEN = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)
@@ -153,6 +153,10 @@ def test_make_builtin_validation():
         make_builtin("squared-mahalanobis", 2, matrix=np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(ValidationError):
         make_builtin("squared-mahalanobis", 2, matrix=-np.eye(2))
+    with pytest.raises(ValidationError, match="NaN or Inf"):  # once accepted
+        make_builtin("squared-mahalanobis", 2, matrix=np.diag([np.inf, 1.0]))
+    with pytest.raises(ValidationError, match="dimension must be an integer"):
+        make_builtin("shannon", 2.0)
     assert set(BUILTIN_NAMES) == {
         "shannon", "burg", "bit", "squared-mahalanobis", "squared-euclidean"}
 
@@ -267,3 +271,38 @@ def test_xlogx_sign_of_zero_does_not_reach_f():
     for name in ("shannon", "bit"):
         v = make_builtin(name).f(np.array([[-0.0]]))
         assert v[0] == 0.0 and not np.signbit(v[0])
+
+
+def test_affine_maps_reject_non_finite_and_degenerate_parameters():
+    # a NaN scale or offset once gave a generator whose divergences are NaN
+    g = make_builtin("shannon")
+    for a, b in ((0.0, 0.0), (np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan)):
+        with pytest.raises(ValidationError):
+            affine_precompose(g, a, b)
+    for lam, c in ((0.0, 0.0), (-1.0, 0.0), (np.nan, 0.0), (np.inf, 0.0),
+                   (1.0, -np.inf)):
+        with pytest.raises(ValidationError):
+            affine_postcompose(g, lam, c)
+
+
+def test_shared_checkers_accept_in_range_values_and_nothing_else():
+    assert as_real("alpha", 0.25) == 0.25
+    assert as_real("alpha", np.float32(0.5)) == 0.5
+    assert as_real("alpha", 1.0, closed=True) == 1.0
+    assert as_real("tol", 1e300, hi=math.inf) == 1e300
+    for x, kw in ((0.0, {}), (1.0, {}), (np.nan, {}), (np.nan, {"closed": True}),
+                  (-np.inf, {"closed": True}), (np.inf, {"hi": math.inf}),
+                  (0.5, {"hi": 0.5}), ("half", {}), (None, {})):
+        with pytest.raises(ValidationError, match="^x must"):
+            as_real("x", x, **kw)
+    assert as_count("k", 3) == 3 and as_count("k", np.int64(3)) == 3
+    assert as_count("rounds", 0, lo=0) == 0
+    for n, lo in ((0, 1), (-1, 0), (1, 2), (2.0, 1), (2.5, 1), (np.nan, 1),
+                  ("3", 1), (None, 1)):
+        with pytest.raises(ValidationError, match="^k must"):
+            as_count("k", n, lo=lo)
+    assert as_spd("m", 2.0, 1).tolist() == [[2.0]]
+    for m in (np.eye(3), [[1.0, 1.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
+              [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0]], "eye"):
+        with pytest.raises(ValidationError, match="^m "):
+            as_spd("m", m, 2)

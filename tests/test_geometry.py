@@ -119,17 +119,31 @@ def test_projection_rejects_degenerate_chord():
 
 
 def test_second_kind_half_square_closed_form():
-    # for F = x^2/2 on the chord p=0, q=1 the foot parameter solves
-    # alpha^2 - 6 alpha + 5 beta = 0, so alpha = 3 - sqrt(9 - 5 beta)
+    # for F = x^2/2 the foot parameter alpha solves the quadratic
+    # (df dd / 2) alpha^2 + (df q dlt + dd) alpha - beta (dd + df^2) = 0,
+    # whose root in [0, 1] is the foot on the arc; on the chord p=0, q=1
+    # it reads alpha^2 - 6 alpha + 5 beta = 0. On (2, -1) the other root,
+    # alpha ~ -1.31, lies off the arc: a search started left of 0 once
+    # returned it (48.44 at beta = 1/2 against 3.716 for the swap)
     g = make_builtin("squared-euclidean")
-    for beta in (0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9):
-        alpha = 3.0 - math.sqrt(9.0 - 5.0 * beta)
-        u = 1.0 - alpha
-        chord_val = (1.0 - beta) * 0.5
-        expect = math.hypot(alpha - beta, 0.5 * u * u - chord_val) / (
-            beta * (1.0 - beta))
-        got = second_kind_tj(g, beta, [0.0], [1.0])
-        assert got == pytest.approx(expect, rel=1e-9)
+    for p, q in ((0.0, 1.0), (2.0, -1.0), (-1.0, 2.0)):
+        dlt, df = p - q, 0.5 * (p * p - q * q)
+        dd = dlt * dlt
+        for beta in (0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9):
+            a2, a1, a0 = 0.5 * df * dd, df * q * dlt + dd, -beta * (dd + df * df)
+            alpha = next(r.real for r in np.roots([a2, a1, a0])
+                         if 0.0 <= r.real <= 1.0)
+            u = q + alpha * dlt
+            chord_val = beta * 0.5 * p * p + (1.0 - beta) * 0.5 * q * q
+            expect = math.hypot((alpha - beta) * abs(dlt),
+                                0.5 * u * u - chord_val) / (beta * (1.0 - beta))
+            got = second_kind_tj(g, beta, [p], [q])
+            assert got == pytest.approx(expect, rel=1e-9)
+    # at beta = 1/2 the chord point is the midpoint either way round
+    assert second_kind_tj(g, 0.5, [2.0], [-1.0]) == pytest.approx(
+        second_kind_tj(g, 0.5, [-1.0], [2.0]), rel=1e-12)
+    assert second_kind_tj(g, 0.5, [2.0], [-1.0]) == pytest.approx(
+        3.716130, rel=1e-6)
 
 
 def test_second_kind_burg_closed_form_via_lambert_w():

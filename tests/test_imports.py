@@ -1,6 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and none
+holds an `assert` statement: `python -O` strips those, and a check the
+package relies on must raise whatever the interpreter's flags.
 
-`__init__` is exempt: its imports are the package's public surface.
+`__init__` is exempt from the import check: its imports are the
+package's public surface.
 """
 
 import ast
@@ -10,6 +13,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "tjdiv"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source):
@@ -31,3 +35,20 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def assert_lines(source):
+    """Line numbers of the assert statements in source."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_the_check_sees_an_assert():
+    src = "def f(x):\n    assert x > 0\n    return x\nassert f(1)\n"
+    assert sorted(assert_lines(src)) == [2, 4]
+    assert assert_lines("x = 'assert'  # assert\n") == []
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_module_has_no_assert(path):
+    assert assert_lines(path.read_text(encoding="utf-8")) == []

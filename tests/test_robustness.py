@@ -107,7 +107,7 @@ def test_sweep_z_equals_influence_analytic_bitwise(name, p, y_max):
 
 def test_epsilon_band_is_enforced():
     g = make_builtin("shannon")
-    for eps in (0.0, 0.5, 0.7, -1e-3):
+    for eps in (0.0, 0.5, 0.7, -1e-3, np.nan, np.inf):
         with pytest.raises(ValidationError):
             influence_empirical(g, 1.0, 3.0, eps)
 
@@ -118,6 +118,10 @@ def test_sweep_range_validation():
         boundedness_sweep(g, 1.0, 2.0)  # not beyond y0 = 2p
     with pytest.raises(ValidationError):
         boundedness_sweep(make_builtin("bit"), 0.3, 2.0)  # outside [0,1]
+    # per_decade=-3 once gave a 2-point grid
+    for bad in (-3, 0, 2.5):
+        with pytest.raises(ValidationError, match="per_decade"):
+            boundedness_sweep(g, 1.0, 100.0, per_decade=bad)
 
 
 def test_scalar_only_and_second_derivative_required():
