@@ -1,14 +1,18 @@
 """Centroids under the Jensen and total Jensen losses.
 
-The plain Jensen centroid is a fixed-point iteration
-c <- (grad F)^(-1)(sum_i w_i grad F(a c + (1-a) p_i)), whose inner loss
-is provably non-increasing. The total Jensen centroid alternates two
-stages: renormalize the weights by the chord conformal factors at the
-current center, then run k fixed-point steps with those weights frozen.
-The outer loop is NOT monotone in the total loss (the frozen factors
-drop its density term), so termination uses an improvement threshold
-plus a consecutive-increase guard that falls back to the best center
-seen. Callers must not assume the outer trace decreases.
+The plain Jensen centroid is the CCCP fixed-point iteration
+c <- (grad F)^(-1)(sum_i w_i grad F(a p_i + (1-a) c)), whose inner loss
+is provably non-increasing at every step. The total Jensen centroid
+alternates two stages: renormalize the weights by the chord conformal
+factors at the current center, then solve the frozen-weight CCCP
+problem to tolerance (`kernels.cccp_steps`: Anderson-accelerated, with
+`inner_cccp_iters` map evaluations as the cap), recording for each
+stage its evaluations, stop and accepted extrapolations. The outer loop
+is NOT monotone in the total loss (the frozen factors drop its density
+term), so termination uses an improvement threshold plus a
+consecutive-increase guard that falls back to the best center seen,
+and the result names which of the two, or outer_max_iters, ended it.
+Callers must not assume the outer trace decreases.
 """
 
 import math
@@ -73,6 +77,10 @@ class CentroidResult:
     stage_weights_trace: List[np.ndarray]
     converged: bool
     iterations: int
+    # "converged" (outer_tol met), "oscillation" (5 increases in a row)
+    # or "max_iters" (outer_max_iters stages ran)
+    stop_reason: str
+    stages: List[kernels.StageSolve]  # one per stage, in order
 
 
 def _check_inputs(g: Generator, data: WeightedPointSet):
@@ -93,24 +101,29 @@ def _barycenter(g: Generator, data: WeightedPointSet) -> np.ndarray:
 
 def jensen_centroid_cccp(g: Generator, alpha, data: WeightedPointSet,
                          iters: int = 20, trace_loss: bool = False):
-    """Fixed-count fixed-point iteration from the barycenter, under the
-    point weights of data.
+    """`iters` plain CCCP steps from the barycenter, under the point
+    weights of data: no extrapolation, so the inner loss falls at every
+    step.
 
     With trace_loss=True also returns the inner loss sum_i w_i J_a(p_i:c)
-    before the first step and after each step (length iters + 1).
+    before the first step and after each step (length iters + 1); the
+    centre is the same either way.
     """
     alpha = as_real("alpha", alpha)
     iters = as_count("iters", iters, lo=0)
     _check_inputs(g, data)
     w = data.weights
     c = _barycenter(g, data)
-    if not trace_loss:
-        return kernels.cccp_steps(g, alpha, data.points, w, c, iters)
-    fx = g.f(data.points)
-    losses = [kernels.jensen_loss(g, alpha, data.points, w, c, fx=fx)]
+    fx = g.f(data.points) if trace_loss else None
+    losses = []
     for _ in range(iters):
-        c = kernels.cccp_steps(g, alpha, data.points, w, c, 1)
-        losses.append(kernels.jensen_loss(g, alpha, data.points, w, c, fx=fx))
+        if trace_loss:
+            losses.append(
+                kernels.jensen_loss(g, alpha, data.points, w, c, fx=fx))
+        c = kernels.cccp_steps(g, alpha, data.points, w, c, 1).center
+    if not trace_loss:
+        return c
+    losses.append(kernels.jensen_loss(g, alpha, data.points, w, c, fx=fx))
     return c, losses
 
 
@@ -125,8 +138,9 @@ def total_loss(g: Generator, alpha, data: WeightedPointSet, c) -> float:
 
 def total_jensen_centroid(g: Generator, data: WeightedPointSet,
                           cfg: CentroidConfig = CentroidConfig()) -> CentroidResult:
-    """Two-stage loop: conformal weight renormalization, then k frozen
-    fixed-point steps. Non-convergence is reported, never raised."""
+    """Two-stage loop: conformal weight renormalization, then a
+    frozen-weight CCCP stage solved to tolerance. Non-convergence is
+    reported (stop_reason), never raised."""
     _check_inputs(g, data)
     if cfg.init is not None:
         c = np.atleast_1d(np.asarray(cfg.init, dtype=np.float64))
@@ -151,32 +165,36 @@ def _total_jensen_centroid(g: Generator, data: WeightedPointSet,
     loss_prev, rho = loss_and_rho(c)
     loss_trace = [loss_prev]
     weights_trace: List[np.ndarray] = []
+    stages: List[kernels.StageSolve] = []
     best_loss, best_c = loss_prev, c
-    converged = False
+    stop_reason = "max_iters"
     increases = 0
     t = 0
     for t in range(1, cfg.outer_max_iters + 1):
         wt = data.weights * rho
         wt = wt / wt.sum()
         weights_trace.append(wt)
-        c = kernels.cccp_steps(
-            g, cfg.alpha, data.points, wt, c, cfg.inner_cccp_iters)
+        stages.append(kernels.cccp_steps(
+            g, cfg.alpha, data.points, wt, c, cfg.inner_cccp_iters))
+        c = stages[-1].center
         loss, rho = loss_and_rho(c)
         loss_trace.append(loss)
         if loss < best_loss:
             best_loss, best_c = loss, c
         if abs(loss_prev - loss) < cfg.outer_tol:
-            converged = True
+            stop_reason = "converged"
             break
         increases = increases + 1 if loss > loss_prev else 0
         if increases >= 5:
-            break  # oscillating; keep the best center seen
+            stop_reason = "oscillation"  # keep the best center seen
+            break
         loss_prev = loss
 
     return CentroidResult(
         center=best_c, loss_trace=loss_trace,
         stage_weights_trace=weights_trace,
-        converged=converged, iterations=t)
+        converged=stop_reason == "converged", iterations=t,
+        stop_reason=stop_reason, stages=stages)
 
 
 def left_sided_centroid(g: Generator, data: WeightedPointSet,

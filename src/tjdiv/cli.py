@@ -409,10 +409,9 @@ def _cmd_centroid(ns, timings):
     if ns.report:
         with open(ns.report, "w", encoding="utf-8") as fh:
             fh.write(canonical_dumps(results))
-    word = "converged" if res.converged else "stopped"
     return results, [
-        f"{ns.side}-sided centroid {word} after {res.iterations} stages, "
-        f"loss {best:.12g}"]
+        f"{ns.side}-sided centroid after {res.iterations} stages "
+        f"(stop: {res.stop_reason}), loss {best:.12g}"]
 
 
 def _cmd_influence(ns, timings):
@@ -621,7 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(sp)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--side", choices=["right", "left"], default=None)
-    sp.add_argument("--inner-iters", type=int, default=None)
+    sp.add_argument("--inner-iters", type=int, default=None,
+                    help="cap on CCCP map evaluations per centroid stage")
     sp.add_argument("--outer-tol", type=float, default=None)
     sp.add_argument("--outer-max", type=int, default=None)
     sp.add_argument("--report", type=str, default=None,
@@ -649,7 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--rng-seed", type=int, default=None)
     sp.add_argument("--max-rounds", type=int, default=None)
-    sp.add_argument("--inner-iters", type=int, default=None)
+    sp.add_argument("--inner-iters", type=int, default=None,
+                    help="cap on CCCP map evaluations per centroid stage")
     sp.add_argument("--outer-tol", type=float, default=None)
     sp.add_argument("--outer-max", type=int, default=None)
 
@@ -761,20 +762,29 @@ def _apply_config_and_defaults(ns, parser):
                     f"config key {key!r}: cannot parse {raw!r}")
         else:
             setattr(ns, key, raw)
-    # a flag that --kind never reads is an error, not a no-op, and is
+    # a flag that the run never reads is an error, not a no-op, and is
     # left unset rather than echoed with its default
-    unused = ()
-    if ns.cmd == "divergence":
-        unused = _UNUSED_DIVERGENCE_FLAGS[ns.kind]
+    unused, mode = _unused_flags(ns)
     for key in unused:
         if getattr(ns, key) is not None:
             raise ValidationError(
-                f"--kind {ns.kind} does not use --{key}; drop it")
+                f"{mode} does not use --{key.replace('_', '-')}; drop it")
     for key, val in DEFAULTS[ns.cmd].items():
         if key not in unused and getattr(ns, key, None) is None:
             setattr(ns, key, val)
     if _is_stochastic(ns) and ns.rng_seed is None:
         ns.rng_seed = _fresh_seed()
+
+
+def _unused_flags(ns):
+    """(the flags this run never reads, the mode that leaves them out)."""
+    if ns.cmd == "divergence":
+        return _UNUSED_DIVERGENCE_FLAGS[ns.kind], f"--kind {ns.kind}"
+    if ns.cmd == "influence" and not ns.empirical:
+        return ("eps",), "influence without --empirical"
+    if ns.cmd == "metric-check" and not ns.search:
+        return ("trials", "dim", "rng_seed"), "metric-check without --search"
+    return (), ""
 
 
 def _is_stochastic(ns):

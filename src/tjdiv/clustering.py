@@ -399,6 +399,9 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
     """Mean seeding potential over cfg.trials independent streams vs the
     brute-force discrete optimum, with the plug-in multiplier
     2 U^2 (1+V) (2 + log k) tabulated over eps_grid."""
+    # every option is checked before the first divergence is computed
+    samples = as_count("samples", samples, lo=2)
+    eps_grid = [as_real("eps", eps) for eps in eps_grid]
     x = as_points(data, g)
     n, k = x.shape[0], cfg.k
     _check_subsets(n, k)
@@ -425,7 +428,7 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
         v = constants.v(eps)
         mult = 2.0 * u * u * (1.0 + v) * (2.0 + math.log(cfg.k))
         curve.append({
-            "eps": float(eps), "u": u, "v": v, "multiplier": mult,
+            "eps": eps, "u": u, "v": v, "multiplier": mult,
             "satisfied": bool(math.isfinite(mult) and ratio <= mult)})
     return ExperimentReport(
         mean_potential=mean_pot, opt_potential=opt_pot, ratio=ratio,

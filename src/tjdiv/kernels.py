@@ -1,5 +1,5 @@
 """Hot numeric kernels: row-wise tJ and rho_J, the Jensen loss, the
-assignment sweep and the CCCP fixed-point step.
+assignment sweep and the CCCP stage solver.
 
 Each kernel is vectorized numpy written against the generator's batched
 callables (f, grad, grad_inverse), so builtin, affine-transformed and
@@ -21,7 +21,8 @@ stages on them, computes it once and passes it in: the keyword-only
 `fp=` of `jensen_gap_and_conformal` and the tJ kernels built on it, and
 `fx=` of `min_divergence_assign` and `jensen_loss`. Left out, it is
 computed from the points, with the same bits. `cccp_steps` forms the
-data side alpha * x once per call, not once per step.
+data side alpha * x once per call, not once per step, and builds every
+grad argument in one buffer that lives for the call.
 
 Kernels validate nothing beyond alpha in (0, 1) (`generators.as_real`;
 the limit cases belong to the divergence API): the public functions of
@@ -29,6 +30,8 @@ divergences, geometry, robustness, centroids and clustering, and the
 CLI's loader, check each array once (as_point or as_points, then one
 vectorized ensure_domain pass) before any kernel sees it.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,26 +131,79 @@ def min_divergence_assign(g, alpha, x, centers, *, fx=None):
     return vals[np.arange(len(x)), idx], idx
 
 
+class StageSolve(NamedTuple):
+    """One CCCP stage as `cccp_steps` solved it."""
+
+    center: np.ndarray
+    evals: int      # CCCP map evaluations, one grad pass over x each
+    stop: str       # "tol" (the step fell below CCCP_TOL) or "cap"
+    accepted: int   # Anderson-extrapolated points taken
+
+
+# a stage has converged once the CCCP step moves the centre by at most
+# this fraction of its largest coordinate
+CCCP_TOL = 1e-13
+_AA_MEMORY = 3
+
+
 def cccp_steps(g, alpha, x, w, c0, iters):
-    """Run `iters` fixed-point updates c <- ginv(sum_i w_i grad(a*x_i+(1-a)c)).
+    """Solve one frozen-weight CCCP stage to CCCP_TOL, in at most `iters`
+    evaluations of the map G(c) = ginv(sum_i w_i grad(a*x_i + (1-a)*c)).
 
     The skew weight sits on the data side: stationarity of the loss
     sum_i w_i J_a(x_i : c) in its right argument reads
     grad(c) = sum_i w_i grad(a*x_i + (1-a)*c), and only that mixing
-    order makes the iteration a descent method for the loss.
+    order makes the plain step c <- G(c) a descent method for the loss.
 
-    Iterates are clamped 1e-12 inside the domain box if an update ever
-    lands outside (cannot happen for the builtin generators, whose
-    inverse gradients map into the open domain).
+    The stage stops when |G(c) - c|_inf <= CCCP_TOL |c|_inf and returns
+    G(c). Between evaluations, Anderson acceleration (memory 3; Walker &
+    Ni 2011) extrapolates from the last residuals. An extrapolated point
+    is kept only if it lies strictly inside the domain box and its
+    residual is smaller than the current one; otherwise the solver takes
+    the plain step and clears the history. The first evaluation is
+    always the plain step, so a cap of 1 is exactly one CCCP step.
+
+    G is clamped 1e-12 inside the domain box if it ever lands outside
+    (cannot happen for the builtin generators, whose inverse gradients
+    map into the open domain).
     """
     alpha = as_real("alpha", alpha)
+    iters = int(iters)
     ax = alpha * _rows(x)  # the data side, the same at every step
+    buf = np.empty_like(ax)  # grad's argument, reused by every evaluation
     w = np.asarray(w, dtype=np.float64)
-    c = np.array(c0, dtype=np.float64, ndmin=1)
     lo = g.domain.lo + 1e-12
     hi = g.domain.hi - 1e-12
-    for _ in range(int(iters)):
-        grads = g.grad(ax + (1.0 - alpha) * c[None, :])
-        c = g.grad_inverse(w @ grads)
-        c = np.clip(c, lo, hi)
-    return c
+
+    def cccp_map(c):
+        np.add(ax, (1.0 - alpha) * c, out=buf)
+        return np.clip(g.grad_inverse(w @ g.grad(buf)), lo, hi)
+
+    def small(r, c):  # the stopping test
+        return np.abs(r).max() <= CCCP_TOL * np.abs(c).max()
+
+    c = np.array(c0, dtype=np.float64, ndmin=1)
+    gc = cccp_map(c)
+    r = gc - c  # the fixed-point residual at c
+    evals, accepted = 1, 0
+    hist = []  # (residual difference, image difference), oldest first
+    while evals < iters and not small(r, c):
+        t = gc  # the plain step, unless an extrapolation replaces it
+        if hist:
+            dr, dg = (np.column_stack(h) for h in zip(*hist))
+            cand = gc - dg @ np.linalg.lstsq(dr, r, rcond=None)[0]
+            if np.all((cand > lo) & (cand < hi)):  # NaN is never inside
+                t = cand
+            else:
+                hist.clear()
+        gt = cccp_map(t)
+        evals += 1
+        rt = gt - t
+        if t is not gc:
+            if not np.abs(rt).max() < np.abs(r).max():
+                hist.clear()  # rejected: the plain step comes next
+                continue
+            accepted += 1
+        hist = (hist + [(rt - r, gt - gc)])[-_AA_MEMORY:]
+        c, gc, r = t, gt, rt
+    return StageSolve(gc, evals, "tol" if small(r, c) else "cap", accepted)

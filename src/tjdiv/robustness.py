@@ -72,15 +72,10 @@ def influence_empirical(g: Generator, p, y, epsilon: float) -> InfluenceResult:
     data = WeightedPointSet.make(
         [[float(np.atleast_1d(p)[0])], [float(np.atleast_1d(y)[0])]],
         [1.0 / (1.0 + epsilon), epsilon / (1.0 + epsilon)])
-    c = data.weights @ data.points
-    # tight fixed-point run: the first-order comparison needs the exact
+    # solved to CCCP_TOL: the first-order comparison needs the exact
     # minimizer, not a budgeted approximation
-    for _ in range(500):
-        c_next = kernels.cccp_steps(g, 0.5, data.points, data.weights, c, 1)
-        if abs(float(c_next[0]) - float(c[0])) < 1e-14:
-            c = c_next
-            break
-        c = c_next
+    c = kernels.cccp_steps(g, 0.5, data.points, data.weights,
+                           data.weights @ data.points, 500).center
     x_tilde = float(c[0])
     p0 = float(data.points[0, 0])
     return InfluenceResult(

@@ -10,7 +10,8 @@ from tjdiv.centroids import (
 from tjdiv.errors import CapabilityError, DomainError, ValidationError
 from tjdiv.generators import make_builtin
 from tjdiv.kernels import (
-    cccp_steps, pairwise_conformal, pairwise_total_jensen)
+    CCCP_TOL, cccp_steps, jensen_loss, pairwise_conformal,
+    pairwise_total_jensen)
 
 
 def _loss_on_grid(g, pts, w, alpha, lo, hi, step=1e-5):
@@ -131,7 +132,9 @@ def test_two_stage_exhibit_and_grid_gap():
     data = WeightedPointSet.make([[0.5], [2.0], [8.0]])
     res = total_jensen_centroid(g, data, CentroidConfig())
     best = min(res.loss_trace)
-    assert best == pytest.approx(1.0089304745385141, rel=1e-10)
+    # 1.0089304745385141 with 20 plain steps per stage: solving each stage
+    # exactly lands this non-monotone heuristic on a slightly higher loss
+    assert best == pytest.approx(1.0089311136790091, rel=1e-10)
     assert best <= res.loss_trace[0]  # improves on the barycenter start
     assert total_loss(g, 0.5, data, res.center) == pytest.approx(best, rel=1e-12)
     # the frozen-weight loop is a heuristic: on this spread-out triple its
@@ -274,9 +277,129 @@ def test_stage_traces_match_a_reference_loop_bitwise(name, dim, outer_max):
     for _ in range(res.iterations):
         wt = data.weights * pairwise_conformal(g, data.points, c[None, :])
         weights.append(wt / wt.sum())
-        c = cccp_steps(g, 0.4, data.points, weights[-1], c, 5)
+        c = cccp_steps(g, 0.4, data.points, weights[-1], c, 5).center
         losses.append(loss(c))
     assert res.loss_trace == losses
     assert len(res.stage_weights_trace) == len(weights)
     for got, want in zip(res.stage_weights_trace, weights):
         assert np.array_equal(got, want)
+
+
+# the stage solver
+
+
+def _stage_set(name, n=400, dim=4, seed=0):
+    rng = np.random.default_rng(seed)
+    if name == "bit":
+        pts = rng.uniform(0.05, 0.95, size=(n, dim))
+    else:
+        pts = np.exp(rng.normal(0.0, 0.8, size=(n, dim)))
+        pts[:8] *= 30.0  # outliers slow the plain iteration down
+    return pts, rng.uniform(0.5, 2.0, size=n)
+
+
+def _plain_step(g, alpha, x, w, c):
+    # the CCCP map, written out
+    c = g.grad_inverse(w @ g.grad(alpha * x + (1.0 - alpha) * c[None, :]))
+    return np.clip(c, g.domain.lo + 1e-12, g.domain.hi - 1e-12)
+
+
+@pytest.mark.parametrize("name", ["shannon", "burg", "bit"])
+def test_a_cap_of_one_is_one_plain_step(name):
+    g = make_builtin(name, 4)
+    pts, w = _stage_set(name)
+    w = w / w.sum()
+    c0 = w @ pts
+    solve = cccp_steps(g, 0.3, pts, w, c0, 1)
+    assert solve.evals == 1 and solve.accepted == 0
+    assert solve.stop == "cap"
+    assert np.array_equal(solve.center, _plain_step(g, 0.3, pts, w, c0))
+
+
+@pytest.mark.parametrize("name", ["shannon", "burg", "bit"])
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+def test_stage_reaches_tol_and_beats_twenty_plain_steps(name, alpha):
+    g = make_builtin(name, 4)
+    pts, w = _stage_set(name, seed=int(alpha * 10))
+    w = w / w.sum()
+    c0 = w @ pts
+    solve = cccp_steps(g, alpha, pts, w, c0, 20)
+    assert solve.stop == "tol" and solve.evals <= 20
+    assert solve.accepted >= 1
+    plain = c0
+    for _ in range(20):
+        plain = _plain_step(g, alpha, pts, w, plain)
+    assert jensen_loss(g, alpha, pts, w, solve.center) <= jensen_loss(
+        g, alpha, pts, w, plain)
+    # the next plain step barely moves the solved centre
+    step = _plain_step(g, alpha, pts, w, solve.center) - solve.center
+    assert np.abs(step).max() <= CCCP_TOL * np.abs(solve.center).max()
+
+
+@pytest.mark.parametrize("seed", [4, 8, 9])
+def test_residual_safeguard_keeps_hard_stages_converging(seed):
+    # widely spread sets on which the solver, taking every extrapolated
+    # point without the residual test, spends the whole cap of 20
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    g = make_builtin("shannon", 4)
+    pts = np.exp(rng.normal(0.0, rng.uniform(0.5, 3.0), size=(n, 4)))
+    w = rng.uniform(0.1, 2.0, n)
+    w = w / w.sum()
+    solve = cccp_steps(g, rng.uniform(0.05, 0.95), pts, w, w @ pts, 20)
+    assert solve.stop == "tol"
+
+
+def test_bit_stage_near_the_box_edges_falls_back_to_plain_steps():
+    # the first coordinate's fixed point lies 2.3e-12 above 0, and some
+    # extrapolated points land below 0: those must never reach grad
+    g = make_builtin("bit", 2)
+    pts = np.column_stack([np.zeros(40), np.full(40, 1.0 - 1e-9)])
+    pts[0] = [0.5, 0.5]
+    w = np.full(40, 1.0 / 40)
+    with np.errstate(all="raise"):  # grad outside (0, 1) would raise
+        solve = cccp_steps(g, 0.5, pts, w, w @ pts, 500)
+        step = _plain_step(g, 0.5, pts, w, solve.center) - solve.center
+    assert solve.stop == "tol"
+    assert 0.0 < solve.center[0] < 1e-11 and solve.center[1] < 1.0
+    assert np.abs(step).max() <= CCCP_TOL * np.abs(solve.center).max()
+
+
+def test_jensen_centroid_cccp_stays_plain():
+    # both modes run the plain, per-step monotone iteration
+    g = make_builtin("shannon", 4)
+    pts, w = _stage_set("shannon")
+    data = WeightedPointSet.make(pts, w)
+    c, losses = jensen_centroid_cccp(g, 0.4, data, iters=12, trace_loss=True)
+    assert np.array_equal(c, jensen_centroid_cccp(g, 0.4, data, iters=12))
+    plain = data.weights @ data.points
+    for _ in range(12):
+        plain = _plain_step(g, 0.4, data.points, data.weights, plain)
+    assert np.array_equal(c, plain)
+    assert np.all(np.diff(losses) <= 0.0)
+
+
+def test_result_reports_stop_reason_and_stages():
+    g = make_builtin("shannon", 4)
+    pts, w = _stage_set("shannon")
+    data = WeightedPointSet.make(pts, w)
+    res = total_jensen_centroid(g, data)
+    assert res.stop_reason == "converged" and res.converged
+    assert len(res.stages) == res.iterations
+    assert all(s.stop == "tol" and 1 <= s.evals <= 20 for s in res.stages)
+    best = int(np.argmin(res.loss_trace))  # the centre is the best stage's
+    assert best >= 1 and np.array_equal(res.stages[best - 1].center, res.center)
+    capped = total_jensen_centroid(
+        g, data, CentroidConfig(inner_cccp_iters=2, outer_max_iters=3,
+                                outer_tol=1e-14))
+    assert capped.stop_reason == "max_iters" and not capped.converged
+    assert [s.stop for s in capped.stages] == ["cap"] * 3
+    assert all(s.evals == 2 for s in capped.stages)
+
+
+def test_oscillation_guard_is_named():
+    g = make_builtin("shannon")
+    data = WeightedPointSet.make([[0.661], [6.966], [4.527]])
+    res = total_jensen_centroid(g, data, CentroidConfig(outer_tol=1e-300))
+    assert res.stop_reason == "oscillation" and not res.converged
+    assert np.all(np.diff(res.loss_trace)[-5:] > 0.0)

@@ -275,6 +275,21 @@ def test_centroid_report_file_holds_canonical_results(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == canonical_dumps(rep["results"])
 
 
+def test_centroid_summary_names_the_stop_reason(tmp_path, capsys):
+    data = _write(tmp_path / "d.csv", "1.0\n2.0\n4.0\n")
+    code, rep, err = run_cli(capsys, "centroid", "--input", data)
+    assert code == 0 and rep["results"]["converged"] is True
+    assert "(stop: converged)" in err
+    code, rep, err = run_cli(capsys, "centroid", "--input", data,
+                             "--outer-max", "1", "--outer-tol", "1e-300")
+    assert code == 0 and rep["results"]["converged"] is False
+    assert "after 1 stages (stop: max_iters)" in err
+    # the stop reason and the stage records stay out of the results
+    assert sorted(rep["results"]) == [
+        "best_loss", "center", "converged", "iterations", "loss_trace",
+        "n_points", "side"]
+
+
 def test_loader_error_messages(tmp_path, capsys):
     bad_cell = _write(tmp_path / "a.csv", "x\n1.0\nfoo\n")
     code, _, err = run_cli(capsys, "centroid", "--input", bad_cell)
@@ -604,6 +619,15 @@ def test_influence_empirical_table(capsys):
                for row in res["table"])
 
 
+def test_influence_rejects_eps_without_empirical(capsys):
+    # --eps 0.9 once exited 0 and echoed an eps that was never used
+    code, rep, err = run_cli(capsys, "influence", "--p", "1", "--ymax", "100",
+                             "--eps", "0.9")
+    assert code == 1 and rep is None
+    assert err.startswith(
+        "error: influence without --empirical does not use --eps")
+
+
 # metric-check command
 
 
@@ -615,6 +639,8 @@ def test_metric_check_fixed_counterexample(capsys):
     assert res["deficiency"] == pytest.approx(0.042885833013117658, rel=1e-12)
     assert rep["command"]["rng_seed"] is None
     assert "rng_seed=" not in err
+    # nor the search mode's defaults, which it never reads
+    assert rep["command"]["trials"] is None and rep["command"]["dim"] is None
 
 
 def test_metric_check_search_mode(capsys):
@@ -626,6 +652,27 @@ def test_metric_check_search_mode(capsys):
     assert res["violations_found"] > 0
     assert res["worst_deficiency"] > 0.0
     assert "rng_seed=77" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--trials", "5"], "--trials"), (["--dim", "3"], "--dim"),
+    (["--rng-seed", "4"], "--rng-seed")])
+def test_metric_check_rejects_search_flags_without_search(capsys, argv, flag):
+    # --trials 5 once exited 0 and printed the fixed counterexample
+    code, rep, err = run_cli(capsys, "metric-check", *argv)
+    assert code == 1 and rep is None
+    assert err.startswith(
+        f"error: metric-check without --search does not use {flag}")
+
+
+def test_mode_flags_from_a_config_file_are_checked_too(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.cfg", "eps=1e-3\n")
+    code, _, err = run_cli(capsys, "influence", "--config", cfg,
+                           "--p", "1.0", "--ymax", "50")
+    assert code == 1 and "does not use --eps" in err
+    code, rep, _ = run_cli(capsys, "influence", "--config", cfg, "--p", "1.0",
+                           "--ymax", "50", "--per-decade", "4", "--empirical")
+    assert code == 0 and rep["command"]["eps"] == 1e-3
 
 
 @pytest.mark.parametrize("argv, name", [

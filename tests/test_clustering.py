@@ -223,6 +223,28 @@ def test_centroids_evaluate_f_of_the_points_once():
         plain, 0.4, data, iters=7, trace_loss=True)[1]
 
 
+def test_solved_stages_cut_grad_work_threefold():
+    # 2000 x 16 points shaped like the centroid-wide benchmark set: 20
+    # fixed steps per stage made 9 x 20 grad passes over the n points
+    rng = np.random.default_rng(2)
+    n = 2000
+    x = rng.lognormal(0.5, 0.6, size=(n, 16))
+    out = rng.choice(n, size=n // 50, replace=False)
+    x[out] *= rng.uniform(20.0, 100.0, size=(len(out), 1))
+    plain = make_builtin("shannon", 16)
+    rows = []
+
+    def grad(y):
+        rows.append(int(np.prod(np.shape(y)[:-1])))
+        return plain.grad(y)
+
+    res = total_jensen_centroid(replace(plain, grad=grad),
+                                WeightedPointSet.make(x))
+    assert res.stop_reason == "converged" and res.iterations <= 9
+    assert sum(rows) == n * sum(s.evals for s in res.stages)
+    assert sum(rows) <= 9 * 20 * n / 3
+
+
 def test_lloyd_evaluates_f_of_the_points_once():
     rng = np.random.default_rng(7)
     x = np.exp(np.concatenate([rng.normal(0.0, 0.1, size=(50, 2)),
@@ -712,6 +734,21 @@ def test_bound_experiment_computes_each_column_once(k, monkeypatch):
         g, x, SeedingConfig(k=k, rng_seed=1, trials=1000), samples=64)
     # one column per point (the n x n matrix, or k = 1's column sums)
     assert len(calls) <= len(x) + 1
+
+
+@pytest.mark.parametrize("options, name", [
+    ({"eps_grid": (2.0,)}, "eps"), ({"eps_grid": (0.5, np.nan)}, "eps"),
+    ({"eps_grid": (0.0,)}, "eps"), ({"samples": 1}, "samples"),
+    ({"samples": 2.5}, "samples")])
+def test_bound_experiment_checks_options_before_any_divergence(options, name):
+    # eps_grid=(2.0,) once raised only after the matrix, the optimum scan
+    # and every trial had run
+    x = np.exp(np.random.default_rng(6).normal(0.0, 0.7, size=(60, 2)))
+    g, seen = _counting_f(make_builtin("burg", 2))
+    with pytest.raises(ValidationError, match=f"{name} must"):
+        seeding_bound_experiment(
+            g, x, SeedingConfig(k=3, rng_seed=1, trials=1000), **options)
+    assert _f_rows(seen) == 0
 
 
 def test_bound_holds_for_euclidean_at_unit_eps():
