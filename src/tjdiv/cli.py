@@ -10,7 +10,10 @@ validation failure, 2 usage error.
 "timings" holds wall-clock seconds, outside "results" so that reruns
 stay byte-identical: total_s covers config, defaults and the command;
 load_s, present for every command that reads --input, covers the
-dataset stage within it (CSV parse, weight check, domain check).
+dataset stage within it (CSV parse, weight check, domain check);
+cluster adds its Lloyd stages: seed_s (F of the points and the seeding
+draws), assign_s (the assignment sweeps) and centroid_s (the cluster
+gathers and centroid solves).
 
 A config file of key=value lines can pre-set any flag; explicit flags
 win. Keys match flag names with either dashes or underscores.
@@ -457,6 +460,7 @@ def _cmd_cluster(ns, timings):
     ccfg = CentroidConfig(alpha=ns.alpha, inner_cccp_iters=ns.inner_iters,
                           outer_tol=ns.outer_tol, outer_max_iters=ns.outer_max)
     model = lloyd_cluster(g, data.points, cfg, ccfg, max_rounds=ns.max_rounds)
+    timings.update(model.timings)
     results = {
         "centers": model.centers.tolist(),
         "assignments": model.assignments.tolist(),

@@ -29,6 +29,7 @@ reported over a grid instead of a single number.
 """
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations, islice
 from typing import List, Optional
@@ -65,6 +66,10 @@ class ClusterModel:
     rounds: int = 0
     # assignments stopped changing within max_rounds
     converged: bool = False
+    # wall-clock seconds per stage, Lloyd only: seed_s (F(x) and the
+    # seeding draws), assign_s (every sweep, its check and empty-cluster
+    # repairs) and centroid_s (cluster gathers and centroid solves)
+    timings: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,16 @@ class ExperimentReport:
 def _streams(seed: int, n: int):
     return [np.random.Generator(np.random.PCG64(s))
             for s in np.random.SeedSequence(seed).spawn(n)]
+
+
+def _take(x, rows):
+    """x[rows], rows a boolean mask or an index array, as a column-major
+    array in one copy (numpy's x[rows] is row-major)."""
+    rows = np.asarray(rows)
+    xt = x.T
+    if rows.dtype == bool:
+        return xt.compress(rows, axis=1).T
+    return xt.take(rows, axis=1).T
 
 
 def _tj_column(g, alpha, x, fx, j):
@@ -281,24 +296,31 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
     centroid and is heuristic, so the potential across full rounds is
     not required to fall. Empty clusters are re-seeded on the farthest
     point. `data` is checked once here, and F(data) computed once;
-    seeding, every sweep and each round's clusters use rows of both.
+    seeding, every sweep and each round's clusters use rows of both,
+    and the potential the points had under their previous clusters'
+    new centres is read from the sweep's (k, n) block.
     """
     max_rounds = as_count("max_rounds", max_rounds, lo=0)
     x = as_points(data, g)
+    n = x.shape[0]
+    t0 = time.perf_counter()
     fx = g.f(x)
     centers = x[_seeded_indices(g, x, cfg, fx)[0]]
+    timings = {"seed_s": time.perf_counter() - t0,
+               "assign_s": 0.0, "centroid_s": 0.0}
     ccfg = centroid_cfg or CentroidConfig(alpha=cfg.alpha)
     ccfg = replace(ccfg, alpha=cfg.alpha, init=None)
+    vals = np.empty((cfg.k, n))  # the sweep's block, tJ(x_i : c_j) at [j, i]
     prev_idx = None
     rounds = 0
     converged = False
     for rounds in range(1, max_rounds + 1):
+        t0 = time.perf_counter()
         mind, idx = kernels.min_divergence_assign(
-            g, cfg.alpha, x, centers, fx=fx)
+            g, cfg.alpha, x, centers, fx=fx, out=vals)
         if prev_idx is not None:
-            held = kernels.pairwise_total_jensen(
-                g, cfg.alpha, x, centers[prev_idx], fp=fx)
-            old_pot = float(held.sum())
+            # each point held by the new centre of its previous cluster
+            old_pot = float(vals[prev_idx, np.arange(n)].sum())
             new_pot = float(mind.sum())
             # re-assignment under fixed centers never increases the potential
             if new_pot > old_pot + 1e-12 * max(1.0, abs(old_pot)):
@@ -310,31 +332,37 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
                 centers = centers.copy()
                 centers[j] = x[int(np.argmax(mind))]
                 mind, idx = kernels.min_divergence_assign(
-                    g, cfg.alpha, x, centers, fx=fx)
+                    g, cfg.alpha, x, centers, fx=fx, out=vals)
+        t1 = time.perf_counter()
+        timings["assign_s"] += t1 - t0
         if prev_idx is not None and np.array_equal(idx, prev_idx):
             converged = True
             break
         # a cluster left empty by the repair (its re-seeded center
         # duplicates another center) keeps its center
-        clusters = {j: WeightedPointSet.make(x[idx == j])
-                    for j in range(cfg.k) if np.any(idx == j)}
+        members = {j: idx == j for j in range(cfg.k)}
+        clusters = {j: WeightedPointSet.make(_take(x, m))
+                    for j, m in members.items() if m.any()}
         # each centroid starts at its cluster's barycenter (ccfg.init is
         # None); all of them are checked in one call
         starts = np.array([m.weights @ m.points for m in clusters.values()])
         ensure_domain(g, starts, interior=True)
         new_centers = centers.copy()
-        for (j, members), start in zip(clusters.items(), starts):
+        for (j, cluster), start in zip(clusters.items(), starts):
             new_centers[j] = _total_jensen_centroid(
-                g, members, ccfg, start, fx[idx == j]).center
+                g, cluster, ccfg, start, fx[members[j]]).center
         centers = new_centers
         prev_idx = idx
+        timings["centroid_s"] += time.perf_counter() - t1
     else:
         # the last round moved the centres (or none ran): assign to them
+        t0 = time.perf_counter()
         mind, idx = kernels.min_divergence_assign(
-            g, cfg.alpha, x, centers, fx=fx)
+            g, cfg.alpha, x, centers, fx=fx, out=vals)
+        timings["assign_s"] += time.perf_counter() - t0
     return ClusterModel(centers=centers, assignments=idx,
                         potential=float(mind.sum()), rounds=rounds,
-                        converged=converged)
+                        converged=converged, timings=timings)
 
 
 def estimate_bound_constants(g: Generator, data, samples: int = 4096,
@@ -348,11 +376,13 @@ def estimate_bound_constants(g: Generator, data, samples: int = 4096,
     as_count("rng_seed", rng_seed, lo=0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
     lam = rng.dirichlet(np.ones(n), size=samples)
-    pts = np.vstack([x, lam @ x])
+    pts = np.empty((n + samples, x.shape[1]), order="F")
+    pts[:n] = x
+    pts[n:] = lam @ x
 
     interior = g.domain.rows_inside(pts, interior=True)
     excluded = int((~interior).sum())
-    ipts = pts[interior]
+    ipts = _take(pts, interior)
     if len(ipts) == 0:
         raise ValidationError("no interior points in the convex closure")
 
@@ -375,8 +405,8 @@ def estimate_bound_constants(g: Generator, data, samples: int = 4096,
         raise CapabilityError(f"{g.name} exposes no curvature information")
 
     # K2: the largest squared chord slope over sampled pairs
-    a = pts[rng.integers(0, len(pts), size=samples)]
-    b = pts[rng.integers(0, len(pts), size=samples)]
+    a = _take(pts, rng.integers(0, len(pts), size=samples))
+    b = _take(pts, rng.integers(0, len(pts), size=samples))
     s2 = kernels.chord_factors(g, a, b)[1]
     k2_i = int(np.argmax(s2))
     k2_hat = float(s2[k2_i])

@@ -13,7 +13,10 @@ The package's argument checks live here, each written once: points and
 pairs (`as_point`, `as_points`, `as_pair`, `ensure_domain`), real
 options in an interval (`as_real`), counts (`as_count`) and symmetric
 positive-definite matrices (`as_spd`). Other modules call these rather
-than restate a domain, interval, count or matrix test.
+than restate a domain, interval, count or matrix test. `as_points`
+also fixes the one layout of point sets, column-major (n, d), and the
+builtin F sums its coordinates with `coordinate_sum`, in an order that
+neither layout nor batch size changes.
 """
 
 import math
@@ -94,10 +97,11 @@ def as_point(x, dim: Optional[int] = None) -> np.ndarray:
 
 
 def as_points(x, g: Optional[Generator] = None) -> np.ndarray:
-    """A nonempty, finite (n, d) float64 array; 1-D input is n points
-    of dimension 1. With a generator, the points must also match its
-    dimension and lie in its domain (closed where evaluation is)."""
-    pts = np.asarray(x, dtype=np.float64)
+    """A nonempty, finite (n, d) float64 array, column-major; 1-D input
+    is n points of dimension 1. Only input in another layout is copied.
+    With a generator, the points must also match its dimension and lie
+    in its domain (closed where evaluation is)."""
+    pts = np.asarray(x, dtype=np.float64, order="F")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -195,6 +199,18 @@ def as_spd(name: str, m, dim: int) -> np.ndarray:
     return m
 
 
+def coordinate_sum(a) -> np.ndarray:
+    """Sum over the last (coordinate) axis, left to right. A row's sum
+    has the same bits whatever the array's layout and however many rows
+    sit beside it; numpy's sum does not promise that (it sums a
+    contiguous row pairwise, in blocks of 8)."""
+    a = np.asarray(a)
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out[()]
+
+
 def _xlogx(x):
     """x log x, 0 at x = 0: log runs on 1 there, with no masked copies."""
     x = np.asarray(x, dtype=np.float64)
@@ -204,7 +220,7 @@ def _xlogx(x):
 def _shannon(dim):
     def f(x):
         x = np.asarray(x, dtype=np.float64)
-        return (_xlogx(x) - x).sum(axis=-1)
+        return coordinate_sum(_xlogx(x) - x)
 
     return Generator(
         name="shannon", dim=dim,
@@ -219,7 +235,7 @@ def _burg(dim):
     return Generator(
         name="burg", dim=dim,
         domain=Domain(0.0, math.inf),
-        f=lambda x: (-np.log(np.asarray(x, dtype=np.float64))).sum(axis=-1),
+        f=lambda x: coordinate_sum(-np.log(np.asarray(x, dtype=np.float64))),
         grad=lambda x: -1.0 / np.asarray(x, dtype=np.float64),
         grad_inverse=lambda y: -1.0 / np.asarray(y, dtype=np.float64),
         second_deriv=lambda x: np.asarray(x, dtype=np.float64) ** -2.0)
@@ -238,7 +254,7 @@ def _logistic(y):
 def _bit(dim):
     def f(x):
         x = np.asarray(x, dtype=np.float64)
-        return (_xlogx(x) + _xlogx(1.0 - x)).sum(axis=-1)
+        return coordinate_sum(_xlogx(x) + _xlogx(1.0 - x))
 
     def grad(x):
         x = np.asarray(x, dtype=np.float64)
@@ -261,7 +277,7 @@ def _quadratic(name, dim, q):
 
     def f(x):
         x = np.asarray(x, dtype=np.float64)
-        return 0.5 * ((x @ q) * x).sum(axis=-1)
+        return 0.5 * coordinate_sum((x @ q) * x)
 
     second = None
     if is_identity:

@@ -6,6 +6,17 @@ callables (f, grad, grad_inverse), so builtin, affine-transformed and
 user-supplied generators all take the same path. Rows broadcast, so a
 centre is one (1, d) row and F runs on it once.
 
+Point sets have one layout: column-major (n, d) float64, which
+`generators.as_points` returns and `_rows` gives every kernel operand
+whatever the caller passed. Every quantity here is a per-point sum over
+d coordinates against a broadcast centre; column-major, each coordinate
+is one contiguous column of n values, so numpy's inner loops run over n
+rather than over d. Each sum over coordinates (F of the builtins,
+|p - q|^2, |grad F|^2) goes through `generators.coordinate_sum`, whose
+order depends on neither layout nor batch size: a (1, d) row gives the
+same bits as that row inside an (n, d) batch, and an F computed from a
+row-major copy of the points equals the kernel's own.
+
 The formulas are written here, once each, and nowhere else outside the
 geometry oracle: the raw gap J'_alpha (`_jensen`), the squared chord
 slope and rho_J (`_chord`), rho_B (`gradient_conformal`), and tJ_alpha =
@@ -20,9 +31,11 @@ sweeps the same points against many centres, or runs many centroid
 stages on them, computes it once and passes it in: the keyword-only
 `fp=` of `jensen_gap_and_conformal` and the tJ kernels built on it, and
 `fx=` of `min_divergence_assign` and `jensen_loss`. Left out, it is
-computed from the points, with the same bits. `cccp_steps` forms the
-data side alpha * x once per call, not once per step, and builds every
-grad argument in one buffer that lives for the call.
+computed from the points, with the same bits. The assignment sweep
+writes one (k, n) block, a row per centre, and reduces it over the
+centres. `cccp_steps` forms the data side alpha * x once per call, not
+once per step, and builds every grad argument in one buffer that lives
+for the call.
 
 Kernels validate nothing beyond alpha in (0, 1) (`generators.as_real`;
 the limit cases belong to the divergence API): the public functions of
@@ -35,16 +48,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .generators import as_real
+from .generators import as_real, coordinate_sum
 
 
 def _rows(a):
-    # public callers may pass stride-0 views, whose d >= 8 rows g.f sums
-    # in another order: copy those, at no cost on contiguous input
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    # the one layout: column-major float64, free on as_points output;
+    # row-major, strided and stride-0 input is copied once
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
-    return a
+    return np.asfortranarray(a)
 
 
 def _jensen(g, alpha, p, q, fp=None):
@@ -60,7 +73,7 @@ def _jensen(g, alpha, p, q, fp=None):
 def _chord(df, p, q):
     """(row squared chord slope Delta_F^2/<Delta,Delta>, row rho_J, mask
     of p != q) from df = F(p) - F(q); slope 0 and rho_J 1 where p = q."""
-    dd = ((p - q) ** 2).sum(axis=-1)
+    dd = coordinate_sum((p - q) ** 2)
     nz = dd > 0.0
     s2 = np.zeros_like(dd)
     s2[nz] = df[nz] ** 2 / dd[nz]
@@ -107,7 +120,7 @@ def pairwise_conformal(g, p, q):
 def gradient_conformal(g, q):
     """Row-wise rho_B(q_i) = 1/sqrt(1 + |grad F(q_i)|^2), q_i interior."""
     gr = g.grad(_rows(q))
-    return 1.0 / np.sqrt(1.0 + (gr ** 2).sum(axis=-1))
+    return 1.0 / np.sqrt(1.0 + coordinate_sum(gr ** 2))
 
 
 def jensen_loss(g, alpha, x, w, c, *, fx=None):
@@ -118,17 +131,21 @@ def jensen_loss(g, alpha, x, w, c, *, fx=None):
     return float(w @ gap) / (alpha * (1.0 - alpha))
 
 
-def min_divergence_assign(g, alpha, x, centers, *, fx=None):
+def min_divergence_assign(g, alpha, x, centers, *, fx=None, out=None):
     """Per point: (min_c tJ_alpha(x_i : c), argmin index, lowest on ties).
-    F(x) is computed once for all centres, or taken from fx."""
+    F(x) is computed once for all centres, or taken from fx. The (k, n)
+    block of every tJ_alpha(x_i : c_j), row j for centre j, is built in
+    out when given, so the caller can read other entries of the sweep."""
     alpha = as_real("alpha", alpha)
     x, centers = _rows(x), _rows(centers)
     if fx is None:
         fx = g.f(x)
-    vals = np.stack([total_jensen_and_conformal(g, alpha, x, c[None], fp=fx)[0]
-                     for c in centers], axis=1)
-    idx = np.argmin(vals, axis=1)  # argmin takes the first minimum
-    return vals[np.arange(len(x)), idx], idx
+    vals = np.empty((len(centers), len(x))) if out is None else out
+    for j in range(len(centers)):
+        vals[j] = total_jensen_and_conformal(
+            g, alpha, x, centers[j:j + 1], fp=fx)[0]
+    # argmin takes the first minimum
+    return vals.min(axis=0), vals.argmin(axis=0)
 
 
 class StageSolve(NamedTuple):

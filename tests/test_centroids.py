@@ -299,7 +299,9 @@ def _stage_set(name, n=400, dim=4, seed=0):
 
 
 def _plain_step(g, alpha, x, w, c):
-    # the CCCP map, written out
+    # the CCCP map, written out on the kernels' column-major layout (BLAS
+    # sums w @ G in another order on a row-major buffer)
+    x = np.asfortranarray(x)
     c = g.grad_inverse(w @ g.grad(alpha * x + (1.0 - alpha) * c[None, :]))
     return np.clip(c, g.domain.lo + 1e-12, g.domain.hi - 1e-12)
 

@@ -566,8 +566,10 @@ def test_cluster_command_round_trip(tmp_path, capsys):
                         "--rng-seed", "5", "--max-rounds", "1")
     assert "in 1 rounds (stopped at max-rounds)" in err
     timings = rep["timings"]
-    assert set(timings) == {"load_s", "total_s"}
-    assert 0.0 <= timings["load_s"] <= timings["total_s"]
+    stages = ("load_s", "seed_s", "assign_s", "centroid_s")
+    assert set(timings) == {"total_s", *stages}
+    assert all(timings[s] >= 0.0 for s in stages)
+    assert sum(timings[s] for s in stages) <= timings["total_s"]
     res = rep["results"]
     assert len(res["assignments"]) == 8
     assert len(res["centers"]) == 2

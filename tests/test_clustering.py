@@ -322,6 +322,33 @@ def test_assignment_sweep_and_pairwise_kernel_agree_bitwise(name, dim):
                           kernels.pairwise_conformal(g, x, view))
 
 
+def test_sweep_block_holds_every_entry_and_lloyd_reads_it(monkeypatch):
+    g = make_builtin("shannon", 4)
+    rng = np.random.default_rng(4)
+    x = np.exp(rng.normal(0.0, 1.0, size=(300, 4)))
+    centers = x[[3, 50, 200]]
+    block = np.empty((3, len(x)))
+    mind, idx = min_divergence_assign(g, 0.3, x, centers, out=block)
+    for j in range(3):
+        assert np.array_equal(
+            block[j], pairwise_total_jensen(g, 0.3, x, centers[j:j + 1]))
+    assert np.array_equal(mind, block[idx, np.arange(len(x))])
+    # the held potential of every round comes from that block: the only
+    # kernel columns are the k - 1 seeding draws
+    real, calls = kernels.pairwise_total_jensen, []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(kernels, "pairwise_total_jensen", counted)
+    model = lloyd_cluster(g, x, SeedingConfig(k=3, rng_seed=1, alpha=0.3),
+                          max_rounds=6)
+    assert model.rounds >= 3 and len(calls) == 2
+    assert set(model.timings) == {"seed_s", "assign_s", "centroid_s"}
+    assert all(t >= 0.0 for t in model.timings.values())
+
+
 def test_kernel_positional_parameters_are_fixed():
     # perfbench/spans.py unpacks these positional arguments, so an added
     # argument (such as a precomputed F) must be keyword-only
