@@ -296,13 +296,14 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
     centroid and is heuristic, so the potential across full rounds is
     not required to fall. Empty clusters are re-seeded on the farthest
     point. `data` is checked once here, and F(data) computed once;
-    seeding, every sweep and each round's clusters use rows of both,
-    and the potential the points had under their previous clusters'
-    new centres is read from the sweep's (k, n) block.
+    seeding, every sweep and each round's clusters use rows of both.
+    The potential the points had under their previous clusters' new
+    centres, which the check compares the sweep against, is the sum of
+    the centroid stages' own losses at those centres: no kernel pass
+    beyond the sweep it checks.
     """
     max_rounds = as_count("max_rounds", max_rounds, lo=0)
     x = as_points(data, g)
-    n = x.shape[0]
     t0 = time.perf_counter()
     fx = g.f(x)
     centers = x[_seeded_indices(g, x, cfg, fx)[0]]
@@ -310,29 +311,27 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
                "assign_s": 0.0, "centroid_s": 0.0}
     ccfg = centroid_cfg or CentroidConfig(alpha=cfg.alpha)
     ccfg = replace(ccfg, alpha=cfg.alpha, init=None)
-    vals = np.empty((cfg.k, n))  # the sweep's block, tJ(x_i : c_j) at [j, i]
     prev_idx = None
+    held = None  # the points' potential under their clusters' new centres
     rounds = 0
     converged = False
     for rounds in range(1, max_rounds + 1):
         t0 = time.perf_counter()
         mind, idx = kernels.min_divergence_assign(
-            g, cfg.alpha, x, centers, fx=fx, out=vals)
-        if prev_idx is not None:
-            # each point held by the new centre of its previous cluster
-            old_pot = float(vals[prev_idx, np.arange(n)].sum())
+            g, cfg.alpha, x, centers, fx=fx)
+        if held is not None:
             new_pot = float(mind.sum())
             # re-assignment under fixed centers never increases the potential
-            if new_pot > old_pot + 1e-12 * max(1.0, abs(old_pot)):
+            if new_pot > held + 1e-12 * max(1.0, abs(held)):
                 raise InvariantError(
                     f"round {rounds}: re-assignment raised the potential "
-                    f"from {old_pot!r} to {new_pot!r}")
+                    f"from {held!r} to {new_pot!r}")
         for j in range(cfg.k):
             if not np.any(idx == j):
                 centers = centers.copy()
                 centers[j] = x[int(np.argmax(mind))]
                 mind, idx = kernels.min_divergence_assign(
-                    g, cfg.alpha, x, centers, fx=fx, out=vals)
+                    g, cfg.alpha, x, centers, fx=fx)
         t1 = time.perf_counter()
         timings["assign_s"] += t1 - t0
         if prev_idx is not None and np.array_equal(idx, prev_idx):
@@ -348,9 +347,14 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
         starts = np.array([m.weights @ m.points for m in clusters.values()])
         ensure_domain(g, starts, interior=True)
         new_centers = centers.copy()
+        held = 0.0
         for (j, cluster), start in zip(clusters.items(), starts):
-            new_centers[j] = _total_jensen_centroid(
-                g, cluster, ccfg, start, fx[members[j]]).center
+            res = _total_jensen_centroid(
+                g, cluster, ccfg, start, fx[members[j]])
+            new_centers[j] = res.center
+            # the loss is a mean over the cluster, and res.center is
+            # where it was lowest
+            held += len(cluster.weights) * min(res.loss_trace)
         centers = new_centers
         prev_idx = idx
         timings["centroid_s"] += time.perf_counter() - t1
@@ -358,7 +362,7 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
         # the last round moved the centres (or none ran): assign to them
         t0 = time.perf_counter()
         mind, idx = kernels.min_divergence_assign(
-            g, cfg.alpha, x, centers, fx=fx, out=vals)
+            g, cfg.alpha, x, centers, fx=fx)
         timings["assign_s"] += time.perf_counter() - t0
     return ClusterModel(centers=centers, assignments=idx,
                         potential=float(mind.sum()), rounds=rounds,

@@ -205,6 +205,9 @@ def coordinate_sum(a) -> np.ndarray:
     sit beside it; numpy's sum does not promise that (it sums a
     contiguous row pairwise, in blocks of 8)."""
     a = np.asarray(a)
+    if a.size == a.shape[-1]:
+        # one point: accumulate adds in the same order, in one call
+        return np.add.accumulate(a, axis=-1)[..., -1][()]
     out = a[..., 0].copy()
     for j in range(1, a.shape[-1]):
         out += a[..., j]

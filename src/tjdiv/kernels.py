@@ -131,16 +131,15 @@ def jensen_loss(g, alpha, x, w, c, *, fx=None):
     return float(w @ gap) / (alpha * (1.0 - alpha))
 
 
-def min_divergence_assign(g, alpha, x, centers, *, fx=None, out=None):
+def min_divergence_assign(g, alpha, x, centers, *, fx=None):
     """Per point: (min_c tJ_alpha(x_i : c), argmin index, lowest on ties).
     F(x) is computed once for all centres, or taken from fx. The (k, n)
-    block of every tJ_alpha(x_i : c_j), row j for centre j, is built in
-    out when given, so the caller can read other entries of the sweep."""
+    block holds every tJ_alpha(x_i : c_j), row j for centre j."""
     alpha = as_real("alpha", alpha)
     x, centers = _rows(x), _rows(centers)
     if fx is None:
         fx = g.f(x)
-    vals = np.empty((len(centers), len(x))) if out is None else out
+    vals = np.empty((len(centers), len(x)))
     for j in range(len(centers)):
         vals[j] = total_jensen_and_conformal(
             g, alpha, x, centers[j:j + 1], fp=fx)[0]

@@ -63,6 +63,8 @@ def test_a_row_alone_gives_the_bits_it_gives_in_a_batch(name, dim):
     batch = g.f(x)
     alone = np.array([g.f(x[i:i + 1])[0] for i in range(len(x))])
     assert np.array_equal(batch, alone)
+    # a single (d,) point takes coordinate_sum's one-call path
+    assert np.array_equal(batch, [g.f(row) for row in x])
     assert np.array_equal(coordinate_sum(x), np.asfortranarray(x).sum(axis=1))
 
 
