@@ -493,6 +493,7 @@ def _cmd_bound_experiment(ns, timings):
     grid = (ns.eps,) if ns.eps is not None else DEFAULT_EPS_GRID
     rep = seeding_bound_experiment(g, data.points, cfg, eps_grid=grid,
                                    samples=ns.samples)
+    timings.update(rep.timings)
     results = {
         "mean_potential": rep.mean_potential,
         "opt_potential": rep.opt_potential,

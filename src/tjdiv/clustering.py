@@ -4,13 +4,15 @@ Seeding follows the k-means++ recipe with the scaled total Jensen
 divergence as the distortion: first center uniform, every later center
 drawn without replacement (by index) with probability proportional to
 the divergence to the nearest chosen center. All randomness flows
-through PCG64; multi-trial experiments split streams with
-SeedSequence.spawn so trial t is reproducible in isolation. One
-seeding routine draws every trial of a batch at once, a (trials, n)
-block of running minima a step at a time; each stream still makes
-the draws it would make alone, in the same order, so trial t's centres
-do not depend on the batch it is drawn in. Single seedings are a batch
-of one.
+through one np.random.default_rng(rng_seed) generator per call (PCG64).
+One seeding routine draws every trial of an experiment from that one
+generator, a step at a time over a (trials, n) block of running
+minima, so an experiment is reproducible from (rng_seed, trials). A
+draw picks the first index whose cumulative mass exceeds r * total, r
+uniform in [0, 1); this is numpy's searchsorted(..., "right") on
+monotone rows, and is still defined where near-coincident tJ values
+round below zero. Single seedings are a batch of one, and an
+experiment of one trial draws the centres seed_indices draws.
 
 On n points every divergence the brute-force optimum and the seeding
 trials need is an entry of one n x n matrix, tJ_alpha(x_i : x_j), so
@@ -109,11 +111,10 @@ class ExperimentReport:
     curve: List[dict]
     trials: int
     k: int
-
-
-def _streams(seed: int, n: int):
-    return [np.random.Generator(np.random.PCG64(s))
-            for s in np.random.SeedSequence(seed).spawn(n)]
+    # wall-clock seconds per stage: optimum_s (the tJ table or column
+    # sums and the subset scan), trials_s (the seeding draws and their
+    # potentials) and constants_s (the bound constants and the curve)
+    timings: dict = field(default_factory=dict, compare=False)
 
 
 def _take(x, rows):
@@ -150,31 +151,44 @@ def _column_sums(g, alpha, x):
                      for j in range(len(x))])
 
 
-def _seed_indices(rows, n, k, rngs):
-    """k-means++ draws over n points, one trial per stream of rngs, all
-    trials a step at a time. rows(j), j the (T,) newest centres, gives
-    tJ(x_i : x_j[t]) as a (T, n) block, or as one (n,) column when T = 1.
-    Returns ((T, k) indices, (T, n) min over all but the last centre);
-    trial t's potential is np.minimum(mind[t], c).sum(), c the tJ column
-    of its last centre.
-    Each stream draws exactly what it would draw alone: the contiguous
-    rows sum in the pairwise order of a 1-D sum, and cumsum runs along
-    each row."""
-    chosen = np.empty((len(rngs), k), dtype=np.int64)
-    chosen[:, 0] = [rng.integers(n) for rng in rngs]  # uniform base case
-    mind = np.full((len(rngs), n), np.inf)  # min over chosen centers
+def _seed_indices(rows, n, k, rng, trials=1):
+    """k-means++ draws over n points for `trials` trials, all a step at
+    a time from the one generator rng. rows(j), j the (T,) newest
+    centres, gives tJ(x_i : x_j[t]) as a (T, n) block, or as one (n,)
+    column when T = 1. Returns ((T, k) indices, (T, n) min over all but
+    the last centre); trial t's potential is np.minimum(mind[t], c).sum(),
+    c the tJ column of its last centre.
+
+    rng is read in one order: the T first picks, then at each step one
+    random() per row with positive mass, then one integers() per
+    zero-mass row. A row with mass picks the first index whose
+    cumulative mass exceeds r * total; if rounding leaves r * total at
+    or above the last cumulative sum, it picks the last index with
+    positive mass. Zero mass (every point left duplicates a centre)
+    picks uniformly among the unchosen indices."""
+    chosen = np.empty((trials, k), dtype=np.int64)
+    # uniform base case; one trial takes the scalar call, which draws the
+    # same index without numpy's array set-up
+    chosen[:, 0] = rng.integers(n, size=trials if trials > 1 else None)
+    mind = np.full((trials, n), np.inf)  # min over chosen centers
     for s in range(1, k):
         np.minimum(mind, rows(chosen[:, s - 1]), out=mind)
-        cums = np.cumsum(mind, axis=1)
-        for t, (rng, total) in enumerate(zip(rngs, mind.sum(axis=1).tolist())):
-            if total <= 0.0:
-                # all remaining mass zero (duplicates of chosen); uniform
-                # over the not-yet-chosen indices
-                rest = np.setdiff1d(np.arange(n), chosen[t, :s])
-                chosen[t, s] = rest[rng.integers(len(rest))]
-            else:
-                i = int(cums[t].searchsorted(rng.random() * total, "right"))
-                chosen[t, s] = min(i, n - 1)
+        # each contiguous row sums in the pairwise order of a 1-D sum
+        totals = mind.sum(axis=1, keepdims=True)
+        pos = totals[:, 0] > 0.0
+        zero = (~pos).nonzero()[0].tolist()
+        live = pos.nonzero()[0] if zero else slice(None)
+        m = mind[live]
+        cross = m.cumsum(axis=1) > rng.random((len(m), 1)) * totals[live]
+        pick = cross.argmax(axis=1)
+        if not cross[:, -1].all():
+            # rows whose r * total is not below any running sum
+            over = ~cross.any(axis=1)
+            pick[over] = n - 1 - (m[over, ::-1] > 0.0).argmax(axis=1)
+        chosen[live, s] = pick
+        for t in zero:
+            rest = np.setdiff1d(np.arange(n), chosen[t, :s])
+            chosen[t, s] = rest[rng.integers(len(rest))]
     return chosen, mind
 
 
@@ -184,9 +198,9 @@ def _seeded_indices(g, x, cfg: SeedingConfig, fx=None):
         raise ValidationError(f"need at least k={cfg.k} points, have {x.shape[0]}")
     if fx is None and cfg.k > 1:  # k = 1 draws once and reads no column
         fx = g.f(x)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.rng_seed)))
+    rng = np.random.default_rng(cfg.rng_seed)
     idx, mind = _seed_indices(lambda j: _tj_column(g, cfg.alpha, x, fx, j[0]),
-                              x.shape[0], cfg.k, [rng])
+                              x.shape[0], cfg.k, rng)
     return idx[0], mind[0]
 
 
@@ -378,7 +392,7 @@ def estimate_bound_constants(g: Generator, data, samples: int = 4096,
     n = x.shape[0]
     samples = as_count("samples", samples, lo=2)
     as_count("rng_seed", rng_seed, lo=0)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
+    rng = np.random.default_rng(rng_seed)
     lam = rng.dirichlet(np.ones(n), size=samples)
     pts = np.empty((n + samples, x.shape[1]), order="F")
     pts[:n] = x
@@ -430,31 +444,39 @@ DEFAULT_EPS_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
                              eps_grid=DEFAULT_EPS_GRID,
                              samples: int = 4096) -> ExperimentReport:
-    """Mean seeding potential over cfg.trials independent streams vs the
+    """Mean seeding potential over cfg.trials k-means++ trials vs the
     brute-force discrete optimum, with the plug-in multiplier
-    2 U^2 (1+V) (2 + log k) tabulated over eps_grid."""
+    2 U^2 (1+V) (2 + log k) tabulated over eps_grid. The trials are
+    drawn in turn from one generator seeded by cfg.rng_seed, so the
+    mean depends on (rng_seed, trials), and one trial draws what
+    seed_indices draws."""
     # every option is checked before the first divergence is computed
     samples = as_count("samples", samples, lo=2)
     eps_grid = [as_real("eps", eps) for eps in eps_grid]
     x = as_points(data, g)
     n, k = x.shape[0], cfg.k
     _check_subsets(n, k)
-    streams = _streams(cfg.rng_seed, cfg.trials)
+    rng = np.random.default_rng(cfg.rng_seed)
+    t0 = time.perf_counter()
     if k == 1:
         # a trial's potential is its one centre's column sum
         sums = _column_sums(g, cfg.alpha, x)
         opt_pot = float(sums.min())
-        pots = sums[_seed_indices(None, n, 1, streams)[0][:, 0]]
+        t1 = time.perf_counter()
+        idx, _ = _seed_indices(None, n, 1, rng, cfg.trials)
+        pots = sums[idx[:, 0]]
     else:
         cols = _tj_columns(g, cfg.alpha, x)
         opt_pot = _optimum(cols, k)[0]
-        idx, mind = _seed_indices(cols.__getitem__, n, k, streams)
+        t1 = time.perf_counter()
+        idx, mind = _seed_indices(cols.__getitem__, n, k, rng, cfg.trials)
         pots = np.minimum(mind, cols[idx[:, -1]]).sum(axis=1)
     mean_pot = float(pots.mean())
     if opt_pot > 0.0:
         ratio = mean_pot / opt_pot
     else:
         ratio = 0.0 if mean_pot == 0.0 else math.inf
+    t2 = time.perf_counter()
     constants = estimate_bound_constants(g, x, samples, rng_seed=cfg.rng_seed)
     curve = []
     for eps in eps_grid:
@@ -464,6 +486,9 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
         curve.append({
             "eps": eps, "u": u, "v": v, "multiplier": mult,
             "satisfied": bool(math.isfinite(mult) and ratio <= mult)})
+    timings = {"optimum_s": t1 - t0, "trials_s": t2 - t1,
+               "constants_s": time.perf_counter() - t2}
     return ExperimentReport(
         mean_potential=mean_pot, opt_potential=opt_pot, ratio=ratio,
-        constants=constants, curve=curve, trials=cfg.trials, k=cfg.k)
+        constants=constants, curve=curve, trials=cfg.trials, k=cfg.k,
+        timings=timings)

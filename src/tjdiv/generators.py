@@ -215,9 +215,13 @@ def coordinate_sum(a) -> np.ndarray:
 
 
 def _xlogx(x):
-    """x log x, 0 at x = 0: log runs on 1 there, with no masked copies."""
+    """x log x, 0 at x = 0: log runs on 1 there. The copy with those 1s
+    is the one float buffer; log and the product run in place on it."""
     x = np.asarray(x, dtype=np.float64)
-    return x * np.log(np.where(x > 0.0, x, 1.0))
+    out = np.where(x > 0.0, x, 1.0)
+    np.log(out, out=out)
+    out *= x
+    return out
 
 
 def _shannon(dim):

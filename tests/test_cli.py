@@ -604,6 +604,11 @@ def test_bound_experiment_single_eps(tmp_path, capsys):
     assert res["curve"][0]["eps"] == 0.5
     assert res["ratio"] >= 1.0 - 1e-12
     assert res["curve"][0]["satisfied"] is True
+    timings = rep["timings"]
+    stages = ("load_s", "optimum_s", "trials_s", "constants_s")
+    assert set(timings) == {"total_s", *stages}
+    assert all(timings[s] >= 0.0 for s in stages)
+    assert sum(timings[s] for s in stages) <= timings["total_s"]
 
 
 # influence command

@@ -88,21 +88,51 @@ def _reference_seed_indices(g, x, k, alpha, rng_seed):
     return _reference_draws(g, x, k, alpha, rng)
 
 
+def _first_crossing(mind, r):
+    """One weighted draw: the first index whose running sum exceeds
+    r * total, or the last index with positive mass if rounding leaves
+    r * total at or above the last running sum."""
+    v = r * float(mind.sum())
+    acc = 0.0
+    for i, m in enumerate(mind.tolist()):
+        acc += m
+        if acc > v:
+            return i
+    return max(i for i, m in enumerate(mind.tolist()) if m > 0.0)
+
+
 def _reference_draws(g, x, k, alpha, rng):
     n = len(x)
     chosen = [int(rng.integers(n))]
     while len(chosen) < k:
         cols = [pairwise_total_jensen(g, alpha, x, x[j:j + 1]) for j in chosen]
         mind = np.min(np.stack(cols, axis=1), axis=1)
-        total = float(mind.sum())
-        if total <= 0.0:
+        if float(mind.sum()) <= 0.0:
             rest = [i for i in range(n) if i not in chosen]
             chosen.append(int(rest[rng.integers(len(rest))]))
             continue
-        r = rng.random() * total
-        i = int(np.searchsorted(np.cumsum(mind), r, side="right"))
-        chosen.append(min(i, n - 1))
+        chosen.append(_first_crossing(mind, rng.random()))
     return np.asarray(chosen, dtype=np.int64)
+
+
+def _reference_batch(cols, k, trials, rng):
+    """k-means++ for a batch of trials over cols[j, i] = tJ(x_i : x_j),
+    one trial at a time, reading the one stream rng in the batched
+    order: every first pick, then at each step one random() per trial
+    with positive mass, then one integers() per trial without."""
+    n = cols.shape[1]
+    chosen = [[int(rng.integers(n))] for _ in range(trials)]
+    for _ in range(1, k):
+        minds = [cols[c].min(axis=0) for c in chosen]
+        zero = [float(m.sum()) <= 0.0 for m in minds]
+        for c, m, z in zip(chosen, minds, zero):
+            if not z:
+                c.append(_first_crossing(m, rng.random()))
+        for c, z in zip(chosen, zero):
+            if z:
+                rest = [i for i in range(n) if i not in c]
+                c.append(rest[rng.integers(len(rest))])
+    return np.array(chosen, dtype=np.int64)
 
 
 @pytest.mark.parametrize("name, dim", [
@@ -127,34 +157,110 @@ def test_running_min_seeding_matches_the_reference_on_duplicates():
                               _reference_seed_indices(SHANNON, X, 5, 0.5, s))
 
 
-@pytest.mark.parametrize("trials, k", [(1, 3), (60, 1), (60, 3), (60, 8)])
-def test_batched_seeding_mixes_zero_mass_and_weighted_draws(
-        trials, k, monkeypatch):
-    # a synthetic column matrix whose row z is all zeros: only the trials
-    # that draw z take the total <= 0 branch, the rest of the batch draws
-    # by weight at the same step. A negative entry, as near-coincident tJ
-    # can give, makes cumsum rows non-monotone; it is large here, so that
-    # a count of cumsum <= r would disagree with numpy's binary search
+def _synthetic_columns():
+    # row z is all zeros: only the trials that draw z first take the
+    # zero-mass branch, the rest of the batch draws by weight at the same
+    # step. A negative entry, as near-coincident tJ can give, makes the
+    # cumulative sums of row 5 non-monotone
     n, z = 8, 2
     cols = np.random.default_rng(11).uniform(0.5, 2.0, size=(n, n))
     np.fill_diagonal(cols, 0.0)
     cols[z] = 0.0
     cols[5, 6] = -0.4
-    # point i is the 1-D point i, and the kernel _reference_draws calls
-    # reads column i of the matrix
-    monkeypatch.setitem(globals(), "pairwise_total_jensen",
-                        lambda g, alpha, x, q: cols[int(q[0, 0])])
-    x = np.arange(n, dtype=float).reshape(-1, 1)
+    return cols, z
+
+
+@pytest.mark.parametrize("trials, k", [(1, 3), (60, 1), (60, 3), (60, 8)])
+def test_batched_seeding_mixes_zero_mass_and_weighted_draws(trials, k):
+    cols, z = _synthetic_columns()
+    n = len(cols)
     idx, mind = clustering._seed_indices(
-        cols.__getitem__, n, k, clustering._streams(4, trials))
-    want = [_reference_draws(None, x, k, 0.5, rng)
-            for rng in clustering._streams(4, trials)]
+        cols.__getitem__, n, k, np.random.default_rng(4), trials)
+    want = _reference_batch(cols, k, trials, np.random.default_rng(4))
     assert idx.shape == (trials, k)
     assert np.array_equal(idx, want)
     if k > 1:
         assert np.array_equal(mind, cols[idx[:, :-1]].min(axis=1))
     if trials > 1 and k > 1:
         assert 0 < int((idx[:, 0] == z).sum()) < trials
+
+
+class _FixedRng:
+    """Stands in for np.random.Generator: integers() returns the given
+    first picks, random() always returns r."""
+
+    def __init__(self, first, r):
+        self.first, self.r = np.asarray(first), r
+
+    def integers(self, n, size=None):
+        return self.first
+
+    def random(self, size=None):
+        return np.full(size, self.r)
+
+
+def test_draw_takes_the_first_crossing_on_a_non_monotone_row():
+    cols, _ = _synthetic_columns()
+    cums = np.cumsum(cols[5])
+    # centre 5 first, then r * total inside the dip the -0.4 entry makes:
+    # cums[3] < cums[6] < v < cums[4], so the running sum first exceeds v
+    # at index 4, while a count of cums <= v would give 5, the centre
+    v = 0.5 * (cums[6] + cums[4])
+    assert cums[3] < cums[6] < v < cums[4]
+    r = v / cols[5].sum()
+    idx, _ = clustering._seed_indices(
+        cols.__getitem__, len(cols), 2, _FixedRng([5], r))
+    assert idx.tolist() == [[5, 4]]
+    assert int((cums <= r * cols[5].sum()).sum()) == 5
+
+
+def test_overshooting_draw_does_not_repeat_a_centre():
+    # r = 1 - 2**-53 with a row whose sequential running sum ends at
+    # least an ulp below its pairwise total: r * total is not below the
+    # last running sum, and the last entry, the centre's own, is 0
+    r = 1.0 - 2.0 ** -53
+    rng = np.random.default_rng(8)
+    for _ in range(1000):
+        row = rng.uniform(0.0, 1.0, size=40)
+        row[-1] = 0.0
+        if r * row.sum() >= np.cumsum(row)[-1]:
+            break
+    else:
+        raise AssertionError("no overshooting row found")
+    n = len(row)
+    idx, _ = clustering._seed_indices(
+        lambda j: row, n, 2, _FixedRng([n - 1], r))
+    assert idx.tolist() == [[n - 1, n - 2]]
+
+
+def test_batched_draws_match_the_exact_pair_frequencies():
+    from statistics import NormalDist
+    Y = np.array([0.5, 1.0, 2.0, 4.0, 8.0]).reshape(-1, 1)
+    n, trials = len(Y), 40000
+    cols = clustering._tj_columns(SHANNON, 0.5, Y)
+    idx, _ = clustering._seed_indices(
+        cols.__getitem__, n, 2, np.random.default_rng(15), trials)
+    normal = NormalDist()
+
+    def family_wise_z(tests):
+        # each of `tests` counts held to the level at which all of them
+        # together false-alarm as rarely as one 4 sigma test
+        return normal.inv_cdf(1.0 - (1.0 - normal.cdf(4.0)) / tests)
+
+    first = np.bincount(idx[:, 0], minlength=n)
+    sigma = math.sqrt(trials * (1.0 / n) * (1.0 - 1.0 / n))
+    assert np.all(np.abs(first - trials / n) <= family_wise_z(n) * sigma)
+    probs = np.zeros((n, n))  # P(first = i, second = j)
+    for i in range(n):
+        tj = pairwise_total_jensen(SHANNON, 0.5, Y,
+                                   np.broadcast_to(Y[i], Y.shape))
+        probs[i] = (1.0 / n) * tj / tj.sum()
+    counts = np.zeros((n, n))
+    np.add.at(counts, (idx[:, 0], idx[:, 1]), 1)
+    assert np.all(counts[probs == 0.0] == 0)
+    sigma = np.sqrt(trials * probs * (1.0 - probs))
+    z = family_wise_z(int((probs > 0.0).sum()))
+    assert np.all(np.abs(counts - trials * probs) <= z * sigma)
 
 
 def test_seeding_evaluates_one_tj_column_per_new_center(monkeypatch):
@@ -721,13 +827,23 @@ def test_bound_experiment_matches_per_trial_draws(name, dim, k):
     x = np.exp(np.random.default_rng(k).normal(0.0, 0.7, size=(14, dim)))
     cfg = SeedingConfig(k=k, alpha=0.3, rng_seed=21, trials=40)
     rep = seeding_bound_experiment(g, x, cfg, samples=64)
-    streams = [np.random.Generator(np.random.PCG64(s))
-               for s in np.random.SeedSequence(21).spawn(40)]
-    pots = np.array([
-        potential(g, 0.3, x, x[_reference_draws(g, x, k, 0.3, rng)])
-        for rng in streams])
+    cols = np.array([pairwise_total_jensen(g, 0.3, x, x[j:j + 1])
+                     for j in range(len(x))])
+    draws = _reference_batch(cols, k, 40, np.random.default_rng(21))
+    pots = np.array([potential(g, 0.3, x, x[c]) for c in draws])
     assert rep.mean_potential == float(pots.mean())
     assert rep.opt_potential == _reference_brute_force(g, 0.3, x, k)[0]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_one_trial_experiment_draws_what_seed_draws(k):
+    x = np.exp(np.random.default_rng(k).normal(0.0, 0.7, size=(14, 2)))
+    g = make_builtin("burg", 2)
+    for s in (0, 5, 9):
+        cfg = SeedingConfig(k=k, alpha=0.3, rng_seed=s)
+        rep = seeding_bound_experiment(g, x, cfg, samples=64)
+        _, pot = clustering._seed_with_potential(g, x, cfg)
+        assert rep.mean_potential == pot
 
 
 def test_bound_experiment_on_duplicates_takes_the_uniform_branch():

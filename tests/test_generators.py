@@ -264,6 +264,30 @@ def test_entropy_generators_keep_their_bits(name):
                           old_f(rand).view(np.uint64))
 
 
+def _where_xlogx(x):
+    """x log x as x * log(where(x > 0, x, 1)), with a fresh array for
+    each step; _xlogx runs the same steps in one buffer."""
+    x = np.asarray(x, dtype=np.float64)
+    return x * np.log(np.where(x > 0.0, x, 1.0))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_one_buffer_xlogx_keeps_its_bits(order):
+    rng = np.random.default_rng(3)
+    # exact zeros at shannon's closed end, and 0 and 1 at bit's (1 - x
+    # is 0 there too), among random interior values
+    x = np.concatenate([np.exp(rng.normal(0.0, 3.0, size=(500, 4))),
+                        rng.random((500, 4))])
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.05] = 1.0
+    x[:4] = [[0.0, -0.0, 5e-324, 1e-300]] * 4
+    x = np.array(x, order=order)
+    for arr in (x, 1.0 - x):
+        assert np.array_equal(_xlogx(arr).view(np.uint64),
+                              _where_xlogx(arr).view(np.uint64))
+    assert _xlogx(x).flags[f"{order}_CONTIGUOUS"]
+
+
 def test_xlogx_sign_of_zero_does_not_reach_f():
     # x * log(1) keeps the sign of -0.0, where the masked form wrote +0.0
     assert np.signbit(_xlogx(np.array([-0.0])))[0]
