@@ -7,8 +7,8 @@ the divergence to the nearest chosen center. All randomness flows
 through one np.random.default_rng(rng_seed) generator per call (PCG64).
 One seeding routine draws every trial of an experiment from that one
 generator, a step at a time over a (trials, n) block of running
-minima, so an experiment is reproducible from (rng_seed, trials). A
-draw picks the first index whose cumulative mass exceeds r * total, r
+minima (none at k = 1), so an experiment is reproducible from
+(rng_seed, trials). A draw picks the first index whose cumulative mass exceeds r * total, r
 uniform in [0, 1); this is numpy's searchsorted(..., "right") on
 monotone rows, and is still defined where near-coincident tJ values
 round below zero. Single seedings are a batch of one, and an
@@ -16,8 +16,12 @@ experiment of one trial draws the centres seed_indices draws.
 
 On n points every divergence the brute-force optimum and the seeding
 trials need is an entry of one n x n matrix, tJ_alpha(x_i : x_j), so
-for k >= 2 it is built once from n kernel columns and read from then on;
-the subset budget caps that matrix at C(n, 2) <= 1e6 pairs. At k = 1,
+for k >= 2 it is built once and read from then on: a block of centres
+at a time, each block one kernel call on its stacked (point, centre)
+pairs, every entry with the bits of its own one-centre column. The
+subset budget caps that matrix at C(n, 2) <= 1e6 pairs. The optimum's
+scan reads the k-subsets in lexicographic order, each (k-1)-prefix
+expanded with every last index above it in one numpy step. At k = 1,
 where the budget allows n up to 1e6, no matrix is held: each potential
 is one column's sum, computed a column at a time. F(x) depends only on
 the points, so it is computed once per point set and every column,
@@ -33,7 +37,7 @@ reported over a grid instead of a single number.
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import List, Optional
 
 import numpy as np
@@ -111,9 +115,10 @@ class ExperimentReport:
     curve: List[dict]
     trials: int
     k: int
-    # wall-clock seconds per stage: optimum_s (the tJ table or column
-    # sums and the subset scan), trials_s (the seeding draws and their
-    # potentials) and constants_s (the bound constants and the curve)
+    # wall-clock seconds per stage: table_s (the tJ table, or the k = 1
+    # column sums), scan_s (the subset scan for the optimum), trials_s
+    # (the seeding draws and their potentials) and constants_s (the
+    # bound constants and the curve)
     timings: dict = field(default_factory=dict, compare=False)
 
 
@@ -133,13 +138,21 @@ def _tj_column(g, alpha, x, fx, j):
 
 
 def _tj_columns(g, alpha, x):
-    """cols[j, i] = tJ_alpha(x_i : x_j) from n kernel columns. Row j is
-    the column of centre x_j, so every read is a contiguous row."""
-    n = x.shape[0]
+    """cols[j, i] = tJ_alpha(x_i : x_j). Row j is the column of centre
+    x_j, so every read is a contiguous row. Centres come m at a time,
+    each block one kernel call on its m n stacked pairs: the points
+    tiled m times against each centre repeated n times, both
+    column-major. Every entry has the bits of its _tj_column entry."""
+    n, d = x.shape
     fx = g.f(x)
     cols = np.empty((n, n))
-    for j in range(n):
-        cols[j] = _tj_column(g, alpha, x, fx, j)
+    m = max(1, _BLOCK_BYTES // (8 * n * d))
+    for j0 in range(0, n, m):
+        c = x[j0:j0 + m]
+        p = np.tile(x.T, len(c)).T
+        q = np.repeat(c.T, n, axis=1).T
+        cols[j0:j0 + len(c)] = kernels.pairwise_total_jensen(
+            g, alpha, p, q, fp=np.tile(fx, len(c))).reshape(len(c), n)
     return cols
 
 
@@ -157,7 +170,8 @@ def _seed_indices(rows, n, k, rng, trials=1):
     centres, gives tJ(x_i : x_j[t]) as a (T, n) block, or as one (n,)
     column when T = 1. Returns ((T, k) indices, (T, n) min over all but
     the last centre); trial t's potential is np.minimum(mind[t], c).sum(),
-    c the tJ column of its last centre.
+    c the tJ column of its last centre. At k = 1 no block is made and
+    the second item is None.
 
     rng is read in one order: the T first picks, then at each step one
     random() per row with positive mass, then one integers() per
@@ -170,7 +184,8 @@ def _seed_indices(rows, n, k, rng, trials=1):
     # uniform base case; one trial takes the scalar call, which draws the
     # same index without numpy's array set-up
     chosen[:, 0] = rng.integers(n, size=trials if trials > 1 else None)
-    mind = np.full((trials, n), np.inf)  # min over chosen centers
+    # min over chosen centres; k = 1 reads none
+    mind = np.full((trials, n), np.inf) if k > 1 else None
     for s in range(1, k):
         np.minimum(mind, rows(chosen[:, s - 1]), out=mind)
         # each contiguous row sums in the pairwise order of a 1-D sum
@@ -201,7 +216,7 @@ def _seeded_indices(g, x, cfg: SeedingConfig, fx=None):
     rng = np.random.default_rng(cfg.rng_seed)
     idx, mind = _seed_indices(lambda j: _tj_column(g, cfg.alpha, x, fx, j[0]),
                               x.shape[0], cfg.k, rng)
-    return idx[0], mind[0]
+    return idx[0], None if mind is None else mind[0]
 
 
 def seed_indices(g: Generator, data, cfg: SeedingConfig) -> np.ndarray:
@@ -222,7 +237,9 @@ def _seed_with_potential(g: Generator, data, cfg: SeedingConfig):
     fx = g.f(x)
     idx, mind = _seeded_indices(g, x, cfg, fx)
     last = _tj_column(g, cfg.alpha, x, fx, idx[-1])
-    return idx, float(np.minimum(mind, last).sum())
+    if mind is not None:
+        last = np.minimum(mind, last)
+    return idx, float(last.sum())
 
 
 def potential(g: Generator, alpha, data, centers) -> float:
@@ -247,32 +264,47 @@ def _check_subsets(n: int, k: int):
             f"C({n},2) pairs exceed the table budget of 1e6")
 
 
-# bytes of one block of subset minima; the scan holds two such blocks
-# whatever C(n, k) is
+# bytes of one block: the scan holds two blocks of subset minima
+# whatever C(n, k) is, and each stacked operand of a table block is at
+# most one block
 _BLOCK_BYTES = 1 << 18
 
 
 def _optimum(cols, k):
     """(potential, subset, assignments) of the k-subset S minimising
     sum_i min_{j in S} cols[j, i], with cols from _tj_columns. Subsets
-    come in lexicographic order and the first minimum wins."""
+    come in lexicographic order and the first minimum wins: each
+    (k-1)-prefix P of combinations(range(n - 1), k - 1), in its order,
+    followed by every last index above P[-1], in increasing order. That
+    is the order of combinations(range(n), k). k >= 2."""
     n = cols.shape[1]
-    subsets = combinations(range(n), k)
+    prefixes = combinations(range(n - 1), k - 1)
     rows = max(1, _BLOCK_BYTES // (8 * n))
+    # a prefix has at most n - k + 1 last indices, so a chunk of `per`
+    # prefixes expands to at most one block of subsets
+    per = max(1, rows // (n - k + 1))
     best = None
     while True:
-        S = np.fromiter(islice(subsets, rows), dtype=np.dtype((np.int64, k)))
-        if not len(S):
+        P = np.fromiter(chain.from_iterable(islice(prefixes, per)),
+                        dtype=np.int64).reshape(-1, k - 1)
+        if not len(P):
             break
-        mind = cols[S[:, 0]]
-        for r in range(1, k):
-            np.minimum(mind, cols[S[:, r]], out=mind)
+        lasts = n - 1 - P[:, -1]  # how many last indices each prefix takes
+        first = np.cumsum(lasts) - lasts  # the row of its first subset
+        # row s of prefix p ends in P[p, -1] + 1 + (s - first[p])
+        last = np.arange(lasts.sum()) + np.repeat(P[:, -1] + 1 - first, lasts)
+        pre = cols[P[:, 0]]
+        for r in range(1, k - 1):
+            np.minimum(pre, cols[P[:, r]], out=pre)
+        mind = np.repeat(pre, lasts, axis=0)
+        np.minimum(mind, cols[last], out=mind)
         # each subset's n minima summed as one contiguous row, in the
         # pairwise order of a 1-D sum
         pots = mind.sum(axis=1)
         b = int(np.argmin(pots))
         if best is None or pots[b] < best[0]:
-            best = (float(pots[b]), S[b])
+            p = int(np.searchsorted(first, b, side="right")) - 1
+            best = (float(pots[b]), np.append(P[p], last[b]))
     pot, subset = best
     # each point's nearest centre, the first on ties, one row at a time:
     # np.argmin over the gathered (k, n) rows would hold two copies
@@ -461,14 +493,16 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
     if k == 1:
         # a trial's potential is its one centre's column sum
         sums = _column_sums(g, cfg.alpha, x)
-        opt_pot = float(sums.min())
         t1 = time.perf_counter()
+        opt_pot = float(sums.min())
+        t2 = time.perf_counter()
         idx, _ = _seed_indices(None, n, 1, rng, cfg.trials)
         pots = sums[idx[:, 0]]
     else:
         cols = _tj_columns(g, cfg.alpha, x)
-        opt_pot = _optimum(cols, k)[0]
         t1 = time.perf_counter()
+        opt_pot = _optimum(cols, k)[0]
+        t2 = time.perf_counter()
         idx, mind = _seed_indices(cols.__getitem__, n, k, rng, cfg.trials)
         pots = np.minimum(mind, cols[idx[:, -1]]).sum(axis=1)
     mean_pot = float(pots.mean())
@@ -476,7 +510,7 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
         ratio = mean_pot / opt_pot
     else:
         ratio = 0.0 if mean_pot == 0.0 else math.inf
-    t2 = time.perf_counter()
+    t3 = time.perf_counter()
     constants = estimate_bound_constants(g, x, samples, rng_seed=cfg.rng_seed)
     curve = []
     for eps in eps_grid:
@@ -486,8 +520,8 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
         curve.append({
             "eps": eps, "u": u, "v": v, "multiplier": mult,
             "satisfied": bool(math.isfinite(mult) and ratio <= mult)})
-    timings = {"optimum_s": t1 - t0, "trials_s": t2 - t1,
-               "constants_s": time.perf_counter() - t2}
+    timings = {"table_s": t1 - t0, "scan_s": t2 - t1, "trials_s": t3 - t2,
+               "constants_s": time.perf_counter() - t3}
     return ExperimentReport(
         mean_potential=mean_pot, opt_potential=opt_pot, ratio=ratio,
         constants=constants, curve=curve, trials=cfg.trials, k=cfg.k,

@@ -283,8 +283,13 @@ def _quadratic(name, dim, q):
     is_identity = bool(np.array_equal(q, np.eye(dim)))
 
     def f(x):
+        # x @ q accumulated over the coordinate index left to right, as
+        # coordinate_sum does: BLAS's order depends on the batch shape
         x = np.asarray(x, dtype=np.float64)
-        return 0.5 * coordinate_sum((x @ q) * x)
+        xq = x[..., :1] * q[0]
+        for j in range(1, dim):
+            xq += x[..., j:j + 1] * q[j]
+        return 0.5 * coordinate_sum(xq * x)
 
     second = None
     if is_identity:

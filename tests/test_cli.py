@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -566,7 +567,7 @@ def test_cluster_command_round_trip(tmp_path, capsys):
                         "--rng-seed", "5", "--max-rounds", "1")
     assert "in 1 rounds (stopped at max-rounds)" in err
     timings = rep["timings"]
-    stages = ("load_s", "seed_s", "assign_s", "centroid_s")
+    stages = ("parse_s", "load_s", "seed_s", "assign_s", "centroid_s")
     assert set(timings) == {"total_s", *stages}
     assert all(timings[s] >= 0.0 for s in stages)
     assert sum(timings[s] for s in stages) <= timings["total_s"]
@@ -605,10 +606,42 @@ def test_bound_experiment_single_eps(tmp_path, capsys):
     assert res["ratio"] >= 1.0 - 1e-12
     assert res["curve"][0]["satisfied"] is True
     timings = rep["timings"]
-    stages = ("load_s", "optimum_s", "trials_s", "constants_s")
+    stages = ("parse_s", "load_s", "table_s", "scan_s", "trials_s",
+              "constants_s")
     assert set(timings) == {"total_s", *stages}
     assert all(timings[s] >= 0.0 for s in stages)
     assert sum(timings[s] for s in stages) <= timings["total_s"]
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    data = _write(tmp_path / "pts.csv", "0.5\n1.0\n2.0\n4.0\n8.0\n")
+    cfg = _write(tmp_path / "c.cfg",
+                 f"input={data}\nalpha=0.3\nrng-seed=4\n")
+    runs = [("seed", "--k", "0.5"),
+            ("seed", "--input", data, "--k", "3", "--rng-seed", "7"),
+            ("bound-experiment", "--config", cfg, "--k", "2",
+             "--trials", "5", "--samples", "64")]
+    reused = [run_cli(capsys, *argv) for argv in runs]
+    parser = cli._parser()
+    assert cli._parser() is parser
+    # a parser built afresh for each call gives the same reports
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run_cli(capsys, *argv) for argv in runs]
+    assert [r[0] for r in reused] == [r[0] for r in fresh] == [2, 0, 0]
+    assert reused[0][2] == fresh[0][2]
+    for (_, a, _), (_, b, _) in zip(reused[1:], fresh[1:]):
+        assert canonical_dumps(a["results"]) == canonical_dumps(b["results"])
+        assert a["command"] == b["command"]
+
+
+def test_importing_the_cli_builds_no_parser():
+    import subprocess
+    import sys
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import tjdiv, tjdiv.cli as c; "
+            "sys.exit(0 if c._PARSER is None else 3)")
+    assert subprocess.run([sys.executable, "-c", code, src]).returncode == 0
 
 
 # influence command

@@ -558,6 +558,66 @@ def test_matrix_optimum_ties_go_to_the_lowest_subset(block, monkeypatch):
     assert clustering._optimum(three, 3)[1].tolist() == [0, 2, 4]
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 16])
+@pytest.mark.parametrize("name", [
+    "shannon", "burg", "bit", "squared-euclidean", "squared-mahalanobis"])
+def test_blocked_table_matches_its_columns(name, dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+    if name == "squared-mahalanobis":
+        a = rng.normal(size=(dim, dim))
+        g = make_builtin(name, dim, matrix=a @ a.T + dim * np.eye(dim))
+        x = rng.normal(0.0, 2.0, size=(13, dim))
+    else:
+        g = make_builtin(name, dim)
+        x = rng.uniform(0.05, 0.95, size=(13, dim))
+    x = np.asfortranarray(np.vstack([x, x[:2]]))  # coincident pairs too
+    n = len(x)
+    fx = g.f(x)
+    want = np.array([clustering._tj_column(g, 0.4, x, fx, j)
+                     for j in range(n)])
+    # one block, then blocks of 4 centres (the last one short)
+    assert np.array_equal(clustering._tj_columns(g, 0.4, x), want)
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", 8 * n * dim * 4)
+    assert np.array_equal(clustering._tj_columns(g, 0.4, x), want)
+
+
+@pytest.mark.parametrize("block", [1, 3, 16, None])
+def test_prefix_scan_finds_the_first_minimum(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(clustering, "_BLOCK_BYTES", 8 * 10 * block)
+    # duplicate rows make exact ties between subsets
+    X = np.array([1.0, 1.0, 2.0, 2.0, 9.0, 9.0, 1.5, 8.0, 8.0, 3.0])
+    for n in range(2, 11):
+        cols = clustering._tj_columns(SHANNON, 0.5, X[:n].reshape(-1, 1))
+        for k in range(2, n + 1):
+            pots = [np.minimum.reduce(cols[list(S)]).sum()
+                    for S in combinations(range(n), k)]
+            first = int(np.argmin(pots))
+            pot, subset, _ = clustering._optimum(cols, k)
+            assert pot == pots[first]
+            assert tuple(subset.tolist()) == list(
+                combinations(range(n), k))[first]
+
+
+def test_k1_experiment_holds_no_running_minima():
+    # the trials' (trials, n) running-minimum block would be 16 MB here
+    n, trials = 2000, 1000
+    x = np.exp(np.random.default_rng(2).normal(0.0, 1.0, size=(n, 1)))
+    cfg = SeedingConfig(k=1, rng_seed=3, trials=trials)
+    tracemalloc.start()
+    try:
+        rep = seeding_bound_experiment(SHANNON, x, cfg, samples=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < trials * n * 8 / 20
+    sums = clustering._column_sums(SHANNON, 0.5, x)
+    idx, mind = clustering._seed_indices(
+        None, n, 1, np.random.default_rng(3), trials)
+    assert mind is None
+    assert rep.mean_potential == float(sums[idx[:, 0]].mean())
+
+
 def test_k1_optimum_holds_no_matrix():
     n = 3000
     x = np.exp(np.random.default_rng(1).normal(0.0, 1.0, size=(n, 1)))

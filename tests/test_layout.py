@@ -55,7 +55,7 @@ def test_kernels_give_the_same_bits_on_every_layout(name, dim):
 
 
 @pytest.mark.parametrize("dim", [1, 4, 8, 16])
-@pytest.mark.parametrize("name", ["shannon", "burg", "bit"])
+@pytest.mark.parametrize("name", NAMES)
 def test_a_row_alone_gives_the_bits_it_gives_in_a_batch(name, dim):
     # numpy's own sum adds a contiguous row pairwise, in blocks of 8, and
     # a strided one left to right; coordinate_sum always goes left to right
