@@ -264,9 +264,10 @@ def _check_subsets(n: int, k: int):
             f"C({n},2) pairs exceed the table budget of 1e6")
 
 
-# bytes of one block: the scan holds two blocks of subset minima
-# whatever C(n, k) is, and each stacked operand of a table block is at
-# most one block
+# bytes of one block. Whatever C(n, k) is, the scan holds a few blocks:
+# prefix minima, subset minima, the rows gathered into them and the
+# subsets' indices. Each stacked operand of a table block is one block
+# at most.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -276,35 +277,37 @@ def _optimum(cols, k):
     come in lexicographic order and the first minimum wins: each
     (k-1)-prefix P of combinations(range(n - 1), k - 1), in its order,
     followed by every last index above P[-1], in increasing order. That
-    is the order of combinations(range(n), k). k >= 2."""
+    is the order of combinations(range(n), k). k >= 2. A block of
+    prefixes is read at a time, and its subsets are scanned a block at
+    a time, so memory does not grow with C(n, k) or with n - k."""
     n = cols.shape[1]
-    prefixes = combinations(range(n - 1), k - 1)
     rows = max(1, _BLOCK_BYTES // (8 * n))
-    # a prefix has at most n - k + 1 last indices, so a chunk of `per`
-    # prefixes expands to at most one block of subsets
-    per = max(1, rows // (n - k + 1))
+    prefixes = combinations(range(n - 1), k - 1)
     best = None
     while True:
-        P = np.fromiter(chain.from_iterable(islice(prefixes, per)),
+        P = np.fromiter(chain.from_iterable(islice(prefixes, rows)),
                         dtype=np.int64).reshape(-1, k - 1)
         if not len(P):
             break
-        lasts = n - 1 - P[:, -1]  # how many last indices each prefix takes
-        first = np.cumsum(lasts) - lasts  # the row of its first subset
-        # row s of prefix p ends in P[p, -1] + 1 + (s - first[p])
-        last = np.arange(lasts.sum()) + np.repeat(P[:, -1] + 1 - first, lasts)
-        pre = cols[P[:, 0]]
+        pre = cols[P[:, 0]]  # each prefix's minima
         for r in range(1, k - 1):
             np.minimum(pre, cols[P[:, r]], out=pre)
-        mind = np.repeat(pre, lasts, axis=0)
-        np.minimum(mind, cols[last], out=mind)
-        # each subset's n minima summed as one contiguous row, in the
-        # pairwise order of a 1-D sum
-        pots = mind.sum(axis=1)
-        b = int(np.argmin(pots))
-        if best is None or pots[b] < best[0]:
-            p = int(np.searchsorted(first, b, side="right")) - 1
-            best = (float(pots[b]), np.append(P[p], last[b]))
+        # subset s belongs to prefix owner[s] and ends in last[s]: prefix
+        # p takes the last indices P[p, -1] + 1, ..., n - 1 in turn
+        lasts = n - 1 - P[:, -1]
+        first = np.cumsum(lasts) - lasts  # each prefix's first subset
+        owner = np.repeat(np.arange(len(P)), lasts)
+        last = np.arange(len(owner)) + (P[:, -1] + 1 - first)[owner]
+        for s0 in range(0, len(owner), rows):
+            mind = pre[owner[s0:s0 + rows]]
+            np.minimum(mind, cols[last[s0:s0 + rows]], out=mind)
+            # each subset's n minima summed as one contiguous row, in the
+            # pairwise order of a 1-D sum
+            pots = mind.sum(axis=1)
+            b = int(np.argmin(pots))
+            if best is None or pots[b] < best[0]:
+                best = (float(pots[b]),
+                        np.append(P[owner[s0 + b]], last[s0 + b]))
     pot, subset = best
     # each point's nearest centre, the first on ties, one row at a time:
     # np.argmin over the gathered (k, n) rows would hold two copies

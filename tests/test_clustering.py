@@ -599,6 +599,20 @@ def test_prefix_scan_finds_the_first_minimum(block, monkeypatch):
                 combinations(range(n), k))[first]
 
 
+def test_prefix_scan_holds_a_few_blocks(monkeypatch):
+    # k = 2 at n = 400: one prefix has 399 subsets, 50 blocks of 8 rows
+    n = 400
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", 8 * n * 8)
+    cols = np.random.default_rng(5).uniform(size=(n, n))
+    tracemalloc.start()
+    try:
+        clustering._optimum(cols, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * n * 8
+
+
 def test_k1_experiment_holds_no_running_minima():
     # the trials' (trials, n) running-minimum block would be 16 MB here
     n, trials = 2000, 1000
