@@ -8,10 +8,10 @@ through one np.random.default_rng(rng_seed) generator per call (PCG64).
 One seeding routine draws every trial of an experiment from that one
 generator, a step at a time over a (trials, n) block of running
 minima (none at k = 1), so an experiment is reproducible from
-(rng_seed, trials). A draw picks the first index whose cumulative mass exceeds r * total, r
-uniform in [0, 1); this is numpy's searchsorted(..., "right") on
-monotone rows, and is still defined where near-coincident tJ values
-round below zero. Single seedings are a batch of one, and an
+(rng_seed, trials). A draw picks the first index whose cumulative
+mass exceeds r * total, r uniform in [0, 1); this is numpy's
+searchsorted(..., "right") on monotone rows, and is still defined where
+near-coincident tJ values round below zero. Single seedings are a batch of one, and an
 experiment of one trial draws the centres seed_indices draws.
 
 On n points every divergence the brute-force optimum and the seeding
@@ -266,8 +266,8 @@ def _check_subsets(n: int, k: int):
 
 # bytes of one block. Whatever C(n, k) is, the scan holds a few blocks:
 # prefix minima, subset minima, the rows gathered into them and the
-# subsets' indices. Each stacked operand of a table block is one block
-# at most.
+# subsets' indices. A table block stacks as many centres as one block
+# holds, and one at least.
 _BLOCK_BYTES = 1 << 18
 
 

@@ -3,6 +3,8 @@
 import json
 import math
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -635,8 +637,6 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
 
 
 def test_importing_the_cli_builds_no_parser():
-    import subprocess
-    import sys
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import tjdiv, tjdiv.cli as c; "
