@@ -105,6 +105,10 @@ def _commands(files):
          ["bound-experiment", "--input", files["small2"], "--generator",
           "burg", "--k", "1", "--trials", "200", "--samples", "1024",
           "--rng-seed", "6"]),
+        # 400 rows at d = 1: the k = 1 table spans several centre blocks
+        ("bound-experiment-shannon-d1-k1",
+         ["bound-experiment", "--input", files["mix1"], "--k", "1",
+          "--trials", "200", "--samples", "1024", "--rng-seed", "10"]),
         ("bound-experiment-shannon-d2-k2",
          ["bound-experiment", "--input", files["small2"], "--k", "2",
           "--trials", "200", "--samples", "1024", "--rng-seed", "7"]),

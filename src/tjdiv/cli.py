@@ -18,10 +18,9 @@ command. Within it:
 - cluster's Lloyd stages: seed_s (F of the points and the seeding
   draws), assign_s (the assignment sweeps) and centroid_s (the cluster
   gathers and centroid solves).
-- bound-experiment's stages: table_s (the tJ table, or the k = 1 column
-  sums), scan_s (the subset scan for the optimum), trials_s (the
-  seeding draws and their potentials) and constants_s (the bound
-  constants and the curve).
+- bound-experiment's stages: table_s (the tJ table), scan_s (the
+  subset scan for the optimum), trials_s (the seeding draws and their
+  potentials) and constants_s (the bound constants and the curve).
 
 A config file of key=value lines can pre-set any flag; explicit flags
 win. Keys match flag names with either dashes or underscores.
@@ -76,13 +75,16 @@ COUNTEREXAMPLE = (
 
 def canonical_dumps(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits,
-    non-finite floats mapped to null."""
+    non-finite floats mapped to null. Keys and strings are quoted as
+    json.dumps(s, ensure_ascii=False) quotes them."""
+    # imported here, not at module import: loading the CLI reads no json
+    from json.encoder import encode_basestring
     out = []
-    _canon(obj, out)
+    _canon(obj, out, encode_basestring)
     return "".join(out)
 
 
-def _canon(x, out):
+def _canon(x, out, quote):
     if isinstance(x, dict):
         out.append("{")
         first = True
@@ -92,9 +94,9 @@ def _canon(x, out):
             if not first:
                 out.append(",")
             first = False
-            out.append(_jstr(key))
+            out.append(quote(key))
             out.append(":")
-            _canon(x[key], out)
+            _canon(x[key], out, quote)
         out.append("}")
     elif isinstance(x, (list, tuple)):
         # a flat list of exact ints or exact floats (no bool, no numpy
@@ -112,10 +114,10 @@ def _canon(x, out):
         for i, v in enumerate(x):
             if i:
                 out.append(",")
-            _canon(v, out)
+            _canon(v, out, quote)
         out.append("]")
     elif isinstance(x, np.ndarray):
-        _canon(x.tolist(), out)
+        _canon(x.tolist(), out, quote)
     elif isinstance(x, bool) or isinstance(x, np.bool_):
         out.append("true" if x else "false")
     elif isinstance(x, (int, np.integer)):
@@ -124,16 +126,11 @@ def _canon(x, out):
         v = float(x)
         out.append(format(v, ".17g") if math.isfinite(v) else "null")
     elif isinstance(x, str):
-        out.append(_jstr(x))
+        out.append(quote(x))
     elif x is None:
         out.append("null")
     else:
         raise ValidationError(f"cannot serialize {type(x).__name__}")
-
-
-def _jstr(s):
-    import json
-    return json.dumps(s, ensure_ascii=False)
 
 
 # input parsing

@@ -16,14 +16,13 @@ experiment of one trial draws the centres seed_indices draws.
 
 On n points every divergence the brute-force optimum and the seeding
 trials need is an entry of one n x n matrix, tJ_alpha(x_i : x_j), so
-for k >= 2 it is built once and read from then on: a block of centres
+for every k it is built once and read from then on: a block of centres
 at a time, each block one kernel call on its stacked (point, centre)
 pairs, every entry with the bits of its own one-centre column. The
-subset budget caps that matrix at C(n, 2) <= 1e6 pairs. The optimum's
-scan reads the k-subsets in lexicographic order, each (k-1)-prefix
-expanded with every last index above it in one numpy step. At k = 1,
-where the budget allows n up to 1e6, no matrix is held: each potential
-is one column's sum, computed a column at a time. F(x) depends only on
+table budget caps that matrix at C(n, 2) <= 1e6 pairs for every k. The
+optimum's scan reads the k-subsets in lexicographic order, each
+(k-1)-prefix expanded with every last index above it in one numpy
+step; at k = 1 each potential is one row's sum. F(x) depends only on
 the points, so it is computed once per point set and every column,
 sweep and centroid stage over those points reads it.
 
@@ -115,10 +114,9 @@ class ExperimentReport:
     curve: List[dict]
     trials: int
     k: int
-    # wall-clock seconds per stage: table_s (the tJ table, or the k = 1
-    # column sums), scan_s (the subset scan for the optimum), trials_s
-    # (the seeding draws and their potentials) and constants_s (the
-    # bound constants and the curve)
+    # wall-clock seconds per stage: table_s (the tJ table), scan_s (the
+    # subset scan for the optimum), trials_s (the seeding draws and their
+    # potentials) and constants_s (the bound constants and the curve)
     timings: dict = field(default_factory=dict, compare=False)
 
 
@@ -154,14 +152,6 @@ def _tj_columns(g, alpha, x):
         cols[j0:j0 + len(c)] = kernels.pairwise_total_jensen(
             g, alpha, p, q, fp=np.tile(fx, len(c))).reshape(len(c), n)
     return cols
-
-
-def _column_sums(g, alpha, x):
-    """sum_i tJ_alpha(x_i : x_j) for each j, one column at a time: the
-    k = 1 potentials, with no n x n matrix held."""
-    fx = g.f(x)
-    return np.array([_tj_column(g, alpha, x, fx, j).sum()
-                     for j in range(len(x))])
 
 
 def _seed_indices(rows, n, k, rng, trials=1):
@@ -256,9 +246,9 @@ def _check_subsets(n: int, k: int):
     if math.comb(n, k) > 10 ** 6:
         raise ValidationError(
             f"C({n},{k}) exceeds the combinatorial budget of 1e6")
-    if k >= 2 and math.comb(n, 2) > 10 ** 6:
-        # k >= 2 reads the n x n tJ table: C(n, 2) bounds its size, and
-        # with it the k = n - 1 scan, where C(n, k) = n does not
+    if math.comb(n, 2) > 10 ** 6:
+        # every k reads the n x n tJ table: C(n, 2) bounds its size, and
+        # with it the k = 1 and k = n - 1 scans, where C(n, k) = n does not
         raise ValidationError(
             f"k={k} needs the {n}x{n} divergence table, and its "
             f"C({n},2) pairs exceed the table budget of 1e6")
@@ -277,10 +267,15 @@ def _optimum(cols, k):
     come in lexicographic order and the first minimum wins: each
     (k-1)-prefix P of combinations(range(n - 1), k - 1), in its order,
     followed by every last index above P[-1], in increasing order. That
-    is the order of combinations(range(n), k). k >= 2. A block of
-    prefixes is read at a time, and its subsets are scanned a block at
-    a time, so memory does not grow with C(n, k) or with n - k."""
+    is the order of combinations(range(n), k). A block of prefixes is
+    read at a time, and its subsets are scanned a block at a time, so
+    memory does not grow with C(n, k) or with n - k. At k = 1 each
+    subset is one centre, and its potential that centre's row sum."""
     n = cols.shape[1]
+    if k == 1:
+        pots = cols.sum(axis=1)
+        j = int(np.argmin(pots))
+        return float(pots[j]), np.array([j]), np.zeros(n, dtype=np.intp)
     rows = max(1, _BLOCK_BYTES // (8 * n))
     prefixes = combinations(range(n - 1), k - 1)
     best = None
@@ -325,12 +320,7 @@ def brute_force_discrete_optimum(g: Generator, alpha, data, k: int) -> ClusterMo
     x = as_points(data, g)
     n = x.shape[0]
     _check_subsets(n, k)
-    if k == 1:
-        sums = _column_sums(g, alpha, x)
-        j = int(np.argmin(sums))
-        pot, subset, idx = float(sums[j]), [j], np.zeros(n, dtype=np.intp)
-    else:
-        pot, subset, idx = _optimum(_tj_columns(g, alpha, x), k)
+    pot, subset, idx = _optimum(_tj_columns(g, alpha, x), k)
     return ClusterModel(centers=x[subset], assignments=idx,
                         potential=pot, rounds=0)
 
@@ -493,20 +483,14 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
     _check_subsets(n, k)
     rng = np.random.default_rng(cfg.rng_seed)
     t0 = time.perf_counter()
-    if k == 1:
-        # a trial's potential is its one centre's column sum
-        sums = _column_sums(g, cfg.alpha, x)
-        t1 = time.perf_counter()
-        opt_pot = float(sums.min())
-        t2 = time.perf_counter()
-        idx, _ = _seed_indices(None, n, 1, rng, cfg.trials)
-        pots = sums[idx[:, 0]]
+    cols = _tj_columns(g, cfg.alpha, x)
+    t1 = time.perf_counter()
+    opt_pot = _optimum(cols, k)[0]
+    t2 = time.perf_counter()
+    idx, mind = _seed_indices(cols.__getitem__, n, k, rng, cfg.trials)
+    if mind is None:  # k = 1: a trial's potential is its centre's row sum
+        pots = cols.sum(axis=1)[idx[:, 0]]
     else:
-        cols = _tj_columns(g, cfg.alpha, x)
-        t1 = time.perf_counter()
-        opt_pot = _optimum(cols, k)[0]
-        t2 = time.perf_counter()
-        idx, mind = _seed_indices(cols.__getitem__, n, k, rng, cfg.trials)
         pots = np.minimum(mind, cols[idx[:, -1]]).sum(axis=1)
     mean_pot = float(pots.mean())
     if opt_pot > 0.0:

@@ -615,6 +615,18 @@ def test_bound_experiment_single_eps(tmp_path, capsys):
     assert sum(timings[s] for s in stages) <= timings["total_s"]
 
 
+def test_bound_experiment_k1_over_the_table_budget_is_an_error(
+        tmp_path, capsys):
+    # C(1415, 1) passes the subset budget, but k = 1 reads the n x n table
+    # too, and its C(1415, 2) = 1000405 pairs exceed the table budget
+    rows = "".join(f"{1.0 + i / 1415!r}\n" for i in range(1415))
+    data = _write(tmp_path / "big.csv", rows)
+    code, rep, err = run_cli(capsys, "bound-experiment", "--input", data,
+                             "--k", "1")
+    assert code == 1 and rep is None
+    assert "table budget of 1e6" in err
+
+
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     data = _write(tmp_path / "pts.csv", "0.5\n1.0\n2.0\n4.0\n8.0\n")
     cfg = _write(tmp_path / "c.cfg",

@@ -491,14 +491,17 @@ def test_brute_force_small_cases():
 
 
 def test_subset_budget_bounds_the_divergence_table():
-    # C(n, n) = 1 and C(n, n - 1) = n pass the subset budget, but k >= 2
-    # reads an n x n table, so n is capped at C(n, 2) <= 1e6 (n <= 1414)
+    # C(n, n) = 1 and C(n, n - 1) = C(n, 1) = n pass the subset budget,
+    # but every k reads an n x n table, so n is capped at C(n, 2) <= 1e6
+    # (n <= 1414), before any F row is computed
     x = np.linspace(1.0, 2.0, 1500).reshape(-1, 1)
-    for k in (1500, 1499):
+    g, seen = _counting_f(SHANNON)
+    for k in (1500, 1499, 1):
         with pytest.raises(ValidationError, match="table budget of 1e6"):
-            brute_force_discrete_optimum(SHANNON, 0.5, x, k)
+            brute_force_discrete_optimum(g, 0.5, x, k)
         with pytest.raises(ValidationError, match="table budget of 1e6"):
-            seeding_bound_experiment(SHANNON, x, SeedingConfig(k=k))
+            seeding_bound_experiment(g, x, SeedingConfig(k=k))
+    assert _f_rows(seen) == 0
     clustering._check_subsets(1414, 1414)
     with pytest.raises(ValidationError, match="combinatorial budget"):
         clustering._check_subsets(1500, 2)
@@ -551,9 +554,8 @@ def test_matrix_optimum_ties_go_to_the_lowest_subset(block, monkeypatch):
     # at k = 8 the duplicate centres tie for their own rows' assignments
     for k in (1, 2, 3, 4, 8):
         _assert_reference_optimum(SHANNON, 0.5, X, k)
-        if k > 1:
-            subset = _reference_brute_force(SHANNON, 0.5, X, k)[1]
-            assert tuple(clustering._optimum(cols, k)[1].tolist()) == subset
+        subset = _reference_brute_force(SHANNON, 0.5, X, k)[1]
+        assert tuple(clustering._optimum(cols, k)[1].tolist()) == subset
     three = clustering._tj_columns(SHANNON, 0.5, X[:6])
     assert clustering._optimum(three, 3)[1].tolist() == [0, 2, 4]
 
@@ -589,7 +591,7 @@ def test_prefix_scan_finds_the_first_minimum(block, monkeypatch):
     X = np.array([1.0, 1.0, 2.0, 2.0, 9.0, 9.0, 1.5, 8.0, 8.0, 3.0])
     for n in range(2, 11):
         cols = clustering._tj_columns(SHANNON, 0.5, X[:n].reshape(-1, 1))
-        for k in range(2, n + 1):
+        for k in range(1, n + 1):
             pots = [np.minimum.reduce(cols[list(S)]).sum()
                     for S in combinations(range(n), k)]
             first = int(np.argmin(pots))
@@ -616,39 +618,27 @@ def test_prefix_scan_holds_a_few_blocks(monkeypatch):
 def test_k1_experiment_holds_no_running_minima():
     # the trials' (trials, n) running-minimum block would be 16 MB here
     n, trials = 2000, 1000
-    x = np.exp(np.random.default_rng(2).normal(0.0, 1.0, size=(n, 1)))
-    cfg = SeedingConfig(k=1, rng_seed=3, trials=trials)
     tracemalloc.start()
     try:
-        rep = seeding_bound_experiment(SHANNON, x, cfg, samples=2)
+        idx, mind = clustering._seed_indices(
+            None, n, 1, np.random.default_rng(3), trials)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < trials * n * 8 / 20
-    sums = clustering._column_sums(SHANNON, 0.5, x)
-    idx, mind = clustering._seed_indices(
+    assert mind is None and idx.shape == (trials, 1)
+
+
+def test_k1_trial_potentials_are_the_table_row_sums():
+    n, trials = 1000, 1000
+    x = np.exp(np.random.default_rng(2).normal(0.0, 1.0, size=(n, 1)))
+    cfg = SeedingConfig(k=1, rng_seed=3, trials=trials)
+    rep = seeding_bound_experiment(SHANNON, x, cfg, samples=2)
+    sums = clustering._tj_columns(SHANNON, 0.5, x).sum(axis=1)
+    idx, _ = clustering._seed_indices(
         None, n, 1, np.random.default_rng(3), trials)
-    assert mind is None
     assert rep.mean_potential == float(sums[idx[:, 0]].mean())
-
-
-def test_k1_optimum_holds_no_matrix():
-    n = 3000
-    x = np.exp(np.random.default_rng(1).normal(0.0, 1.0, size=(n, 1)))
-    tracemalloc.start()
-    try:
-        model = brute_force_discrete_optimum(SHANNON, 0.5, x, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # an n x n float64 matrix would be 72 MB
-    assert peak < n * n * 8 / 50
-    sums = [float(pairwise_total_jensen(SHANNON, 0.5, x, x[j:j + 1]).sum())
-            for j in range(n)]
-    j = int(np.argmin(sums))
-    assert model.potential == sums[j]
-    assert np.array_equal(model.centers, x[j:j + 1])
-    assert np.array_equal(model.assignments, np.zeros(n, dtype=int))
+    assert rep.opt_potential == float(sums.min())
 
 
 def test_brute_force_separates_visible_clusters():
@@ -942,8 +932,8 @@ def test_bound_experiment_computes_each_column_once(k, monkeypatch):
     g = make_builtin("burg", 2)
     seeding_bound_experiment(
         g, x, SeedingConfig(k=k, rng_seed=1, trials=1000), samples=64)
-    # one column per point (the n x n matrix, or k = 1's column sums)
-    assert len(calls) <= len(x) + 1
+    # every k reads the one n x n table, built in one kernel call here
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("options, name", [
