@@ -1,10 +1,11 @@
 """Fingerprint the seeded CLI `results` blocks of one tjdiv source tree.
 
-Writes fixed-seed CSV datasets (d = 1, 2, 4, 8, 16, a 24x2 file, a
-file of repeated rows, and the 24x2 points again under a header with a
-weight column and a blank line) to a temporary directory, runs the seeded
-cluster, seed, centroid, bound-experiment, constants, influence,
-divergence and project commands in process, and prints one
+Writes fixed-seed CSV datasets (400 rows at d = 1, 2, 4, 8, 16, a 24x2
+file, a file of repeated rows, the 24x2 points again under a header
+with a weight column and a blank line, and 9000 rows at d = 16) to a
+temporary directory, runs the seeded cluster, seed, centroid,
+bound-experiment, constants, influence, divergence and project
+commands in process, and prints one
 `name sha256[:16]` line per `results` block, each followed by one
 `name.key sha256[:16]` line per top-level key of that block. Run it
 against two trees and diff the output to see which results, and which
@@ -67,6 +68,11 @@ def _datasets(tmp):
         fh.write("\n".join(["x,y,weight"] + rows[:12] + [""] + rows[12:]))
         fh.write("\n")
     files["weighted2"] = path
+    # 9000 rows at d = 16: two of the kernels' 8192-row blocks
+    means = rng.normal(0.0, 1.0, size=(4, 16))
+    labels = rng.integers(0, 4, size=9000)
+    wide = np.exp(means[labels] + rng.normal(0.0, 0.4, size=(9000, 16)))
+    files["wide16"] = _write_csv(os.path.join(tmp, "wide16.csv"), wide)
     return files
 
 
@@ -116,6 +122,11 @@ def _commands(files):
         ("bound-experiment-shannon-dup2-k4",
          ["bound-experiment", "--input", files["dup2"], "--k", "4",
           "--trials", "200", "--samples", "1024", "--rng-seed", "9"]),
+        ("centroid-shannon-wide16",
+         ["centroid", "--input", files["wide16"], "--outer-max", "200"]),
+        ("cluster-shannon-wide16",
+         ["cluster", "--input", files["wide16"], "--k", "4",
+          "--rng-seed", "3", "--max-rounds", "20", "--outer-max", "50"]),
         ("centroid-weighted-shannon-d2",
          ["centroid", "--input", files["weighted2"], "--outer-max", "200"]),
         ("seed-shannon-dup2",

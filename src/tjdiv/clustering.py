@@ -140,7 +140,8 @@ def _tj_columns(g, alpha, x):
     x_j, so every read is a contiguous row. Centres come m at a time,
     each block one kernel call on its m n stacked pairs: the points
     tiled m times against each centre repeated n times, both
-    column-major. Every entry has the bits of its _tj_column entry."""
+    column-major, and F of both sides read from F(x). Every entry has
+    the bits of its _tj_column entry."""
     n, d = x.shape
     fx = g.f(x)
     cols = np.empty((n, n))
@@ -150,7 +151,8 @@ def _tj_columns(g, alpha, x):
         p = np.tile(x.T, len(c)).T
         q = np.repeat(c.T, n, axis=1).T
         cols[j0:j0 + len(c)] = kernels.pairwise_total_jensen(
-            g, alpha, p, q, fp=np.tile(fx, len(c))).reshape(len(c), n)
+            g, alpha, p, q, fp=np.tile(fx, len(c)),
+            fq=np.repeat(fx[j0:j0 + len(c)], n)).reshape(len(c), n)
     return cols
 
 

@@ -282,14 +282,19 @@ def _quadratic(name, dim, q):
     q_inv = np.linalg.inv(q)
     is_identity = bool(np.array_equal(q, np.eye(dim)))
 
-    def f(x):
+    def xq(x):
         # x @ q accumulated over the coordinate index left to right, as
-        # coordinate_sum does: BLAS's order depends on the batch shape
+        # coordinate_sum does: BLAS's order depends on the batch shape.
+        # The product keeps x's layout.
         x = np.asarray(x, dtype=np.float64)
-        xq = x[..., :1] * q[0]
+        out = np.multiply(x[..., :1], q[0], out=np.empty_like(x))
         for j in range(1, dim):
-            xq += x[..., j:j + 1] * q[j]
-        return 0.5 * coordinate_sum(xq * x)
+            out += x[..., j:j + 1] * q[j]
+        return out
+
+    def f(x):
+        x = np.asarray(x, dtype=np.float64)
+        return 0.5 * coordinate_sum(xq(x) * x)
 
     second = None
     if is_identity:
@@ -302,7 +307,7 @@ def _quadratic(name, dim, q):
         name=name, dim=dim,
         domain=Domain(-math.inf, math.inf),
         f=f,
-        grad=lambda x: np.asarray(x, dtype=np.float64) @ q,
+        grad=xq,
         grad_inverse=lambda y: np.asarray(y, dtype=np.float64) @ q_inv,
         second_deriv=second,
         hessian=lambda x: q,

@@ -29,13 +29,26 @@ bound constants (K2 from `chord_factors`, rho_B).
 F of the point side depends only on the point set, so a caller that
 sweeps the same points against many centres, or runs many centroid
 stages on them, computes it once and passes it in: the keyword-only
-`fp=` of `jensen_gap_and_conformal` and the tJ kernels built on it, and
-`fx=` of `min_divergence_assign` and `jensen_loss`. Left out, it is
-computed from the points, with the same bits. The assignment sweep
-writes one (k, n) block, a row per centre, and reduces it over the
-centres. `cccp_steps` forms the data side alpha * x once per call, not
-once per step, and builds every grad argument in one buffer that lives
-for the call.
+`fp=` (and `fq=` for the other side) of `jensen_gap_and_conformal` and
+the tJ kernels built on it, and `fx=` of `min_divergence_assign` and
+`jensen_loss`. Left out, it is computed from the points, with the same
+bits; F of a broadcast row is computed once per call.
+
+Every kernel runs a row block at a time (`_by_rows`), so that no (rows,
+d) operand it forms, the midpoints alpha p + (1 - alpha) q, p - q, grad
+F and their squares, exceeds `_BLOCK_BYTES` (1 MiB, 8192 rows at d =
+16). A larger temporary comes from fresh, zeroed pages on each
+allocation: on a 20000 x 16 point set one unblocked tJ call took twice
+as long as the same call in row blocks, most of the difference in
+minor page faults. Each block's results go into preallocated (n,)
+outputs; when one block holds every row, its arrays are returned as
+they are, with no copy. Every row's value has the same bits alone and
+inside any batch, so blocking moves no result. The assignment sweep
+gives each row block a (k, rows) block, a row per centre, and reduces
+it over the centres. `cccp_steps` holds one column-major (n, d) buffer
+`gr` per call: each evaluation of the CCCP map forms alpha * x + (1 -
+alpha) * c a block at a time, writes grad F of that block into `gr`,
+and takes the one product w @ gr.
 
 Kernels validate nothing beyond alpha in (0, 1) (`generators.as_real`;
 the limit cases belong to the divergence API): the public functions of
@@ -50,6 +63,13 @@ import numpy as np
 
 from .generators import as_real, coordinate_sum
 
+# Every (rows, d) float64 operand a kernel forms holds at most this many
+# bytes: 8192 rows at d = 16. Temporaries the size of a large point set
+# (2.4 MiB at 20000 x 16) came from fresh, zeroed pages at every
+# allocation, which cost more than the arithmetic on them; blocks within
+# the budget reuse freed memory.
+_BLOCK_BYTES = 1 << 20
+
 
 def _rows(a):
     # the one layout: column-major float64, free on as_points output;
@@ -60,12 +80,44 @@ def _rows(a):
     return np.asfortranarray(a)
 
 
-def _jensen(g, alpha, p, q, fp=None):
-    """(F(p), F(q), row raw Jensen gap J'_alpha(p : q)); fp is F(p) when
-    the caller holds it."""
+def _by_rows(fn, n, d, *args, out=None):
+    """fn(*args) over row blocks of n rows of d coordinates, each block
+    within _BLOCK_BYTES. An argument with n rows is cut into blocks;
+    None and a broadcast row pass whole. fn returns a tuple of arrays
+    with one row per block row, written into n-row outputs: `out`, or
+    new ones. When one block holds all n rows, fn's own arrays come back
+    as they are."""
+    step = max(1, _BLOCK_BYTES // (8 * d))
+    if n <= step:
+        return fn(*args)
+    for i in range(0, n, step):
+        s = slice(i, i + step)
+        part = fn(*(a[s] if np.shape(a)[:1] == (n,) else a for a in args))
+        if out is None:
+            out = tuple(np.empty((n,) + r.shape[1:], r.dtype, order="F")
+                        for r in part)
+        for o, r in zip(out, part):
+            o[s] = r
+        # dropped before fn makes the next block, which then reuses their
+        # memory: held a block longer, they made the allocator hand pages
+        # back to the system and fault them in again
+        del part, r
+    return out
+
+
+def _f_once(g, a, fa):
+    """fa, or F(a) of a broadcast row, which every block reads; None
+    leaves F of an n-row operand to each block."""
+    return g.f(a) if fa is None and len(a) == 1 else fa
+
+
+def _jensen(g, alpha, p, q, fp=None, fq=None):
+    """(F(p), F(q), row raw Jensen gap J'_alpha(p : q)); fp and fq are
+    F(p) and F(q) when the caller holds them."""
     if fp is None:
         fp = g.f(p)
-    fq = g.f(q)
+    if fq is None:
+        fq = g.f(q)
     fm = g.f(alpha * p + (1.0 - alpha) * q)
     return fp, fq, alpha * fp + (1.0 - alpha) * fq - fm
 
@@ -80,36 +132,54 @@ def _chord(df, p, q):
     return s2, 1.0 / np.sqrt(1.0 + s2), nz
 
 
-def jensen_gap_and_conformal(g, alpha, p, q, *, fp=None):
-    """Row-wise (raw gap J'_alpha(p_i : q_i), exactly 0 where p_i = q_i;
-    rho_J(p_i, q_i)) from one F pass; a (1, d) row broadcasts, and fp is
-    F(p) if already known."""
-    alpha = as_real("alpha", alpha)
-    p, q = _rows(p), _rows(q)
-    fp, fq, gap = _jensen(g, alpha, p, q, fp)
+def _gap_rho(g, alpha, p, q, fp, fq):
+    """One block's (raw gap, exactly 0 where p_i = q_i; rho_J)."""
+    fp, fq, gap = _jensen(g, alpha, p, q, fp, fq)
     _, rho, nz = _chord(fp - fq, p, q)
     return np.where(nz, gap, 0.0), rho
 
 
-def total_jensen_and_conformal(g, alpha, p, q, *, fp=None):
+def _scale(gap, rho, alpha):
+    """Row tJ_alpha = rho_J J'_alpha / (alpha (1 - alpha))."""
+    return rho * gap / (alpha * (1.0 - alpha))
+
+
+def jensen_gap_and_conformal(g, alpha, p, q, *, fp=None, fq=None):
+    """Row-wise (raw gap J'_alpha(p_i : q_i), exactly 0 where p_i = q_i;
+    rho_J(p_i, q_i)) from one F pass; a (1, d) row broadcasts, and fp
+    and fq are F(p) and F(q) if already known."""
+    alpha = as_real("alpha", alpha)
+    p, q = _rows(p), _rows(q)
+    return _by_rows(lambda *a: _gap_rho(g, alpha, *a),
+                    max(len(p), len(q)), p.shape[1],
+                    p, q, _f_once(g, p, fp), _f_once(g, q, fq))
+
+
+def total_jensen_and_conformal(g, alpha, p, q, *, fp=None, fq=None):
     """Row-wise (scaled tJ_alpha(p_i : q_i), rho_J(p_i, q_i)) from one F
-    pass; a (1, d) row broadcasts, and fp is F(p) if already known."""
-    gap, rho = jensen_gap_and_conformal(g, alpha, p, q, fp=fp)
-    return rho * gap / (alpha * (1.0 - alpha)), rho
+    pass; a (1, d) row broadcasts, and fp and fq are F(p) and F(q) if
+    already known."""
+    gap, rho = jensen_gap_and_conformal(g, alpha, p, q, fp=fp, fq=fq)
+    return _scale(gap, rho, alpha), rho
 
 
-def pairwise_total_jensen(g, alpha, p, q, *, fp=None):
+def pairwise_total_jensen(g, alpha, p, q, *, fp=None, fq=None):
     """Row-wise scaled tJ_alpha(p_i : q_i); a (1, d) row broadcasts, and
-    fp is F(p) if already known."""
-    return total_jensen_and_conformal(g, alpha, p, q, fp=fp)[0]
+    fp and fq are F(p) and F(q) if already known."""
+    return total_jensen_and_conformal(g, alpha, p, q, fp=fp, fq=fq)[0]
 
 
 def chord_factors(g, p, q):
     """Row-wise (Delta_F, squared chord slope, rho_J) of (p_i, q_i) from
     one F pass, as in _chord; rows broadcast."""
     p, q = _rows(p), _rows(q)
-    df = g.f(p) - g.f(q)
-    return (df,) + _chord(df, p, q)[:2]
+
+    def block(p, q, fp, fq):
+        df = (g.f(p) if fp is None else fp) - (g.f(q) if fq is None else fq)
+        return (df,) + _chord(df, p, q)[:2]
+
+    return _by_rows(block, max(len(p), len(q)), p.shape[1],
+                    p, q, _f_once(g, p, None), _f_once(g, q, None))
 
 
 def pairwise_conformal(g, p, q):
@@ -119,32 +189,43 @@ def pairwise_conformal(g, p, q):
 
 def gradient_conformal(g, q):
     """Row-wise rho_B(q_i) = 1/sqrt(1 + |grad F(q_i)|^2), q_i interior."""
-    gr = g.grad(_rows(q))
-    return 1.0 / np.sqrt(1.0 + coordinate_sum(gr ** 2))
+    q = _rows(q)
+    return _by_rows(
+        lambda q: (1.0 / np.sqrt(1.0 + coordinate_sum(g.grad(q) ** 2)),),
+        len(q), q.shape[1], q)[0]
 
 
 def jensen_loss(g, alpha, x, w, c, *, fx=None):
     """Weighted scaled Jensen loss sum_i w_i J_alpha(x_i : c), one centre
     c; fx is F(x) if already known."""
     alpha = as_real("alpha", alpha)
-    gap = _jensen(g, alpha, _rows(x), np.reshape(c, (1, -1)), fx)[2]
+    x, c = _rows(x), np.reshape(c, (1, -1))
+    fc = g.f(c)
+    gap = _by_rows(lambda xb, fxb: (_jensen(g, alpha, xb, c, fxb, fc)[2],),
+                   len(x), x.shape[1], x, fx)[0]
     return float(w @ gap) / (alpha * (1.0 - alpha))
 
 
 def min_divergence_assign(g, alpha, x, centers, *, fx=None):
     """Per point: (min_c tJ_alpha(x_i : c), argmin index, lowest on ties).
-    F(x) is computed once for all centres, or taken from fx. The (k, n)
-    block holds every tJ_alpha(x_i : c_j), row j for centre j."""
+    F(x) is computed once for all centres, or taken from fx, and F of
+    the centres once. Each row block of x holds a (k, rows) block of
+    every tJ_alpha(x_i : c_j), row j for centre j."""
     alpha = as_real("alpha", alpha)
     x, centers = _rows(x), _rows(centers)
-    if fx is None:
-        fx = g.f(x)
-    vals = np.empty((len(centers), len(x)))
-    for j in range(len(centers)):
-        vals[j] = total_jensen_and_conformal(
-            g, alpha, x, centers[j:j + 1], fp=fx)[0]
-    # argmin takes the first minimum
-    return vals.min(axis=0), vals.argmin(axis=0)
+    fc = g.f(centers)
+
+    def block(xb, fxb):
+        if fxb is None:
+            fxb = g.f(xb)
+        vals = np.empty((len(centers), len(xb)))
+        for j in range(len(centers)):
+            vals[j] = _scale(*_gap_rho(g, alpha, xb, centers[j:j + 1],
+                                       fxb, fc[j:j + 1]), alpha)
+        # argmin takes the first minimum
+        return vals.min(axis=0), vals.argmin(axis=0)
+
+    return _by_rows(block, len(x), x.shape[1], x, fx)
 
 
 class StageSolve(NamedTuple):
@@ -185,15 +266,19 @@ def cccp_steps(g, alpha, x, w, c0, iters):
     """
     alpha = as_real("alpha", alpha)
     iters = int(iters)
-    ax = alpha * _rows(x)  # the data side, the same at every step
-    buf = np.empty_like(ax)  # grad's argument, reused by every evaluation
+    x = _rows(x)
+    n, d = x.shape
+    # grad at every a*x_i + (1-a)*c, rewritten by each evaluation
+    gr = np.empty((n, d), order="F")
     w = np.asarray(w, dtype=np.float64)
     lo = g.domain.lo + 1e-12
     hi = g.domain.hi - 1e-12
 
     def cccp_map(c):
-        np.add(ax, (1.0 - alpha) * c, out=buf)
-        return np.clip(g.grad_inverse(w @ g.grad(buf)), lo, hi)
+        cc = (1.0 - alpha) * c
+        grad = _by_rows(lambda xb: (g.grad(alpha * xb + cc),), n, d, x,
+                        out=(gr,))[0]
+        return np.clip(g.grad_inverse(w @ grad), lo, hi)
 
     def small(r, c):  # the stopping test
         return np.abs(r).max() <= CCCP_TOL * np.abs(c).max()
