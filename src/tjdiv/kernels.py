@@ -20,8 +20,8 @@ row-major copy of the points equals the kernel's own.
 The formulas are written here, once each, and nowhere else outside the
 geometry oracle: the raw gap J'_alpha (`_jensen`), the squared chord
 slope and rho_J (`_chord`), rho_B (`gradient_conformal`), and tJ_alpha =
-rho_J J'_alpha / (alpha (1 - alpha)) from one F pass
-(`total_jensen_and_conformal`). Callers: divergences, on (1, d) rows, so
+rho_J J'_alpha / (alpha (1 - alpha)) (`_scale`), both factors from one
+F pass (`total_jensen_and_conformal`). Callers: divergences, on (1, d) rows, so
 a scalar value is the kernel entry's float; seeding, Lloyd, the bound
 experiment and the centroids (tJ); the influence sweep (rho_J); the
 bound constants (K2 from `chord_factors`, rho_B).
@@ -35,20 +35,19 @@ the tJ kernels built on it, and `fx=` of `min_divergence_assign` and
 bits; F of a broadcast row is computed once per call.
 
 Every kernel runs a row block at a time (`_by_rows`), so that no (rows,
-d) operand it forms, the midpoints alpha p + (1 - alpha) q, p - q, grad
-F and their squares, exceeds `_BLOCK_BYTES` (1 MiB, 8192 rows at d =
-16). A larger temporary comes from fresh, zeroed pages on each
-allocation: on a 20000 x 16 point set one unblocked tJ call took twice
-as long as the same call in row blocks, most of the difference in
-minor page faults. Each block's results go into preallocated (n,)
-outputs; when one block holds every row, its arrays are returned as
-they are, with no copy. Every row's value has the same bits alone and
-inside any batch, so blocking moves no result. The assignment sweep
-gives each row block a (k, rows) block, a row per centre, and reduces
-it over the centres. `cccp_steps` holds one column-major (n, d) buffer
-`gr` per call: each evaluation of the CCCP map forms alpha * x + (1 -
-alpha) * c a block at a time, writes grad F of that block into `gr`,
-and takes the one product w @ gr.
+d) operand it forms (the midpoints alpha p + (1 - alpha) q, p - q, grad
+F, their squares) exceeds `_BLOCK_BYTES`, 1 MiB or 8192 rows at d = 16.
+Temporaries the size of a large point set came from fresh, zeroed pages
+at every allocation: on 20000 x 16 points one unblocked tJ call took
+about twice as long as the same call in row blocks, and made some 1200
+minor page faults where the blocked call made none. Each block's
+results go into preallocated (n,) outputs; when one block holds every
+row, the block's arrays are returned as they are, with no copy. Every
+row's value has the same bits alone and inside any batch, so the block
+size moves no result. The assignment sweep gives each row block a (k,
+rows) block, a row per centre, and reduces it over the centres.
+`cccp_steps` holds one (n, d) buffer per call and fills it block by
+block at each evaluation.
 
 Kernels validate nothing beyond alpha in (0, 1) (`generators.as_real`;
 the limit cases belong to the divergence API): the public functions of
@@ -63,11 +62,9 @@ import numpy as np
 
 from .generators import as_real, coordinate_sum
 
-# Every (rows, d) float64 operand a kernel forms holds at most this many
-# bytes: 8192 rows at d = 16. Temporaries the size of a large point set
-# (2.4 MiB at 20000 x 16) came from fresh, zeroed pages at every
-# allocation, which cost more than the arithmetic on them; blocks within
-# the budget reuse freed memory.
+# the most bytes of any (rows, d) float64 operand a kernel forms; at 2
+# MiB the page faults came back on 20000 x 16 points, and at 256 KiB a
+# 20000 x 4 sweep no longer fit in one block
 _BLOCK_BYTES = 1 << 20
 
 
@@ -82,17 +79,18 @@ def _rows(a):
 
 def _by_rows(fn, n, d, *args, out=None):
     """fn(*args) over row blocks of n rows of d coordinates, each block
-    within _BLOCK_BYTES. An argument with n rows is cut into blocks;
-    None and a broadcast row pass whole. fn returns a tuple of arrays
-    with one row per block row, written into n-row outputs: `out`, or
-    new ones. When one block holds all n rows, fn's own arrays come back
-    as they are."""
+    within _BLOCK_BYTES. An array with n rows is cut into blocks; every
+    other argument (the generator, alpha, a broadcast row, None) passes
+    whole. fn returns a tuple of arrays with one row per block row,
+    written into n-row outputs: `out`, or new ones. When one block holds
+    all n rows, fn's own arrays come back as they are."""
     step = max(1, _BLOCK_BYTES // (8 * d))
     if n <= step:
         return fn(*args)
     for i in range(0, n, step):
         s = slice(i, i + step)
-        part = fn(*(a[s] if np.shape(a)[:1] == (n,) else a for a in args))
+        part = fn(*(a[s] if isinstance(a, np.ndarray) and a.shape[:1] == (n,)
+                    else a for a in args))
         if out is None:
             out = tuple(np.empty((n,) + r.shape[1:], r.dtype, order="F")
                         for r in part)
@@ -106,8 +104,8 @@ def _by_rows(fn, n, d, *args, out=None):
 
 
 def _f_once(g, a, fa):
-    """fa, or F(a) of a broadcast row, which every block reads; None
-    leaves F of an n-row operand to each block."""
+    """F(a) if a is one broadcast row, for every block to read; else fa,
+    where None leaves F of the n-row operand to each block."""
     return g.f(a) if fa is None and len(a) == 1 else fa
 
 
@@ -150,8 +148,7 @@ def jensen_gap_and_conformal(g, alpha, p, q, *, fp=None, fq=None):
     and fq are F(p) and F(q) if already known."""
     alpha = as_real("alpha", alpha)
     p, q = _rows(p), _rows(q)
-    return _by_rows(lambda *a: _gap_rho(g, alpha, *a),
-                    max(len(p), len(q)), p.shape[1],
+    return _by_rows(_gap_rho, max(len(p), len(q)), p.shape[1], g, alpha,
                     p, q, _f_once(g, p, fp), _f_once(g, q, fq))
 
 
@@ -263,6 +260,10 @@ def cccp_steps(g, alpha, x, w, c0, iters):
     G is clamped 1e-12 inside the domain box if it ever lands outside
     (cannot happen for the builtin generators, whose inverse gradients
     map into the open domain).
+
+    The stage holds one column-major (n, d) buffer `gr` for the call.
+    Each evaluation forms a*x_i + (1-a)*c a row block at a time, writes
+    grad of that block into `gr`, and sums with the one product w @ gr.
     """
     alpha = as_real("alpha", alpha)
     iters = int(iters)
