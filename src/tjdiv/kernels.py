@@ -262,14 +262,14 @@ def cccp_steps(g, alpha, x, w, c0, iters):
     map into the open domain).
 
     The stage holds one column-major (n, d) buffer `gr` for the call.
-    Each evaluation forms a*x_i + (1-a)*c a row block at a time, writes
-    grad of that block into `gr`, and sums with the one product w @ gr.
+    Each evaluation forms a*x_i + (1-a)*c in it a row block at a time,
+    overwrites each block with grad there, and sums with the one product
+    w @ gr.
     """
     alpha = as_real("alpha", alpha)
     iters = int(iters)
     x = _rows(x)
     n, d = x.shape
-    # grad at every a*x_i + (1-a)*c, rewritten by each evaluation
     gr = np.empty((n, d), order="F")
     w = np.asarray(w, dtype=np.float64)
     lo = g.domain.lo + 1e-12
@@ -277,8 +277,13 @@ def cccp_steps(g, alpha, x, w, c0, iters):
 
     def cccp_map(c):
         cc = (1.0 - alpha) * c
-        grad = _by_rows(lambda xb: (g.grad(alpha * xb + cc),), n, d, x,
-                        out=(gr,))[0]
+
+        def grad_at(xb, arg):
+            np.multiply(xb, alpha, out=arg)
+            arg += cc
+            return (g.grad(arg),)
+
+        grad = _by_rows(grad_at, n, d, x, gr, out=(gr,))[0]
         return np.clip(g.grad_inverse(w @ grad), lo, hi)
 
     def small(r, c):  # the stopping test

@@ -580,7 +580,11 @@ def test_blocked_table_matches_its_columns(name, dim, monkeypatch):
     # one block, then blocks of 4 centres (the last one short)
     assert np.array_equal(clustering._tj_columns(g, 0.4, x), want)
     monkeypatch.setattr(clustering, "_BLOCK_BYTES", 8 * n * dim * 4)
-    assert np.array_equal(clustering._tj_columns(g, 0.4, x), want)
+    counted, seen = _counting_f(g)
+    assert np.array_equal(clustering._tj_columns(counted, 0.4, x), want)
+    # F of the points once, which both sides of every pair read, then
+    # the n^2 midpoints
+    assert _f_rows(seen) == n + n * n
 
 
 @pytest.mark.parametrize("block", [1, 3, 16, None])
