@@ -549,8 +549,7 @@ def _cmd_metric_check(ns, timings):
     as_count("trials", ns.trials)
     as_count("dim", ns.dim, lo=2)
     as_count("rng_seed", ns.rng_seed, lo=0)
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(ns.rng_seed)))
+    rng = np.random.default_rng(ns.rng_seed)
     worst = -math.inf
     worst_triple = None
     violations = 0

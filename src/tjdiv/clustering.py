@@ -16,15 +16,17 @@ experiment of one trial draws the centres seed_indices draws.
 
 On n points every divergence the brute-force optimum and the seeding
 trials need is an entry of one n x n matrix, tJ_alpha(x_i : x_j), so
-for every k it is built once and read from then on: a block of centres
-at a time, each block one kernel call on its stacked (point, centre)
-pairs, every entry with the bits of its own one-centre column. The
-table budget caps that matrix at C(n, 2) <= 1e6 pairs for every k. The
-optimum's scan reads the k-subsets in lexicographic order, each
-(k-1)-prefix expanded with every last index above it in one numpy
-step; at k = 1 each potential is one row's sum. F(x) depends only on
-the points, so it is computed once per point set and every column,
-sweep and centroid stage over those points reads it.
+for every k it is built once (`kernels.tj_table`, the block kernel the
+assignment sweep reduces) and read from then on, every entry with the
+bits of its own one-centre column. The table budget caps that matrix at
+C(n, 2) <= 1e6 pairs for every k. The optimum's scan reads the
+k-subsets in lexicographic order, each (k-1)-prefix expanded with every
+last index above it in one numpy step, a block of `kernels._BLOCK_BYTES`
+at a time; at k = 1 each potential is one row's sum. The optimum's
+assignments are one sweep against its centres, whose first minimum is
+the scan's tie rule. F(x) depends only on the points, so it is computed
+once per point set and every column, sweep and centroid stage over
+those points reads it.
 
 The approximation-bound constants K1 (Hessian eigenvalue spread over
 the closure) and K2 (squared chord slope) are estimated by sampling the
@@ -135,27 +137,6 @@ def _tj_column(g, alpha, x, fx, j):
     return kernels.pairwise_total_jensen(g, alpha, x, x[j:j + 1], fp=fx)
 
 
-def _tj_columns(g, alpha, x):
-    """cols[j, i] = tJ_alpha(x_i : x_j). Row j is the column of centre
-    x_j, so every read is a contiguous row. Centres come m at a time,
-    each block one kernel call on its m n stacked pairs: the points
-    tiled m times against each centre repeated n times, both
-    column-major, and F of both sides read from F(x). Every entry has
-    the bits of its _tj_column entry."""
-    n, d = x.shape
-    fx = g.f(x)
-    cols = np.empty((n, n))
-    m = max(1, _BLOCK_BYTES // (8 * n * d))
-    for j0 in range(0, n, m):
-        c = x[j0:j0 + m]
-        p = np.tile(x.T, len(c)).T
-        q = np.repeat(c.T, n, axis=1).T
-        cols[j0:j0 + len(c)] = kernels.pairwise_total_jensen(
-            g, alpha, p, q, fp=np.tile(fx, len(c)),
-            fq=np.repeat(fx[j0:j0 + len(c)], n)).reshape(len(c), n)
-    return cols
-
-
 def _seed_indices(rows, n, k, rng, trials=1):
     """k-means++ draws over n points for `trials` trials, all a step at
     a time from the one generator rng. rows(j), j the (T,) newest
@@ -256,16 +237,9 @@ def _check_subsets(n: int, k: int):
             f"C({n},2) pairs exceed the table budget of 1e6")
 
 
-# bytes of one block. Whatever C(n, k) is, the scan holds a few blocks:
-# prefix minima, subset minima, the rows gathered into them and the
-# subsets' indices. A table block stacks as many centres as one block
-# holds, and one at least.
-_BLOCK_BYTES = 1 << 18
-
-
 def _optimum(cols, k):
-    """(potential, subset, assignments) of the k-subset S minimising
-    sum_i min_{j in S} cols[j, i], with cols from _tj_columns. Subsets
+    """(potential, subset) of the k-subset S minimising
+    sum_i min_{j in S} cols[j, i], with cols from kernels.tj_table. Subsets
     come in lexicographic order and the first minimum wins: each
     (k-1)-prefix P of combinations(range(n - 1), k - 1), in its order,
     followed by every last index above P[-1], in increasing order. That
@@ -277,8 +251,8 @@ def _optimum(cols, k):
     if k == 1:
         pots = cols.sum(axis=1)
         j = int(np.argmin(pots))
-        return float(pots[j]), np.array([j]), np.zeros(n, dtype=np.intp)
-    rows = max(1, _BLOCK_BYTES // (8 * n))
+        return float(pots[j]), np.array([j])
+    rows = max(1, kernels._BLOCK_BYTES // (8 * n))
     prefixes = combinations(range(n - 1), k - 1)
     best = None
     while True:
@@ -305,25 +279,19 @@ def _optimum(cols, k):
             if best is None or pots[b] < best[0]:
                 best = (float(pots[b]),
                         np.append(P[owner[s0 + b]], last[s0 + b]))
-    pot, subset = best
-    # each point's nearest centre, the first on ties, one row at a time:
-    # np.argmin over the gathered (k, n) rows would hold two copies
-    idx = np.zeros(n, dtype=np.intp)
-    near = cols[subset[0]].copy()
-    for r in range(1, k):
-        closer = cols[subset[r]] < near
-        near[closer] = cols[subset[r]][closer]
-        idx[closer] = r
-    return pot, subset, idx
+    return best
 
 
 def brute_force_discrete_optimum(g: Generator, alpha, data, k: int) -> ClusterModel:
     """Exact minimizer of the potential over all k-subsets of the data."""
     x = as_points(data, g)
-    n = x.shape[0]
-    _check_subsets(n, k)
-    pot, subset, idx = _optimum(_tj_columns(g, alpha, x), k)
-    return ClusterModel(centers=x[subset], assignments=idx,
+    _check_subsets(x.shape[0], k)
+    fx = g.f(x)
+    pot, subset = _optimum(kernels.tj_table(g, alpha, x, fx=fx), k)
+    centers = x[subset]
+    # the sweep's first minimum is the scan's tie rule
+    idx = kernels.min_divergence_assign(g, alpha, x, centers, fx=fx)[1]
+    return ClusterModel(centers=centers, assignments=idx,
                         potential=pot, rounds=0)
 
 
@@ -485,7 +453,7 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
     _check_subsets(n, k)
     rng = np.random.default_rng(cfg.rng_seed)
     t0 = time.perf_counter()
-    cols = _tj_columns(g, cfg.alpha, x)
+    cols = kernels.tj_table(g, cfg.alpha, x)
     t1 = time.perf_counter()
     opt_pot = _optimum(cols, k)[0]
     t2 = time.perf_counter()

@@ -341,20 +341,12 @@ def make_builtin(name: str, dimension: int = 1, matrix=None) -> Generator:
     return g
 
 
-def _separable_hessian(g):
-    def hess(x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.diag(g.second_deriv(x))
-
-    return hess
-
-
 def hessian_at(g: Generator, x: np.ndarray) -> np.ndarray:
     """Hessian matrix of F at a point (diagonal for separable generators)."""
     if g.hessian is not None:
         return np.asarray(g.hessian(x), dtype=np.float64)
     if g.separable and g.second_deriv is not None:
-        return _separable_hessian(g)(x)
+        return np.diag(g.second_deriv(np.asarray(x, dtype=np.float64)))
     raise DomainError(f"{g.name} exposes no Hessian information")
 
 

@@ -1,5 +1,5 @@
 """Hot numeric kernels: row-wise tJ and rho_J, the Jensen loss, the
-assignment sweep and the CCCP stage solver.
+assignment sweep, the tJ table and the CCCP stage solver.
 
 Each kernel is vectorized numpy written against the generator's batched
 callables (f, grad, grad_inverse), so builtin, affine-transformed and
@@ -29,25 +29,30 @@ bound constants (K2 from `chord_factors`, rho_B).
 F of the point side depends only on the point set, so a caller that
 sweeps the same points against many centres, or runs many centroid
 stages on them, computes it once and passes it in: the keyword-only
-`fp=` (and `fq=` for the other side) of `jensen_gap_and_conformal` and
-the tJ kernels built on it, and `fx=` of `min_divergence_assign` and
-`jensen_loss`. Left out, it is computed from the points, with the same
-bits; F of a broadcast row is computed once per call.
+`fp=` of `jensen_gap_and_conformal` and the tJ kernels built on it, and
+`fx=` of `min_divergence_assign`, `tj_table` and `jensen_loss`. Left
+out, it is computed from the points, with the same bits; F of a
+broadcast row is computed once per call.
 
+Points against a set of centres, tJ_alpha(x_i : c_j), is one block
+kernel, `_tj_block`, the one place that decides which (point, centre)
+pairs share a pass: the assignment sweep reduces its blocks over the
+centres, and `tj_table` keeps them whole.
+
+`_BLOCK_BYTES`, 1 MiB or 8192 rows at d = 16, is the one work budget.
 Every kernel runs a row block at a time (`_by_rows`), so that no (rows,
 d) operand it forms (the midpoints alpha p + (1 - alpha) q, p - q, grad
-F, their squares) exceeds `_BLOCK_BYTES`, 1 MiB or 8192 rows at d = 16.
+F, their squares, a block's stacked pairs) exceeds it, and the
+optimum's subset scan in `clustering` holds blocks of that size.
 Temporaries the size of a large point set came from fresh, zeroed pages
 at every allocation: on 20000 x 16 points one unblocked tJ call took
 about twice as long as the same call in row blocks, and made some 1200
 minor page faults where the blocked call made none. Each block's
-results go into preallocated (n,) outputs; when one block holds every
+results go into preallocated n-row outputs; when one block holds every
 row, the block's arrays are returned as they are, with no copy. Every
 row's value has the same bits alone and inside any batch, so the block
-size moves no result. The assignment sweep gives each row block a (k,
-rows) block, a row per centre, and reduces it over the centres.
-`cccp_steps` holds one (n, d) buffer per call and fills it block by
-block at each evaluation.
+size moves no result. `cccp_steps` holds one (n, d) buffer per call and
+fills it block by block at each evaluation.
 
 Kernels validate nothing beyond alpha in (0, 1) (`generators.as_real`;
 the limit cases belong to the divergence API): the public functions of
@@ -142,28 +147,29 @@ def _scale(gap, rho, alpha):
     return rho * gap / (alpha * (1.0 - alpha))
 
 
-def jensen_gap_and_conformal(g, alpha, p, q, *, fp=None, fq=None):
+def jensen_gap_and_conformal(g, alpha, p, q, *, fp=None):
     """Row-wise (raw gap J'_alpha(p_i : q_i), exactly 0 where p_i = q_i;
-    rho_J(p_i, q_i)) from one F pass; a (1, d) row broadcasts, and fp
-    and fq are F(p) and F(q) if already known."""
+    rho_J(p_i, q_i)) from one F pass; a (1, d) row broadcasts, and fp is
+    F(p) if already known."""
     alpha = as_real("alpha", alpha)
     p, q = _rows(p), _rows(q)
     return _by_rows(_gap_rho, max(len(p), len(q)), p.shape[1], g, alpha,
-                    p, q, _f_once(g, p, fp), _f_once(g, q, fq))
+                    p, q, _f_once(g, p, fp), _f_once(g, q, None))
 
 
-def total_jensen_and_conformal(g, alpha, p, q, *, fp=None, fq=None):
+def total_jensen_and_conformal(g, alpha, p, q, *, fp=None):
     """Row-wise (scaled tJ_alpha(p_i : q_i), rho_J(p_i, q_i)) from one F
-    pass; a (1, d) row broadcasts, and fp and fq are F(p) and F(q) if
-    already known."""
-    gap, rho = jensen_gap_and_conformal(g, alpha, p, q, fp=fp, fq=fq)
+    pass; a (1, d) row broadcasts, and fp is F(p) if already known. The
+    gap and the scale read the one checked float alpha."""
+    alpha = as_real("alpha", alpha)
+    gap, rho = jensen_gap_and_conformal(g, alpha, p, q, fp=fp)
     return _scale(gap, rho, alpha), rho
 
 
-def pairwise_total_jensen(g, alpha, p, q, *, fp=None, fq=None):
+def pairwise_total_jensen(g, alpha, p, q, *, fp=None):
     """Row-wise scaled tJ_alpha(p_i : q_i); a (1, d) row broadcasts, and
-    fp and fq are F(p) and F(q) if already known."""
-    return total_jensen_and_conformal(g, alpha, p, q, fp=fp, fq=fq)[0]
+    fp is F(p) if already known."""
+    return total_jensen_and_conformal(g, alpha, p, q, fp=fp)[0]
 
 
 def chord_factors(g, p, q):
@@ -203,22 +209,52 @@ def jensen_loss(g, alpha, x, w, c, *, fx=None):
     return float(w @ gap) / (alpha * (1.0 - alpha))
 
 
+def _tj_block(g, alpha, xb, fxb, centers, fc):
+    """The (k, rows) block of tJ_alpha(xb_i : centers_j), row j for
+    centre j; fxb = F(xb) and fc = F(centers). Centres come m at a time,
+    as many as keep the stacked pairs within _BLOCK_BYTES, each group one
+    kernel pass on the points tiled m times against each centre repeated
+    once per point, both column-major. When one centre fits, it is a
+    broadcast (1, d) row, uncopied. Every entry has the bits of its own
+    one-centre pass."""
+    rows = len(xb)
+    out = np.empty((len(centers), rows))
+    m = max(1, _BLOCK_BYTES // (8 * xb.size))
+    for j in range(0, len(centers), m):
+        p, fp, q, fq = xb, fxb, centers[j:j + m], fc[j:j + m]
+        if m > 1:
+            p, fp = np.tile(xb.T, len(q)).T, np.tile(fxb, len(q))
+            q, fq = np.repeat(q.T, rows, axis=1).T, np.repeat(fq, rows)
+        out[j:j + m] = _scale(*_gap_rho(g, alpha, p, q, fp, fq),
+                              alpha).reshape(-1, rows)
+    return out
+
+
+def tj_table(g, alpha, x, *, fx=None):
+    """The n x n table t[j, i] = tJ_alpha(x_i : x_j) of x against its own
+    rows. Row j is the column of centre x_j, so every read of a centre is
+    a contiguous row. F(x) is computed once, or taken from fx, and read
+    for both sides."""
+    alpha = as_real("alpha", alpha)
+    x = _rows(x)
+    if fx is None:
+        fx = g.f(x)
+    return _by_rows(lambda xb, fxb: (_tj_block(g, alpha, xb, fxb, x, fx).T,),
+                    len(x), x.shape[1], x, fx)[0].T
+
+
 def min_divergence_assign(g, alpha, x, centers, *, fx=None):
     """Per point: (min_c tJ_alpha(x_i : c), argmin index, lowest on ties).
     F(x) is computed once for all centres, or taken from fx, and F of
-    the centres once. Each row block of x holds a (k, rows) block of
-    every tJ_alpha(x_i : c_j), row j for centre j."""
+    the centres once. Each row block of x is reduced from its (k, rows)
+    block of every tJ_alpha(x_i : c_j)."""
     alpha = as_real("alpha", alpha)
     x, centers = _rows(x), _rows(centers)
     fc = g.f(centers)
 
     def block(xb, fxb):
-        if fxb is None:
-            fxb = g.f(xb)
-        vals = np.empty((len(centers), len(xb)))
-        for j in range(len(centers)):
-            vals[j] = _scale(*_gap_rho(g, alpha, xb, centers[j:j + 1],
-                                       fxb, fc[j:j + 1]), alpha)
+        vals = _tj_block(g, alpha, xb, g.f(xb) if fxb is None else fxb,
+                         centers, fc)
         # argmin takes the first minimum
         return vals.min(axis=0), vals.argmin(axis=0)
 

@@ -237,7 +237,7 @@ def test_batched_draws_match_the_exact_pair_frequencies():
     from statistics import NormalDist
     Y = np.array([0.5, 1.0, 2.0, 4.0, 8.0]).reshape(-1, 1)
     n, trials = len(Y), 40000
-    cols = clustering._tj_columns(SHANNON, 0.5, Y)
+    cols = kernels.tj_table(SHANNON, 0.5, Y)
     idx, _ = clustering._seed_indices(
         cols.__getitem__, n, 2, np.random.default_rng(15), trials)
     normal = NormalDist()
@@ -536,7 +536,7 @@ def _assert_reference_optimum(g, alpha, x, k):
 def test_matrix_optimum_matches_the_reference(name, dim, block, monkeypatch):
     if block is not None:
         # a few subsets per block, so the scan crosses block boundaries
-        monkeypatch.setattr(clustering, "_BLOCK_BYTES", 8 * 12 * block)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * 12 * block)
     g = make_builtin(name, dim)
     x = np.exp(np.random.default_rng(dim).normal(0.0, 1.0, size=(12, dim)))
     for k in (1, 2, 3, 12):
@@ -546,17 +546,17 @@ def test_matrix_optimum_matches_the_reference(name, dim, block, monkeypatch):
 @pytest.mark.parametrize("block", [None, 1, 4])
 def test_matrix_optimum_ties_go_to_the_lowest_subset(block, monkeypatch):
     if block is not None:
-        monkeypatch.setattr(clustering, "_BLOCK_BYTES", 8 * 8 * block)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * 8 * block)
     # rows 0/1, 2/3 and 4/5 are duplicates, so every best subset has an
     # exact twin that only its row indices tell apart
     X = np.array([1.0, 1.0, 2.0, 2.0, 9.0, 9.0, 1.5, 8.0]).reshape(-1, 1)
-    cols = clustering._tj_columns(SHANNON, 0.5, X)
+    cols = kernels.tj_table(SHANNON, 0.5, X)
     # at k = 8 the duplicate centres tie for their own rows' assignments
     for k in (1, 2, 3, 4, 8):
         _assert_reference_optimum(SHANNON, 0.5, X, k)
         subset = _reference_brute_force(SHANNON, 0.5, X, k)[1]
         assert tuple(clustering._optimum(cols, k)[1].tolist()) == subset
-    three = clustering._tj_columns(SHANNON, 0.5, X[:6])
+    three = kernels.tj_table(SHANNON, 0.5, X[:6])
     assert clustering._optimum(three, 3)[1].tolist() == [0, 2, 4]
 
 
@@ -578,10 +578,10 @@ def test_blocked_table_matches_its_columns(name, dim, monkeypatch):
     want = np.array([clustering._tj_column(g, 0.4, x, fx, j)
                      for j in range(n)])
     # one block, then blocks of 4 centres (the last one short)
-    assert np.array_equal(clustering._tj_columns(g, 0.4, x), want)
-    monkeypatch.setattr(clustering, "_BLOCK_BYTES", 8 * n * dim * 4)
+    assert np.array_equal(kernels.tj_table(g, 0.4, x), want)
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * n * dim * 4)
     counted, seen = _counting_f(g)
-    assert np.array_equal(clustering._tj_columns(counted, 0.4, x), want)
+    assert np.array_equal(kernels.tj_table(counted, 0.4, x), want)
     # F of the points once, which both sides of every pair read, then
     # the n^2 midpoints
     assert _f_rows(seen) == n + n * n
@@ -590,16 +590,16 @@ def test_blocked_table_matches_its_columns(name, dim, monkeypatch):
 @pytest.mark.parametrize("block", [1, 3, 16, None])
 def test_prefix_scan_finds_the_first_minimum(block, monkeypatch):
     if block is not None:
-        monkeypatch.setattr(clustering, "_BLOCK_BYTES", 8 * 10 * block)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * 10 * block)
     # duplicate rows make exact ties between subsets
     X = np.array([1.0, 1.0, 2.0, 2.0, 9.0, 9.0, 1.5, 8.0, 8.0, 3.0])
     for n in range(2, 11):
-        cols = clustering._tj_columns(SHANNON, 0.5, X[:n].reshape(-1, 1))
+        cols = kernels.tj_table(SHANNON, 0.5, X[:n].reshape(-1, 1))
         for k in range(1, n + 1):
             pots = [np.minimum.reduce(cols[list(S)]).sum()
                     for S in combinations(range(n), k)]
             first = int(np.argmin(pots))
-            pot, subset, _ = clustering._optimum(cols, k)
+            pot, subset = clustering._optimum(cols, k)
             assert pot == pots[first]
             assert tuple(subset.tolist()) == list(
                 combinations(range(n), k))[first]
@@ -608,7 +608,7 @@ def test_prefix_scan_finds_the_first_minimum(block, monkeypatch):
 def test_prefix_scan_holds_a_few_blocks(monkeypatch):
     # k = 2 at n = 400: one prefix has 399 subsets, 50 blocks of 8 rows
     n = 400
-    monkeypatch.setattr(clustering, "_BLOCK_BYTES", 8 * n * 8)
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * n * 8)
     cols = np.random.default_rng(5).uniform(size=(n, n))
     tracemalloc.start()
     try:
@@ -638,7 +638,7 @@ def test_k1_trial_potentials_are_the_table_row_sums():
     x = np.exp(np.random.default_rng(2).normal(0.0, 1.0, size=(n, 1)))
     cfg = SeedingConfig(k=1, rng_seed=3, trials=trials)
     rep = seeding_bound_experiment(SHANNON, x, cfg, samples=2)
-    sums = clustering._tj_columns(SHANNON, 0.5, x).sum(axis=1)
+    sums = kernels.tj_table(SHANNON, 0.5, x).sum(axis=1)
     idx, _ = clustering._seed_indices(
         None, n, 1, np.random.default_rng(3), trials)
     assert rep.mean_potential == float(sums[idx[:, 0]].mean())
@@ -925,18 +925,18 @@ def test_bound_experiment_on_duplicates_takes_the_uniform_branch():
 @pytest.mark.parametrize("k", [1, 3])
 def test_bound_experiment_computes_each_column_once(k, monkeypatch):
     calls = []
-    tj = kernels.jensen_gap_and_conformal
+    block = kernels._tj_block
 
-    def counting(g, alpha, p, q, **kw):
+    def counting(*args):
         calls.append(1)
-        return tj(g, alpha, p, q, **kw)
+        return block(*args)
 
-    monkeypatch.setattr(kernels, "jensen_gap_and_conformal", counting)
+    monkeypatch.setattr(kernels, "_tj_block", counting)
     x = np.exp(np.random.default_rng(4).normal(0.0, 0.7, size=(24, 2)))
     g = make_builtin("burg", 2)
     seeding_bound_experiment(
         g, x, SeedingConfig(k=k, rng_seed=1, trials=1000), samples=64)
-    # every k reads the one n x n table, built in one kernel call here
+    # every k reads the one n x n table, built in one block here
     assert len(calls) == 1
 
 

@@ -400,6 +400,21 @@ def test_scalar_api_equals_kernel_entries_bit_for_bit(name, d):
             kernels.pairwise_conformal(g, p[None], q[None])[0]
 
 
+@pytest.mark.parametrize("alpha", [np.float32(0.3), "0.5"])
+def test_tj_kernels_scale_by_the_checked_alpha(alpha):
+    # the tJ kernels once scaled by the alpha they were given rather than
+    # the float they checked: "0.5" raised TypeError, and float32 0.3 gave
+    # 0.68167994293 where the sweep gave 0.68167995454
+    g = make_builtin("shannon", 2)
+    x = np.array([[1.0, 2.0], [2.0, 1.0]])
+    p, q = x[:1], x[1:]
+    want = kernels.pairwise_total_jensen(g, float(alpha), p, q)[0]
+    assert kernels.pairwise_total_jensen(g, alpha, p, q)[0] == want
+    assert kernels.total_jensen_and_conformal(g, alpha, p, q)[0][0] == want
+    assert kernels.tj_table(g, alpha, x)[1, 0] == want
+    assert kernels.min_divergence_assign(g, alpha, p, q)[0][0] == want
+
+
 def _mp_f(name, x):
     if name == "shannon":
         return mp.fsum(v * mp.log(v) - v for v in x)

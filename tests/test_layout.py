@@ -139,6 +139,7 @@ def _kernel_outputs(g, x):
                                                     fp=g.f(x)),
         "chord": kernels.chord_factors(g, x, rev),
         "assign": min_divergence_assign(g, 0.3, x, centers),
+        "table": kernels.tj_table(g, 0.3, x),
         "rho_b": kernels.gradient_conformal(g, x),
         "loss": kernels.jensen_loss(g, 0.3, x, w, w @ x),
         "stage": solve[1:],
