@@ -87,7 +87,7 @@ def _check_inputs(g: Generator, data: WeightedPointSet):
     if data.dim != g.dim:
         raise ValidationError(
             f"data dimension {data.dim} does not match generator {g.dim}")
-    if not g.has_grad_inverse:
+    if g.grad_inverse is None:
         raise CapabilityError(
             f"{g.name} has no inverse gradient; fixed-point updates need one")
     ensure_domain(g, data.points)

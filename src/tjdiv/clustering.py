@@ -56,7 +56,7 @@ class SeedingConfig:
     k: int
     alpha: float = 0.5
     rng_seed: int = 0
-    trials: int = 1
+    trials: int = 1  # seeding_bound_experiment's; one seeding needs 1
 
     def __post_init__(self):
         as_count("k", self.k)
@@ -182,6 +182,10 @@ def _seed_indices(rows, n, k, rng, trials=1):
 
 def _seeded_indices(g, x, cfg: SeedingConfig, fx=None):
     # x is already checked by the public caller; fx = F(x), if known
+    if cfg.trials != 1:
+        raise ValidationError(
+            f"trials={cfg.trials}: a seeding is one trial; "
+            "seeding_bound_experiment runs many")
     if x.shape[0] < cfg.k:
         raise ValidationError(f"need at least k={cfg.k} points, have {x.shape[0]}")
     if fx is None and cfg.k > 1:  # k = 1 draws once and reads no column

@@ -5,6 +5,12 @@ separable generators) the coordinatewise second derivative. Callables
 are batched: `f` maps (..., d) arrays to (...) values, `grad`,
 `grad_inverse` and `second_deriv` map (..., d) to (..., d).
 
+Each separable builtin, F(x) = sum_j phi(x_j), is one declaration of
+its scalar parts (domain, phi, phi', (phi')^-1, phi'') in `_SEPARABLE`,
+and `_separable` builds them all, casting the input to float64 once and
+summing phi with `coordinate_sum` (whose order neither layout nor batch
+size changes). `_affine` builds both affine maps, G(x) = lam F(a x) + c.
+
 Boundary conventions: evaluation at a closed boundary returns the limit
 value (0*log 0 = 0 for shannon and bit), but gradients are only defined
 on the open interior and requesting one at a boundary raises.
@@ -14,9 +20,7 @@ pairs (`as_point`, `as_points`, `as_pair`, `ensure_domain`), real
 options in an interval (`as_real`), counts (`as_count`) and symmetric
 positive-definite matrices (`as_spd`). Other modules call these rather
 than restate a domain, interval, count or matrix test. `as_points`
-also fixes the one layout of point sets, column-major (n, d), and the
-builtin F sums its coordinates with `coordinate_sum`, in an order that
-neither layout nor batch size changes.
+also fixes the one layout of point sets, column-major (n, d).
 """
 
 import math
@@ -26,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import CapabilityError, DomainError, ValidationError
 
 BUILTIN_NAMES = (
     "shannon", "burg", "bit", "squared-mahalanobis", "squared-euclidean")
@@ -74,14 +78,6 @@ class Generator:
     second_deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     separable: bool = True
-
-    @property
-    def has_grad_inverse(self) -> bool:
-        return self.grad_inverse is not None
-
-    @property
-    def has_second_deriv(self) -> bool:
-        return self.second_deriv is not None
 
 
 def as_point(x, dim: Optional[int] = None) -> np.ndarray:
@@ -215,41 +211,15 @@ def coordinate_sum(a) -> np.ndarray:
 
 
 def _xlogx(x):
-    """x log x, 0 at x = 0: log runs on 1 there. The copy with those 1s
-    is the one float buffer; log and the product run in place on it."""
-    x = np.asarray(x, dtype=np.float64)
+    """x log x of a float64 array, 0 at x = 0 (log runs on 1 there). The
+    copy with those 1s is the one buffer log and the product run in."""
     out = np.where(x > 0.0, x, 1.0)
     np.log(out, out=out)
     out *= x
     return out
 
 
-def _shannon(dim):
-    def f(x):
-        x = np.asarray(x, dtype=np.float64)
-        return coordinate_sum(_xlogx(x) - x)
-
-    return Generator(
-        name="shannon", dim=dim,
-        domain=Domain(0.0, math.inf, eval_closed_lo=True),
-        f=f,
-        grad=lambda x: np.log(np.asarray(x, dtype=np.float64)),
-        grad_inverse=lambda y: np.exp(np.asarray(y, dtype=np.float64)),
-        second_deriv=lambda x: 1.0 / np.asarray(x, dtype=np.float64))
-
-
-def _burg(dim):
-    return Generator(
-        name="burg", dim=dim,
-        domain=Domain(0.0, math.inf),
-        f=lambda x: coordinate_sum(-np.log(np.asarray(x, dtype=np.float64))),
-        grad=lambda x: -1.0 / np.asarray(x, dtype=np.float64),
-        grad_inverse=lambda y: -1.0 / np.asarray(y, dtype=np.float64),
-        second_deriv=lambda x: np.asarray(x, dtype=np.float64) ** -2.0)
-
-
 def _logistic(y):
-    y = np.asarray(y, dtype=np.float64)
     out = np.empty_like(y)
     pos = y >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
@@ -258,23 +228,31 @@ def _logistic(y):
     return out
 
 
-def _bit(dim):
-    def f(x):
-        x = np.asarray(x, dtype=np.float64)
-        return coordinate_sum(_xlogx(x) + _xlogx(1.0 - x))
+# name: (coordinate domain, phi, phi', (phi')^-1, phi''), on float64 arrays
+_SEPARABLE = {
+    "shannon": (Domain(0.0, math.inf, eval_closed_lo=True),
+                lambda x: _xlogx(x) - x, np.log, np.exp, lambda x: 1.0 / x),
+    "burg": (Domain(0.0, math.inf),
+             lambda x: -np.log(x), lambda x: -1.0 / x, lambda y: -1.0 / y,
+             lambda x: x ** -2.0),
+    "bit": (Domain(0.0, 1.0, eval_closed_lo=True, eval_closed_hi=True),
+            lambda x: _xlogx(x) + _xlogx(1.0 - x),
+            lambda x: np.log(x / (1.0 - x)), _logistic,
+            lambda x: 1.0 / (x * (1.0 - x))),
+}
 
-    def grad(x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.log(x / (1.0 - x))
 
-    def second(x):
-        x = np.asarray(x, dtype=np.float64)
-        return 1.0 / (x * (1.0 - x))
+def _separable(name, dim):
+    domain, phi, dphi, dphi_inv, ddphi = _SEPARABLE[name]
+
+    def on_float64(part):  # the one cast of every callable's input
+        return lambda x: part(np.asarray(x, dtype=np.float64))
 
     return Generator(
-        name="bit", dim=dim,
-        domain=Domain(0.0, 1.0, eval_closed_lo=True, eval_closed_hi=True),
-        f=f, grad=grad, grad_inverse=_logistic, second_deriv=second)
+        name=name, dim=dim, domain=domain,
+        f=on_float64(lambda x: coordinate_sum(phi(x))),
+        grad=on_float64(dphi), grad_inverse=on_float64(dphi_inv),
+        second_deriv=on_float64(ddphi))
 
 
 def _quadratic(name, dim, q):
@@ -330,24 +308,43 @@ def make_builtin(name: str, dimension: int = 1, matrix=None) -> Generator:
         return _quadratic(name, dimension, matrix)
     if matrix is not None:
         raise ValidationError(f"{name} does not take a matrix")
-    if name == "shannon":
-        g = _shannon(dimension)
-    elif name == "burg":
-        g = _burg(dimension)
-    elif name == "bit":
-        g = _bit(dimension)
-    else:
-        g = _quadratic("squared-euclidean", dimension, np.eye(dimension))
-    return g
+    if name == "squared-euclidean":
+        return _quadratic(name, dimension, np.eye(dimension))
+    return _separable(name, dimension)
 
 
 def hessian_at(g: Generator, x: np.ndarray) -> np.ndarray:
-    """Hessian matrix of F at a point (diagonal for separable generators)."""
+    """Hessian matrix of F at a point (diagonal for separable generators);
+    CapabilityError if g has neither `hessian` nor `second_deriv`."""
     if g.hessian is not None:
         return np.asarray(g.hessian(x), dtype=np.float64)
     if g.separable and g.second_deriv is not None:
         return np.diag(g.second_deriv(np.asarray(x, dtype=np.float64)))
-    raise DomainError(f"{g.name} exposes no Hessian information")
+    raise CapabilityError(f"{g.name} exposes no Hessian information")
+
+
+def _affine(g: Generator, name: str, domain: Domain, a: float, lam: float,
+            c: float) -> Generator:
+    """G(x) = lam F(a x) + c on `domain`: grad G(x) = lam a grad F(a x),
+    grad G^-1(y) = grad F^-1(y / (lam a)) / a, and G's curvature is lam
+    a^2 times F's at a x. Factors and divisors of 1.0 change no bit, so
+    each map passes 1.0 for the other's parameter; at a = 1 the product
+    a x, a fresh (n, d) array on every call, is not formed."""
+    s, s2 = lam * a, lam * a * a
+    gi, d2, h = g.grad_inverse, g.second_deriv, g.hessian
+    at = (lambda x: x) if a == 1.0 else (lambda x: a * np.asarray(x))
+
+    def carried(part, fn):  # a callable g lacks stays None
+        return None if part is None else fn
+
+    return Generator(
+        name=name, dim=g.dim, domain=domain,
+        f=lambda x: lam * g.f(at(x)) + c,
+        grad=lambda x: s * g.grad(at(x)),
+        grad_inverse=carried(gi, lambda y: gi(np.asarray(y) / s) / a),
+        second_deriv=carried(d2, lambda x: s2 * d2(at(x))),
+        hessian=carried(h, lambda x: s2 * np.asarray(h(at(x)))),
+        separable=g.separable)
 
 
 def affine_precompose(g: Generator, a: float, b: float = 0.0) -> Generator:
@@ -356,49 +353,17 @@ def affine_precompose(g: Generator, a: float, b: float = 0.0) -> Generator:
     b = as_real("b", b, -math.inf, math.inf)
     if a == 0:
         raise ValidationError("scale a must be nonzero")
-    if a > 0:
-        dom = Domain(g.domain.lo / a, g.domain.hi / a,
-                     g.domain.eval_closed_lo, g.domain.eval_closed_hi)
-    else:
-        dom = Domain(g.domain.hi / a, g.domain.lo / a,
-                     g.domain.eval_closed_hi, g.domain.eval_closed_lo)
-
-    ginv = None
-    if g.grad_inverse is not None:
-        ginv = lambda y: g.grad_inverse(np.asarray(y) / a) / a
-    second = None
-    if g.second_deriv is not None:
-        second = lambda x: (a * a) * g.second_deriv(a * np.asarray(x))
-    hess = None
-    if g.hessian is not None:
-        hess = lambda x: (a * a) * np.asarray(g.hessian(a * np.asarray(x)))
-
-    return Generator(
-        name=f"{g.name}(pre a={a:g}, b={b:g})", dim=g.dim, domain=dom,
-        f=lambda x: g.f(a * np.asarray(x)) + b,
-        grad=lambda x: a * g.grad(a * np.asarray(x)),
-        grad_inverse=ginv, second_deriv=second, hessian=hess,
-        separable=g.separable)
+    # + 0.0: a zero end divided by a < 0 would be -0.0, and read so
+    ends = ((g.domain.lo / a + 0.0, g.domain.eval_closed_lo),
+            (g.domain.hi / a + 0.0, g.domain.eval_closed_hi))
+    (lo, closed_lo), (hi, closed_hi) = ends if a > 0 else ends[::-1]
+    return _affine(g, f"{g.name}(pre a={a:g}, b={b:g})",
+                   Domain(lo, hi, closed_lo, closed_hi), a, 1.0, b)
 
 
 def affine_postcompose(g: Generator, lam: float, c: float = 0.0) -> Generator:
     """G(x) = lam*F(x) + c for lam > 0; same domain, scaled geometry."""
     lam = as_real("lam", lam, hi=math.inf)  # > 0 preserves convexity
     c = as_real("c", c, -math.inf, math.inf)
-    ginv = None
-    if g.grad_inverse is not None:
-        ginv = lambda y: g.grad_inverse(np.asarray(y) / lam)
-    second = None
-    if g.second_deriv is not None:
-        second = lambda x: lam * g.second_deriv(x)
-    hess = None
-    if g.hessian is not None:
-        hess = lambda x: lam * np.asarray(g.hessian(x))
-
-    return Generator(
-        name=f"{g.name}(post lam={lam:g}, c={c:g})", dim=g.dim,
-        domain=g.domain,
-        f=lambda x: lam * g.f(x) + c,
-        grad=lambda x: lam * g.grad(x),
-        grad_inverse=ginv, second_deriv=second, hessian=hess,
-        separable=g.separable)
+    return _affine(g, f"{g.name}(post lam={lam:g}, c={c:g})", g.domain,
+                   1.0, lam, c)

@@ -54,18 +54,20 @@ row's value has the same bits alone and inside any batch, so the block
 size moves no result. `cccp_steps` holds one (n, d) buffer per call and
 fills it block by block at each evaluation.
 
-Kernels validate nothing beyond alpha in (0, 1) (`generators.as_real`;
-the limit cases belong to the divergence API): the public functions of
-divergences, geometry, robustness, centroids and clustering, and the
-CLI's loader, check each array once (as_point or as_points, then one
-vectorized ensure_domain pass) before any kernel sees it.
+Kernels check only their own options, alpha in (0, 1) (`as_real`; the
+limit cases belong to the divergence API) and `cccp_steps`' evaluation
+cap (`as_count`), and `_rows` gives each operand the one layout. The
+public functions of divergences, geometry, robustness, centroids and
+clustering, and the CLI's loader, check each array once (as_point or
+as_points, then one vectorized ensure_domain pass) before any kernel
+sees it.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .generators import as_real, coordinate_sum
+from .generators import as_count, as_real, coordinate_sum
 
 # the most bytes of any (rows, d) float64 operand a kernel forms; at 2
 # MiB the page faults came back on 20000 x 16 points, and at 256 KiB a
@@ -303,7 +305,7 @@ def cccp_steps(g, alpha, x, w, c0, iters):
     w @ gr.
     """
     alpha = as_real("alpha", alpha)
-    iters = int(iters)
+    iters = as_count("iters", iters)
     x = _rows(x)
     n, d = x.shape
     gr = np.empty((n, d), order="F")

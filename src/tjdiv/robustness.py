@@ -44,7 +44,7 @@ class SweepReport:
 def _scalar_gen(g: Generator):
     if g.dim != 1:
         raise CapabilityError("influence analysis is scalar-generator only")
-    if not g.has_second_deriv:
+    if g.second_deriv is None:
         raise CapabilityError(f"{g.name} exposes no second derivative")
 
 

@@ -318,6 +318,25 @@ def test_a_cap_of_one_is_one_plain_step(name):
     assert np.array_equal(solve.center, _plain_step(g, 0.3, pts, w, c0))
 
 
+@pytest.mark.parametrize("iters", [2.7, 2.0, 0, -3, "3", None])
+def test_a_cap_that_is_not_a_positive_count_is_rejected(iters):
+    # int(iters) once ran 2.7 as 2 evaluations, and 0 and -3 as 1
+    g = make_builtin("shannon", 4)
+    pts, w = _stage_set("shannon")
+    w = w / w.sum()
+    with pytest.raises(ValidationError, match="^iters must"):
+        cccp_steps(g, 0.3, pts, w, w @ pts, iters)
+
+
+def test_an_integer_cap_bounds_the_evaluations():
+    g = make_builtin("shannon", 4)
+    pts, w = _stage_set("shannon")
+    w = w / w.sum()
+    for iters in (2, np.int64(3)):
+        solve = cccp_steps(g, 0.3, pts, w, w @ pts, iters)
+        assert solve.evals == iters and solve.stop == "cap"
+
+
 @pytest.mark.parametrize("name", ["shannon", "burg", "bit"])
 @pytest.mark.parametrize("alpha", [0.3, 0.5])
 def test_stage_reaches_tol_and_beats_twenty_plain_steps(name, alpha):

@@ -34,6 +34,19 @@ def test_config_validation():
             SeedingConfig(**bad)
 
 
+def test_single_seedings_reject_more_than_one_trial():
+    # trials=50 once returned one seeding, and lloyd_cluster ran with
+    # trials=7; only the bound experiment runs trials
+    X = np.array([0.5, 1.0, 2.0, 4.0, 8.0]).reshape(-1, 1)
+    for trials in (50, 7):
+        cfg = SeedingConfig(k=2, rng_seed=3, trials=trials)
+        for run in (seed, seed_indices, lloyd_cluster):
+            with pytest.raises(ValidationError,
+                               match="seeding_bound_experiment"):
+                run(SHANNON, X, cfg)
+    assert len(seed_indices(SHANNON, X, SeedingConfig(k=2, trials=1))) == 2
+
+
 def test_seeding_is_deterministic_and_without_replacement():
     X = np.array([0.5, 1.0, 2.0, 4.0, 8.0]).reshape(-1, 1)
     cfg = SeedingConfig(k=3, rng_seed=42)

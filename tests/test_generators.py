@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tjdiv.errors import DomainError, ValidationError
+from tjdiv.errors import CapabilityError, DomainError, ValidationError
 from tjdiv.generators import (
-    BUILTIN_NAMES, _xlogx, affine_postcompose, affine_precompose, as_count,
-    as_point, as_real, as_spd, ensure_domain, hessian_at, make_builtin)
+    BUILTIN_NAMES, Domain, Generator, _xlogx, affine_postcompose,
+    affine_precompose, as_count, as_point, as_real, as_spd, ensure_domain,
+    hessian_at, make_builtin)
 
 POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
 UNIT_OPEN = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)
@@ -181,6 +182,82 @@ def test_separable_hessian_at():
     g = make_builtin("burg", 2)
     x = np.array([0.5, 2.0])
     assert np.allclose(hessian_at(g, x), np.diag([4.0, 0.25]), rtol=1e-14)
+
+
+def test_hessian_at_without_curvature_is_a_capability_error():
+    # a generator with neither hessian nor second_deriv once gave a
+    # DomainError, where estimate_bound_constants gives a CapabilityError
+    cosh = Generator(
+        name="cosh", dim=2, domain=Domain(-math.inf, math.inf),
+        f=lambda x: np.cosh(x).sum(axis=-1), grad=np.sinh)
+    with pytest.raises(CapabilityError, match="no Hessian"):
+        hessian_at(cosh, np.array([0.5, -1.0]))
+
+
+def _pre_forms(g, a, b):
+    return dict(f=lambda x: g.f(a * x) + b,
+                grad=lambda x: a * g.grad(a * x),
+                grad_inverse=lambda y: g.grad_inverse(y / a) / a,
+                second_deriv=lambda x: (a * a) * g.second_deriv(a * x),
+                hessian=lambda x: (a * a) * g.hessian(a * x))
+
+
+def _post_forms(g, lam, c):
+    return dict(f=lambda x: lam * g.f(x) + c,
+                grad=lambda x: lam * g.grad(x),
+                grad_inverse=lambda y: g.grad_inverse(y / lam),
+                second_deriv=lambda x: lam * g.second_deriv(x),
+                hessian=lambda x: lam * g.hessian(x))
+
+
+def _affine_cases():
+    """(id, G, g, G's callables in closed form over g's, points inside
+    G's domain) for each affine map of each builtin."""
+    q = np.array([[2.0, 0.3], [0.3, 1.0]])
+    u = {"shannon": [[0.3, 2.0], [1.5, 0.01], [7.0, 4.0]],
+         "burg": [[0.3, 2.0], [1.5, 0.01], [7.0, 4.0]],
+         "bit": [[0.3, 0.9], [0.5, 0.01], [0.7, 0.2]],
+         "squared-mahalanobis": [[0.3, -2.0], [-1.5, 0.0], [7.0, 4.0]]}
+    for name, pts in u.items():
+        g = make_builtin(name, 2, matrix=q if "maha" in name else None)
+        pts = np.array(pts)
+        for a, b in ((2.5, 0.3), (-1.5, -0.2)):
+            yield (f"{name}-pre-a={a}", affine_precompose(g, a, b), g,
+                   _pre_forms(g, a, b), pts / a)
+        yield (f"{name}-post", affine_postcompose(g, 3.0, 1.25), g,
+               _post_forms(g, 3.0, 1.25), pts)
+        # the outer map's forms, over the inner map's closed forms
+        inner = _pre_forms(g, -0.7, 0.5)
+        yield (f"{name}-post-of-pre", affine_postcompose(
+                   affine_precompose(g, -0.7, 0.5), 3.0, 1.25), g,
+               _post_forms(Generator(name, 2, None, **inner), 3.0, 1.25),
+               pts / -0.7)
+
+
+@pytest.mark.parametrize("case", list(_affine_cases()), ids=lambda c: c[0])
+def test_affine_maps_equal_their_closed_forms_bit_for_bit(case):
+    _, ga, g, forms, x = case
+    ensure_domain(ga, x, interior=True)
+    args = {"f": x, "grad": x, "grad_inverse": ga.grad(x),
+            "second_deriv": x, "hessian": x[0]}
+    for part, form in forms.items():
+        if getattr(g, part) is None:  # a callable g lacks stays None
+            assert getattr(ga, part) is None, part
+            continue
+        got = np.asarray(getattr(ga, part)(args[part]))
+        assert np.array_equal(got, form(args[part])), part
+    assert ga.separable == g.separable and ga.dim == g.dim
+
+
+def test_negated_domain_ends_have_no_negative_zero():
+    # -0.0 once reached the domain and every DomainError naming it
+    dom = affine_precompose(make_builtin("shannon"), -2.0).domain
+    assert dom.describe() == "(-inf, 0.0]" and not np.signbit(dom.hi)
+    dom = affine_precompose(make_builtin("bit"), -1.0).domain
+    assert dom.describe() == "[-1.0, 0.0]" and not np.signbit(dom.hi)
+    with pytest.raises(DomainError, match=r"\(-inf, 0\.0\)"):
+        ensure_domain(affine_precompose(make_builtin("burg"), -1.0),
+                      np.array([0.5]))
 
 
 def test_affine_precompose_values_and_grads():
