@@ -16,7 +16,8 @@ keeps the chord factor rho_J (it does NOT become tB).
 alpha lies in [0, 1] (the raw gap: (0, 1)), else ValidationError. Past
 the checks of `generators` these functions read J'_a, the chord slope,
 rho_J and rho_B from `kernels` on (1, d) rows: a value is the kernel
-entry's float.
+entry's float, except that a Jensen value (raw, scaled or total) whose
+rounding falls below 0 reads 0, as every such gap is >= 0 for convex F.
 """
 
 import math
@@ -81,7 +82,7 @@ def jensen_raw(g: Generator, alpha, p, q) -> DivergenceValue:
     alpha = _alpha_ok(alpha, raw=True)
     p, q = as_pair(g, p, q)
     gap = kernels.jensen_gap_and_conformal(g, alpha, p[None], q[None])[0]
-    return DivergenceValue("jensen-raw", float(gap[0]))
+    return DivergenceValue("jensen-raw", max(float(gap[0]), 0.0))
 
 
 def bregman(g: Generator, p, q) -> DivergenceValue:
@@ -128,7 +129,7 @@ def total_jensen(g: Generator, alpha, p, q, scaled: bool = True) -> DivergenceVa
     else:
         gap, rho = kernels.jensen_gap_and_conformal(g, alpha, p1, q1)
         value = rho * gap
-    return DivergenceValue("total-jensen", float(value[0]))
+    return DivergenceValue("total-jensen", max(float(value[0]), 0.0))
 
 
 def stolarsky_epsilon(g: Generator, p, q, tol: float = 1e-12) -> float:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tjdiv import kernels
@@ -86,6 +86,7 @@ def test_scaled_family_continuity_toward_bregman():
 @given(alpha=st.floats(min_value=0.05, max_value=0.95),
        p=st.floats(min_value=0.05, max_value=0.95),
        q=st.floats(min_value=0.05, max_value=0.95))
+@example(alpha=0.5, p=0.95, q=0.9499999999999998)  # gap rounds to -1.7e-16
 def test_jensen_raw_nonnegative_and_skew_symmetric(alpha, p, q):
     g = make_builtin("bit")
     v = jensen_raw(g, alpha, [p], [q]).value
