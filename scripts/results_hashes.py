@@ -7,9 +7,11 @@ temporary directory, runs the seeded cluster, seed, centroid,
 bound-experiment, constants, influence, divergence and project
 commands in process, and prints one
 `name sha256[:16]` line per `results` block, each followed by one
-`name.key sha256[:16]` line per top-level key of that block. Run it
-against two trees and diff the output to see which results, and which
-fields of them, a change moved:
+`name.key sha256[:16]` line per top-level key of that block and one
+`name.command sha256[:16]` line for the run's `command` echo, with the
+temporary directory replaced by a fixed token. Run it against two trees
+and diff the output to see which results, which fields of them, and
+which echoes a change moved:
 
     python scripts/results_hashes.py > change.txt
     python scripts/results_hashes.py --src ../parent/src > parent.txt
@@ -32,8 +34,12 @@ import numpy as np
 DIMS = (1, 2, 4, 8, 16)
 
 
-def _digest(obj):
+def _digest(obj, tmp=None):
+    """sha256[:16] of obj's JSON text, with tmp, if given, replaced by a
+    fixed token so that runs in different directories compare equal."""
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    if tmp is not None:
+        text = text.replace(tmp, "$TMP")
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -175,7 +181,7 @@ def _run(main, argv):
         code = main(argv)
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} exited {code}: {err.getvalue()}")
-    return json.loads(out.getvalue())["results"]
+    return json.loads(out.getvalue())
 
 
 def main(argv=None):
@@ -190,10 +196,12 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory() as tmp:
         for name, cmd in _commands(_datasets(tmp)):
-            results = _run(tjdiv_main, cmd)
+            report = _run(tjdiv_main, cmd)
+            results = report["results"]
             print(name, _digest(results))
             for key in sorted(results):
                 print(f"{name}.{key}", _digest(results[key]))
+            print(f"{name}.command", _digest(report["command"], tmp))
     return 0
 
 

@@ -22,18 +22,22 @@ command. Within it:
   subset scan for the optimum), trials_s (the seeding draws and their
   potentials) and constants_s (the bound constants and the curve).
 
-A config file of key=value lines can pre-set any flag; explicit flags
-win. Keys match flag names with either dashes or underscores.
+A config file of key=value lines can supply any flag, required ones
+included; explicit flags win. Keys match flag names with either dashes
+or underscores. A value is checked as the flag's would be (its type and
+choices), and a repeated key is an error.
 """
 
 import argparse
 import csv
+import inspect
 import io
 import itertools
 import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,20 +55,6 @@ from .errors import DomainError, TjdivError, ValidationError
 from .generators import BUILTIN_NAMES, as_count, ensure_domain, make_builtin
 from .geometry import project_beta, pythagoras_residual
 from .robustness import boundedness_sweep, influence_empirical
-
-# flags that a divergence kind has no use for; giving one is an error
-_GENERATOR_FLAGS = ("generator", "dim", "matrix", "alpha")
-_GAUSSIAN_FLAGS = ("mu1", "cov1", "mu2", "cov2")
-_UNUSED_DIVERGENCE_FLAGS = {
-    "jensen-raw": _GAUSSIAN_FLAGS,
-    "jensen-scaled": _GAUSSIAN_FLAGS,
-    "bregman": _GAUSSIAN_FLAGS + ("alpha",),
-    "total-bregman": _GAUSSIAN_FLAGS + ("alpha",),
-    "total-jensen": _GAUSSIAN_FLAGS,
-    "jensen-shannon": _GENERATOR_FLAGS + _GAUSSIAN_FLAGS,
-    "total-jensen-shannon": _GENERATOR_FLAGS + _GAUSSIAN_FLAGS,
-    "kl-gaussian": _GENERATOR_FLAGS + ("p", "q"),
-}
 
 COUNTEREXAMPLE = (
     np.array([0.98, 0.02]), np.array([0.52, 0.48]), np.array([0.006, 0.994]))
@@ -398,12 +388,15 @@ def _cmd_project(ns, timings):
         f"projection foot at beta={res.beta:.12g}, distance={res.distance:.12g}"]
 
 
+def _centroid_config(ns):
+    return CentroidConfig(alpha=ns.alpha, inner_cccp_iters=ns.inner_iters,
+                          outer_tol=ns.outer_tol, outer_max_iters=ns.outer_max)
+
+
 def _cmd_centroid(ns, timings):
     g, data, meta = _dataset(ns, timings, True, weighted=True)
-    cfg = CentroidConfig(alpha=ns.alpha, inner_cccp_iters=ns.inner_iters,
-                         outer_tol=ns.outer_tol, outer_max_iters=ns.outer_max)
     fn = left_sided_centroid if ns.side == "left" else total_jensen_centroid
-    res = fn(g, data, cfg)
+    res = fn(g, data, _centroid_config(ns))
     best = min(float(v) for v in res.loss_trace)
     results = {
         "center": res.center.tolist(),
@@ -415,8 +408,12 @@ def _cmd_centroid(ns, timings):
         "n_points": meta["rows"],
     }
     if ns.report:
-        with open(ns.report, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps(results))
+        try:
+            with open(ns.report, "w", encoding="utf-8") as fh:
+                fh.write(canonical_dumps(results))
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write {ns.report}: {exc.strerror or exc}") from None
     return results, [
         f"{ns.side}-sided centroid after {res.iterations} stages "
         f"(stop: {res.stop_reason}), loss {best:.12g}"]
@@ -462,9 +459,8 @@ def _cmd_seed(ns, timings):
 def _cmd_cluster(ns, timings):
     g, data, meta = _dataset(ns, timings, True)
     cfg = SeedingConfig(k=ns.k, alpha=ns.alpha, rng_seed=ns.rng_seed)
-    ccfg = CentroidConfig(alpha=ns.alpha, inner_cccp_iters=ns.inner_iters,
-                          outer_tol=ns.outer_tol, outer_max_iters=ns.outer_max)
-    model = lloyd_cluster(g, data.points, cfg, ccfg, max_rounds=ns.max_rounds)
+    model = lloyd_cluster(g, data.points, cfg, _centroid_config(ns),
+                          max_rounds=ns.max_rounds)
     timings.update(model.timings)
     results = {
         "centers": model.centers.tolist(),
@@ -579,21 +575,116 @@ def _cmd_metric_check(ns, timings):
         f"worst deficiency {worst:.6g}"]
 
 
-# parser plumbing
+# the command table
 
 
-def _add_generator_flags(sp):
-    sp.add_argument("--generator", type=str, choices=list(BUILTIN_NAMES))
-    sp.add_argument("--dim", type=int, default=None,
-                    help="override the dimension inferred from inputs")
-    sp.add_argument("--matrix", type=str, default=None,
-                    help="rows 'a,b;c,d' or a CSV file path")
+REQUIRED = object()  # default of a flag the run needs, from a flag or config
+FRESH = object()  # default of an rng_seed drawn afresh for each run
+
+# each flag's argparse keywords; a command's defaults are in COMMANDS
+FLAGS = {
+    "kind": {"choices": list(KINDS)},
+    "generator": {"choices": list(BUILTIN_NAMES)},
+    "side": {"choices": ["right", "left"]},
+    "dim": {"type": int, "help": "dimension of the points (default: "
+            "inferred from the inputs; metric-check: 2)"},
+    "matrix": {"help": "rows 'a,b;c,d' or a CSV file path"},
+    "weights": {"help": "name of the weight column"},
+    "inner_iters": {"type": int,
+                    "help": "cap on CCCP map evaluations per centroid stage"},
+    "report": {"help": "also write the results object to this path"},
+    "eps": {"type": float, "help": "influence: the outlier mass; "
+            "bound-experiment: one eps instead of the default grid"},
+    **dict.fromkeys(("input", "p", "q", "mu1", "cov1", "mu2", "cov2"), {}),
+    **dict.fromkeys(("alpha", "outer_tol", "ymax"), {"type": float}),
+    **dict.fromkeys(("outer_max", "per_decade", "k", "rng_seed",
+                     "max_rounds", "trials", "samples"), {"type": int}),
+    **dict.fromkeys(("empirical", "search"), {"action": "store_true"}),
+}
 
 
-def _add_dataset_flags(sp):
-    sp.add_argument("--input", type=str, default=None)
-    sp.add_argument("--weights", type=str, default=None,
-                    help="name of the weight column")
+class Command(NamedTuple):
+    handler: Callable  # (ns, timings) -> (results, summary lines)
+    help: str
+    flags: dict  # flag -> default, in help order
+    # (mode flag, {its value: the flags that value leaves unread}); the
+    # default reads the command's name and leaves no flag unread
+    mode: tuple = ("cmd", {})
+    kw: dict = {}  # flag -> argparse keywords over FLAGS' for this command
+
+
+def _signature_defaults(fn):
+    return {n: p.default for n, p in inspect.signature(fn).parameters.items()}
+
+
+def _generator(name):
+    return {"generator": name, "dim": None, "matrix": None}
+
+
+_DATASET = dict(_generator("shannon"), input=REQUIRED, weights=None)
+_CENTROID_FLAGS = {"inner_iters": CentroidConfig.inner_cccp_iters,
+                   "outer_tol": CentroidConfig.outer_tol,
+                   "outer_max": CentroidConfig.outer_max_iters}
+_CONSTANTS_DEFAULTS = _signature_defaults(estimate_bound_constants)
+_GENERATOR_FLAGS = ("generator", "dim", "matrix", "alpha")
+_GAUSSIAN_FLAGS = ("mu1", "cov1", "mu2", "cov2")
+
+# read at import: a profiler may later replace the library functions with
+# wrappers whose signatures hold no defaults
+COMMANDS = {
+    "divergence": Command(
+        _cmd_divergence, "evaluate one divergence",
+        dict(kind=REQUIRED, **_generator("squared-euclidean"), alpha=0.5,
+             p=None, q=None, mu1=None, cov1=None, mu2=None, cov2=None),
+        mode=("kind", {
+            "jensen-raw": _GAUSSIAN_FLAGS,
+            "jensen-scaled": _GAUSSIAN_FLAGS,
+            "bregman": _GAUSSIAN_FLAGS + ("alpha",),
+            "total-bregman": _GAUSSIAN_FLAGS + ("alpha",),
+            "total-jensen": _GAUSSIAN_FLAGS,
+            "jensen-shannon": _GENERATOR_FLAGS + _GAUSSIAN_FLAGS,
+            "total-jensen-shannon": _GENERATOR_FLAGS + _GAUSSIAN_FLAGS,
+            "kl-gaussian": _GENERATOR_FLAGS + ("p", "q")})),
+    "project": Command(
+        _cmd_project, "orthogonal projection onto the chord",
+        dict(_generator("squared-euclidean"), alpha=0.5, p=REQUIRED,
+             q=REQUIRED)),
+    "centroid": Command(
+        _cmd_centroid, "two-stage total Jensen centroid",
+        dict(_DATASET, alpha=CentroidConfig.alpha, side="right",
+             **_CENTROID_FLAGS, report=None)),
+    "influence": Command(
+        _cmd_influence, "outlier influence sweep",
+        dict(_generator("shannon"), p=REQUIRED, ymax=1e6,
+             per_decade=_signature_defaults(boundedness_sweep)["per_decade"],
+             empirical=False, eps=1e-4),
+        mode=("empirical", {False: ("eps",)}), kw={"p": {"type": float}}),
+    "seed": Command(
+        _cmd_seed, "divergence-weighted center seeding",
+        dict(_DATASET, alpha=SeedingConfig.alpha, k=REQUIRED, rng_seed=FRESH)),
+    "cluster": Command(
+        _cmd_cluster, "Lloyd clustering with seeded start",
+        dict(_DATASET, alpha=SeedingConfig.alpha, k=REQUIRED, rng_seed=FRESH,
+             max_rounds=_signature_defaults(lloyd_cluster)["max_rounds"],
+             **_CENTROID_FLAGS)),
+    "bound-experiment": Command(
+        _cmd_bound_experiment, "seeding guarantee sanity check",
+        dict(_DATASET, alpha=SeedingConfig.alpha, k=REQUIRED, rng_seed=FRESH,
+             trials=100, samples=_signature_defaults(
+                 seeding_bound_experiment)["samples"], eps=None)),
+    "constants": Command(
+        _cmd_constants, "empirical bound constants",
+        dict(_DATASET, samples=_CONSTANTS_DEFAULTS["samples"],
+             rng_seed=_CONSTANTS_DEFAULTS["rng_seed"])),
+    "metric-check": Command(
+        _cmd_metric_check, "triangle inequality probe for sqrt(tJS)",
+        dict(search=False, trials=1000, dim=2, rng_seed=FRESH),
+        mode=("search", {False: ("trials", "dim", "rng_seed")})),
+}
+
+
+def _flag_kw(spec, flag):
+    return {**FLAGS[flag], **spec.kw.get(flag, {})}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -602,129 +693,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="total Jensen divergence toolkit")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def new(name, **kw):
-        sp = sub.add_parser(name, **kw)
-        sp.add_argument("--config", type=str, default=None,
-                        help="key=value file; explicit flags win")
-        return sp
-
-    sp = new("divergence", help="evaluate one divergence")
-    sp.add_argument("--kind", choices=list(KINDS), required=True)
-    _add_generator_flags(sp)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--p", type=str, default=None)
-    sp.add_argument("--q", type=str, default=None)
-    for flag in ("mu1", "cov1", "mu2", "cov2"):
-        sp.add_argument(f"--{flag}", type=str, default=None)
-
-    sp = new("project", help="orthogonal projection onto the chord")
-    _add_generator_flags(sp)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--p", type=str, required=True)
-    sp.add_argument("--q", type=str, required=True)
-
-    sp = new("centroid", help="two-stage total Jensen centroid")
-    _add_generator_flags(sp)
-    _add_dataset_flags(sp)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--side", choices=["right", "left"], default=None)
-    sp.add_argument("--inner-iters", type=int, default=None,
-                    help="cap on CCCP map evaluations per centroid stage")
-    sp.add_argument("--outer-tol", type=float, default=None)
-    sp.add_argument("--outer-max", type=int, default=None)
-    sp.add_argument("--report", type=str, default=None,
-                    help="also write the results object to this path")
-
-    sp = new("influence", help="outlier influence sweep")
-    _add_generator_flags(sp)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--ymax", type=float, default=None)
-    sp.add_argument("--per-decade", type=int, default=None)
-    sp.add_argument("--empirical", action="store_true", default=None)
-    sp.add_argument("--eps", type=float, default=None)
-
-    sp = new("seed", help="divergence-weighted center seeding")
-    _add_generator_flags(sp)
-    _add_dataset_flags(sp)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--rng-seed", type=int, default=None)
-
-    sp = new("cluster", help="Lloyd clustering with seeded start")
-    _add_generator_flags(sp)
-    _add_dataset_flags(sp)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--rng-seed", type=int, default=None)
-    sp.add_argument("--max-rounds", type=int, default=None)
-    sp.add_argument("--inner-iters", type=int, default=None,
-                    help="cap on CCCP map evaluations per centroid stage")
-    sp.add_argument("--outer-tol", type=float, default=None)
-    sp.add_argument("--outer-max", type=int, default=None)
-
-    sp = new("bound-experiment", help="seeding guarantee sanity check")
-    _add_generator_flags(sp)
-    _add_dataset_flags(sp)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--rng-seed", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--eps", type=float, default=None,
-                    help="single eps instead of the default grid")
-
-    sp = new("constants", help="empirical bound constants")
-    _add_generator_flags(sp)
-    _add_dataset_flags(sp)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--rng-seed", type=int, default=None)
-
-    sp = new("metric-check", help="triangle inequality probe for sqrt(tJS)")
-    sp.add_argument("--search", action="store_true", default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--rng-seed", type=int, default=None)
-
+    for name, spec in COMMANDS.items():
+        # every flag defaults to None; config values fill the unset ones
+        sp = sub.add_parser(name, help=spec.help)
+        sp.add_argument("--config", help="key=value file; explicit flags win")
+        for flag in spec.flags:
+            sp.add_argument("--" + flag.replace("_", "-"), default=None,
+                            **_flag_kw(spec, flag))
     return ap
 
 
-DEFAULTS = {
-    "divergence": {"alpha": 0.5, "generator": "squared-euclidean"},
-    "project": {"alpha": 0.5, "generator": "squared-euclidean"},
-    "centroid": {"alpha": 0.5, "generator": "shannon", "side": "right",
-                 "inner_iters": 20, "outer_tol": 1e-10, "outer_max": 1000},
-    "influence": {"generator": "shannon", "ymax": 1e6, "per_decade": 40,
-                  "empirical": False, "eps": 1e-4},
-    "seed": {"alpha": 0.5, "generator": "shannon"},
-    "cluster": {"alpha": 0.5, "generator": "shannon", "max_rounds": 100,
-                "inner_iters": 20, "outer_tol": 1e-10, "outer_max": 1000},
-    "bound-experiment": {"alpha": 0.5, "generator": "shannon",
-                         "trials": 100, "samples": 4096},
-    "constants": {"generator": "shannon", "samples": 4096, "rng_seed": 0},
-    "metric-check": {"search": False, "trials": 1000, "dim": 2},
-}
-
-STOCHASTIC = {"seed", "cluster", "bound-experiment", "metric-check"}
-
-HANDLERS = {
-    "divergence": _cmd_divergence,
-    "project": _cmd_project,
-    "centroid": _cmd_centroid,
-    "influence": _cmd_influence,
-    "seed": _cmd_seed,
-    "cluster": _cmd_cluster,
-    "bound-experiment": _cmd_bound_experiment,
-    "constants": _cmd_constants,
-    "metric-check": _cmd_metric_check,
-}
-
-
 def _read_config(path):
-    values = {}
+    values, lines = {}, {}
     # \n, \r\n and a bare \r each end a line, as _read_text counts them
-    lines = io.StringIO(_read_text(path), newline=None)
-    for lineno, line in enumerate(lines, 1):
+    text = io.StringIO(_read_text(path), newline=None)
+    for lineno, line in enumerate(text, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -732,12 +715,36 @@ def _read_config(path):
             raise ValidationError(
                 f"{path} line {lineno}: expected key=value")
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
+        key = key.strip().replace("-", "_")
+        if key in lines:
+            raise ValidationError(
+                f"{path} line {lineno}: config key {key!r} repeats line "
+                f"{lines[key]}")
+        values[key], lines[key] = val.strip(), lineno
     return values
 
 
 _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
+
+
+def _config_value(key, raw, kw):
+    """A config file's text for a flag, read by the flag's own type and
+    checked against its choices."""
+    if kw.get("action") == "store_true":
+        if raw.lower() not in _BOOLS:
+            raise ValidationError(
+                f"config key {key!r} wants a boolean, got {raw!r}")
+        return _BOOLS[raw.lower()]
+    try:
+        value = kw.get("type", str)(raw)
+    except ValueError:
+        raise ValidationError(f"config key {key!r}: cannot parse {raw!r}")
+    if "choices" in kw and value not in kw["choices"]:
+        raise ValidationError(
+            f"config key {key!r}: {raw!r} is not one of "
+            f"{', '.join(kw['choices'])}")
+    return value
 
 
 def _subparser(parser, cmd):
@@ -748,66 +755,36 @@ def _subparser(parser, cmd):
 
 
 def _apply_config_and_defaults(ns, parser):
-    config = {}
-    if getattr(ns, "config", None):
-        config = _read_config(ns.config)
-    actions = {a.dest: a for a in _subparser(parser, ns.cmd)._actions}
+    """Fill ns from the config file, then from the command's defaults;
+    True when the run draws from rng_seed. A required flag that neither
+    gives is a usage error (SystemExit 2)."""
+    spec = COMMANDS[ns.cmd]
+    config = _read_config(ns.config) if ns.config else {}
     for key, raw in config.items():
-        if key == "config" or key not in actions or not hasattr(ns, key):
+        if key not in spec.flags:
             raise ValidationError(f"config key {key!r} is not a {ns.cmd} flag")
-        if getattr(ns, key) is not None:
-            continue  # explicit flag wins
-        action = actions[key]
-        if getattr(action, "const", None) is True:  # store_true flag
-            if raw.lower() not in _BOOLS:
-                raise ValidationError(
-                    f"config key {key!r} wants a boolean, got {raw!r}")
-            setattr(ns, key, _BOOLS[raw.lower()])
-        elif action.type is not None:
-            try:
-                setattr(ns, key, action.type(raw))
-            except ValueError:
-                raise ValidationError(
-                    f"config key {key!r}: cannot parse {raw!r}")
-        else:
-            setattr(ns, key, raw)
+        value = _config_value(key, raw, _flag_kw(spec, key))
+        if getattr(ns, key) is None:  # else the explicit flag wins
+            setattr(ns, key, value)
+    for key, default in spec.flags.items():
+        if default is REQUIRED and getattr(ns, key) is None:
+            _subparser(parser, ns.cmd).error(
+                f"--{key.replace('_', '-')} is required, as a flag or a "
+                "config key")
     # a flag that the run never reads is an error, not a no-op, and is
     # left unset rather than echoed with its default
-    unused, mode = _unused_flags(ns)
+    flag, unread = spec.mode
+    setting = getattr(ns, flag) or False
+    unused = unread.get(setting, ())
+    mode = f"--{flag} {setting}" if setting else f"{ns.cmd} without --{flag}"
     for key in unused:
         if getattr(ns, key) is not None:
             raise ValidationError(
                 f"{mode} does not use --{key.replace('_', '-')}; drop it")
-    for key, val in DEFAULTS[ns.cmd].items():
-        if key not in unused and getattr(ns, key, None) is None:
-            setattr(ns, key, val)
-    if _is_stochastic(ns) and ns.rng_seed is None:
-        ns.rng_seed = _fresh_seed()
-
-
-def _unused_flags(ns):
-    """(the flags this run never reads, the mode that leaves them out)."""
-    if ns.cmd == "divergence":
-        return _UNUSED_DIVERGENCE_FLAGS[ns.kind], f"--kind {ns.kind}"
-    if ns.cmd == "influence" and not ns.empirical:
-        return ("eps",), "influence without --empirical"
-    if ns.cmd == "metric-check" and not ns.search:
-        return ("trials", "dim", "rng_seed"), "metric-check without --search"
-    return (), ""
-
-
-def _is_stochastic(ns):
-    if ns.cmd == "metric-check":
-        return bool(ns.search)
-    return ns.cmd in STOCHASTIC
-
-
-def _echo(ns):
-    skip = {"cmd", "config"}
-    echo = {k: v for k, v in vars(ns).items() if k not in skip}
-    echo["subcommand"] = ns.cmd
-    echo["version"] = __version__
-    return echo
+    for key, default in spec.flags.items():
+        if key not in unused and getattr(ns, key) is None:
+            setattr(ns, key, _fresh_seed() if default is FRESH else default)
+    return spec.flags.get("rng_seed") is FRESH and "rng_seed" not in unused
 
 
 _PARSER = None  # built by the first _parser() call, not at import
@@ -826,33 +803,25 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         ns = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse usage errors carry code 2
+        timings = {"parse_s": time.perf_counter() - t0}
+        stochastic = _apply_config_and_defaults(ns, parser)
+        results, summary = COMMANDS[ns.cmd].handler(ns, timings)
+    except SystemExit as exc:  # usage errors carry code 2
         return int(exc.code or 0)
-    timings = {"parse_s": time.perf_counter() - t0}
-    try:
-        _apply_config_and_defaults(ns, parser)
-        if getattr(ns, "input", "") is None:
-            # required, but a config file may supply it: argparse alone
-            # cannot tell
-            sub = _subparser(parser, ns.cmd)
-            sub.print_usage(sys.stderr)
-            print(f"{sub.prog}: error: --input is required, as a flag or "
-                  "a config key", file=sys.stderr)
-            return 2
-        results, summary = HANDLERS[ns.cmd](ns, timings)
     except TjdivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     timings["total_s"] = time.perf_counter() - t0
+    echo = {k: v for k, v in vars(ns).items() if k not in ("cmd", "config")}
     report = {
-        "command": _echo(ns),
+        "command": dict(echo, subcommand=ns.cmd, version=__version__),
         "results": results,
         "timings": timings,
     }
     sys.stdout.write(canonical_dumps(report) + "\n")
     for line in summary:
         print(line, file=sys.stderr)
-    if _is_stochastic(ns):
+    if stochastic:
         print(f"rng_seed={ns.rng_seed}", file=sys.stderr)
     return 0
 

@@ -1,5 +1,7 @@
 """End-to-end command tests: run main() in process and parse the report."""
 
+import dataclasses
+import inspect
 import json
 import math
 import pathlib
@@ -10,10 +12,15 @@ import numpy as np
 import pytest
 
 from tjdiv import cli
+from tjdiv.centroids import CentroidConfig
 from tjdiv.cli import canonical_dumps, load_dataset, main
-from tjdiv.divergences import conformal_factors, total_jensen
+from tjdiv.clustering import (
+    SeedingConfig, estimate_bound_constants, lloyd_cluster,
+    seeding_bound_experiment)
+from tjdiv.divergences import KINDS, conformal_factors, total_jensen
 from tjdiv.errors import ValidationError
-from tjdiv.generators import make_builtin
+from tjdiv.generators import BUILTIN_NAMES, make_builtin
+from tjdiv.robustness import boundedness_sweep
 
 
 def run_cli(capsys, *argv):
@@ -278,6 +285,18 @@ def test_centroid_report_file_holds_canonical_results(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == canonical_dumps(rep["results"])
 
 
+def test_centroid_report_that_cannot_be_written_is_an_error(
+        tmp_path, capsys):
+    # once a FileNotFoundError traceback, after the centroid was computed
+    data = _write(tmp_path / "d.csv", "1.0\n2.0\n4.0\n")
+    out = tmp_path / "missing" / "res.json"
+    code, rep, err = run_cli(capsys, "centroid", "--input", data,
+                             "--report", str(out))
+    assert code == 1 and rep is None
+    assert err == (f"error: cannot write {out}: No such file or "
+                   "directory\n")
+
+
 def test_centroid_summary_names_the_stop_reason(tmp_path, capsys):
     data = _write(tmp_path / "d.csv", "1.0\n2.0\n4.0\n")
     code, rep, err = run_cli(capsys, "centroid", "--input", data)
@@ -349,6 +368,29 @@ def test_missing_input_is_a_usage_error(tmp_path, capsys, argv):
     cfg = _write(tmp_path / "c.cfg", f"input={data}\n")
     code, rep, _ = run_cli(capsys, *argv, "--config", cfg)
     assert code == 0 and rep["command"]["input"] == data
+
+
+@pytest.mark.parametrize("argv, config, flag", [
+    (["seed", "--rng-seed", "0"], "k=2", "k"),
+    (["divergence", "--p", "2", "--q", "1"], "kind=total-jensen", "kind"),
+    (["project", "--q", "1"], "p=0", "p"),
+    (["project", "--p", "0"], "q=1", "q"),
+    (["influence", "--ymax", "50", "--per-decade", "4"], "p=1.5", "p"),
+])
+def test_any_required_flag_may_come_from_a_config(
+        tmp_path, capsys, argv, config, flag):
+    # a config key once could not stand in for a flag argparse required
+    if argv[0] == "seed":
+        argv = argv + ["--input", _write(tmp_path / "d.csv", "1.0\n2.0\n")]
+    code, rep, err = run_cli(capsys, *argv)
+    assert code == 2 and rep is None
+    assert err.startswith(f"usage: tjdiv {argv[0]} ")
+    assert err.endswith(
+        f"error: --{flag} is required, as a flag or a config key\n")
+    cfg = _write(tmp_path / "c.cfg", config + "\n")
+    code, rep, _ = run_cli(capsys, *argv, "--config", cfg)
+    assert code == 0
+    assert str(rep["command"][flag]) == config.partition("=")[2]
 
 
 @pytest.mark.parametrize("raw, line", [
@@ -791,3 +833,73 @@ def test_config_boolean_flag(tmp_path, capsys):
                            "--ymax", "50", "--per-decade", "4")
     assert code == 0
     assert all("z_empirical" in row for row in rep["results"]["table"])
+
+
+@pytest.mark.parametrize("cmd, argv, config, want", [
+    # side=middle once exited 0 with a "middle-sided centroid"
+    ("centroid", ["--input"], "side=middle", "right, left"),
+    ("centroid", ["--input"], "generator=nope", ", ".join(BUILTIN_NAMES)),
+    ("divergence", ["--p", "2", "--q", "1"], "kind=nope", ", ".join(KINDS)),
+])
+def test_config_values_meet_the_flags_choices(
+        tmp_path, capsys, cmd, argv, config, want):
+    if argv == ["--input"]:
+        argv = argv + [_write(tmp_path / "d.csv", "1.0\n2.0\n")]
+    cfg = _write(tmp_path / "c.cfg", config + "\n")
+    key, _, value = config.partition("=")
+    explicit = {"side": "left", "generator": "burg", "kind": "bregman"}[key]
+    # the whole file is checked, also a key that an explicit flag overrides
+    for extra in ([], [f"--{key}", explicit]):
+        code, rep, err = run_cli(capsys, cmd, *argv, *extra, "--config", cfg)
+        assert code == 1 and rep is None
+        assert err == (f"error: config key {key!r}: {value!r} is not one "
+                       f"of {want}\n")
+
+
+def test_config_key_given_twice_is_an_error(tmp_path, capsys):
+    # the later of the two once won without a word
+    data = _write(tmp_path / "d.csv", "1.0\n2.0\n4.0\n")
+    cfg = _write(tmp_path / "c.cfg", "rng-seed=1\n# again\nrng_seed=2\n")
+    code, rep, err = run_cli(capsys, "seed", "--input", data, "--k", "1",
+                             "--config", cfg)
+    assert code == 1 and rep is None
+    assert err == (f"error: {cfg} line 3: config key 'rng_seed' repeats "
+                   "line 1\n")
+
+
+def _library_defaults(obj):
+    if dataclasses.is_dataclass(obj):
+        return {f.name: f.default for f in dataclasses.fields(obj)}
+    params = inspect.signature(obj).parameters
+    return {n: p.default for n, p in params.items()}
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (["centroid"], {"alpha": (CentroidConfig, "alpha"),
+                    "inner_iters": (CentroidConfig, "inner_cccp_iters"),
+                    "outer_tol": (CentroidConfig, "outer_tol"),
+                    "outer_max": (CentroidConfig, "outer_max_iters")}),
+    (["cluster", "--k", "1"], {
+        "alpha": (SeedingConfig, "alpha"),
+        "inner_iters": (CentroidConfig, "inner_cccp_iters"),
+        "outer_tol": (CentroidConfig, "outer_tol"),
+        "outer_max": (CentroidConfig, "outer_max_iters"),
+        "max_rounds": (lloyd_cluster, "max_rounds")}),
+    (["bound-experiment", "--k", "1", "--trials", "2"], {
+        "alpha": (SeedingConfig, "alpha"),
+        "samples": (seeding_bound_experiment, "samples")}),
+    (["constants"], {"samples": (estimate_bound_constants, "samples"),
+                     "rng_seed": (estimate_bound_constants, "rng_seed")}),
+    (["influence", "--p", "1.0", "--ymax", "10"], {
+        "per_decade": (boundedness_sweep, "per_decade")}),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_echoed_defaults_are_the_library_defaults(
+        tmp_path, capsys, argv, echoed):
+    if argv[0] != "influence":
+        argv = argv + ["--input", _write(tmp_path / "d.csv", "1.0\n2.0\n")]
+    code, rep, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for flag, (owner, name) in echoed.items():
+        assert rep["command"][flag] == _library_defaults(owner)[name], flag
+    # cluster's one alpha serves both its configs
+    assert CentroidConfig.alpha == SeedingConfig.alpha
