@@ -625,7 +625,7 @@ _DATASET = dict(_generator("shannon"), input=REQUIRED, weights=None)
 _CENTROID_FLAGS = {"inner_iters": CentroidConfig.inner_cccp_iters,
                    "outer_tol": CentroidConfig.outer_tol,
                    "outer_max": CentroidConfig.outer_max_iters}
-_CONSTANTS_DEFAULTS = _signature_defaults(estimate_bound_constants)
+_ESTIMATE_KW = _signature_defaults(estimate_bound_constants)
 _GENERATOR_FLAGS = ("generator", "dim", "matrix", "alpha")
 _GAUSSIAN_FLAGS = ("mu1", "cov1", "mu2", "cov2")
 
@@ -674,8 +674,8 @@ COMMANDS = {
                  seeding_bound_experiment)["samples"], eps=None)),
     "constants": Command(
         _cmd_constants, "empirical bound constants",
-        dict(_DATASET, samples=_CONSTANTS_DEFAULTS["samples"],
-             rng_seed=_CONSTANTS_DEFAULTS["rng_seed"])),
+        dict(_DATASET, samples=_ESTIMATE_KW["samples"],
+             rng_seed=_ESTIMATE_KW["rng_seed"])),
     "metric-check": Command(
         _cmd_metric_check, "triangle inequality probe for sqrt(tJS)",
         dict(search=False, trials=1000, dim=2, rng_seed=FRESH),
