@@ -98,6 +98,23 @@ def _commands(files):
             (f"constants-shannon-d{d}",
              ["constants", "--input", f, "--samples", "1024"]),
         ]
+    # squared-mahalanobis, the one generator built from its matrix
+    maha = ["--generator", "squared-mahalanobis", "--matrix", "2,0.5;0.5,1"]
+    runs += [
+        ("cluster-mahalanobis-d2",
+         ["cluster", "--input", files["mix2"], *maha, "--k", "4",
+          "--rng-seed", "3", "--max-rounds", "20", "--outer-max", "50"]),
+        ("centroid-mahalanobis-d2",
+         ["centroid", "--input", files["mix2"], *maha, "--outer-max", "200"]),
+        ("constants-mahalanobis-d2",
+         ["constants", "--input", files["mix2"], *maha, "--samples", "1024"]),
+        ("influence-mahalanobis-d1",
+         ["influence", "--generator", "squared-mahalanobis", "--matrix", "2",
+          "--p", "1"]),
+        ("divergence-total-jensen-mahalanobis",
+         ["divergence", "--kind", "total-jensen", *maha, "--alpha", "0.3",
+          "--p", "0.2,-0.3", "--q", "0.6,1.1"]),
+    ]
     runs += [
         ("cluster-burg-d4",
          ["cluster", "--input", files["mix4"], "--generator", "burg",

@@ -336,15 +336,10 @@ def _cmd_divergence(ns, timings):
     kind = ns.kind
     results = {"kind": kind, "rho_j": None, "rho_b_q": None, "slope_sq": None}
     if kind == "kl-gaussian":
-        for flag in ("mu1", "cov1", "mu2", "cov2"):
-            if getattr(ns, flag) is None:
-                raise ValidationError(f"kl-gaussian needs --{flag}")
         value = results["value"] = kl_gaussian(
             _vec(ns.mu1), _mat(ns.cov1), _vec(ns.mu2), _mat(ns.cov2)).value
         return results, [f"kl-gaussian = {value:.12g}"]
 
-    if ns.p is None or ns.q is None:
-        raise ValidationError(f"{kind} needs --p and --q")
     p, q = _vec(ns.p), _vec(ns.q)
 
     if kind in ("jensen-shannon", "total-jensen-shannon"):
@@ -635,7 +630,8 @@ COMMANDS = {
     "divergence": Command(
         _cmd_divergence, "evaluate one divergence",
         dict(kind=REQUIRED, **_generator("squared-euclidean"), alpha=0.5,
-             p=None, q=None, mu1=None, cov1=None, mu2=None, cov2=None),
+             p=REQUIRED, q=REQUIRED, mu1=REQUIRED, cov1=REQUIRED,
+             mu2=REQUIRED, cov2=REQUIRED),
         mode=("kind", {
             "jensen-raw": _GAUSSIAN_FLAGS,
             "jensen-scaled": _GAUSSIAN_FLAGS,
@@ -766,16 +762,17 @@ def _apply_config_and_defaults(ns, parser):
         value = _config_value(key, raw, _flag_kw(spec, key))
         if getattr(ns, key) is None:  # else the explicit flag wins
             setattr(ns, key, value)
+    flag, unread = spec.mode
+    setting = getattr(ns, flag) or False
+    unused = unread.get(setting, ())
     for key, default in spec.flags.items():
-        if default is REQUIRED and getattr(ns, key) is None:
+        if default is REQUIRED and key not in unused \
+                and getattr(ns, key) is None:
             _subparser(parser, ns.cmd).error(
                 f"--{key.replace('_', '-')} is required, as a flag or a "
                 "config key")
     # a flag that the run never reads is an error, not a no-op, and is
     # left unset rather than echoed with its default
-    flag, unread = spec.mode
-    setting = getattr(ns, flag) or False
-    unused = unread.get(setting, ())
     mode = f"--{flag} {setting}" if setting else f"{ns.cmd} without --{flag}"
     for key in unused:
         if getattr(ns, key) is not None:

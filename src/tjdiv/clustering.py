@@ -304,31 +304,35 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
                   max_rounds: int = 100) -> ClusterModel:
     """Alternating assignment / centroid update from a seeded start.
 
-    The assignment step can only lower the potential (checked, raising
-    InvariantError); the centroid update uses the two-stage total Jensen
-    centroid and is heuristic, so the potential across full rounds is
-    not required to fall. Empty clusters are re-seeded on the farthest
-    point. `data` is checked once here, and F(data) computed once;
-    seeding, every sweep and each round's clusters use rows of both.
-    The potential the points had under their previous clusters' new
-    centres, which the check compares the sweep against, is the sum of
-    the centroid stages' own losses at those centres: no kernel pass
-    beyond the sweep it checks.
+    Every sweep, the one after the last centroid update included, runs
+    the same checked code: the assignment can only lower the potential
+    (else InvariantError), and an empty cluster is re-seeded on the
+    farthest point. The last sweep never declares convergence, so
+    `rounds <= max_rounds`. The centroid update uses the two-stage total
+    Jensen centroid and is heuristic, so the potential across full
+    rounds is not required to fall. `data` is checked once here, and
+    F(data) computed once; seeding, every sweep and each round's
+    clusters use rows of both. The potential the points had under their
+    previous clusters' new centres, which the check compares the sweep
+    against, is the sum of the centroid stages' own losses at those
+    centres: no kernel pass beyond the sweep it checks. `centroid_cfg`'s
+    alpha must equal `cfg.alpha`; its `init` is not read.
     """
     max_rounds = as_count("max_rounds", max_rounds, lo=0)
+    if centroid_cfg is not None and centroid_cfg.alpha != cfg.alpha:
+        raise ValidationError(f"centroid alpha {centroid_cfg.alpha!r} "
+                              f"differs from seeding alpha {cfg.alpha!r}")
     x = as_points(data, g)
     t0 = time.perf_counter()
     fx = g.f(x)
     centers = x[_seeded_indices(g, x, cfg, fx)[0]]
     timings = {"seed_s": time.perf_counter() - t0,
                "assign_s": 0.0, "centroid_s": 0.0}
-    ccfg = centroid_cfg or CentroidConfig(alpha=cfg.alpha)
-    ccfg = replace(ccfg, alpha=cfg.alpha, init=None)
+    ccfg = replace(centroid_cfg or CentroidConfig(alpha=cfg.alpha), init=None)
     prev_idx = None
     held = None  # the points' potential under their clusters' new centres
-    rounds = 0
     converged = False
-    for rounds in range(1, max_rounds + 1):
+    for sweep in range(max_rounds + 1):
         t0 = time.perf_counter()
         mind, idx = kernels.min_divergence_assign(
             g, cfg.alpha, x, centers, fx=fx)
@@ -337,7 +341,7 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
             # re-assignment under fixed centers never increases the potential
             if new_pot > held + 1e-12 * max(1.0, abs(held)):
                 raise InvariantError(
-                    f"round {rounds}: re-assignment raised the potential "
+                    f"round {sweep + 1}: re-assignment raised the potential "
                     f"from {held!r} to {new_pot!r}")
         for j in range(cfg.k):
             if not np.any(idx == j):
@@ -347,6 +351,8 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
                     g, cfg.alpha, x, centers, fx=fx)
         t1 = time.perf_counter()
         timings["assign_s"] += t1 - t0
+        if sweep == max_rounds:  # the sweep after the last update
+            break
         if prev_idx is not None and np.array_equal(idx, prev_idx):
             converged = True
             break
@@ -371,15 +377,10 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
         centers = new_centers
         prev_idx = idx
         timings["centroid_s"] += time.perf_counter() - t1
-    else:
-        # the last round moved the centres (or none ran): assign to them
-        t0 = time.perf_counter()
-        mind, idx = kernels.min_divergence_assign(
-            g, cfg.alpha, x, centers, fx=fx)
-        timings["assign_s"] += time.perf_counter() - t0
     return ClusterModel(centers=centers, assignments=idx,
-                        potential=float(mind.sum()), rounds=rounds,
-                        converged=converged, timings=timings)
+                        potential=float(mind.sum()),
+                        rounds=sweep + converged, converged=converged,
+                        timings=timings)
 
 
 def estimate_bound_constants(g: Generator, data, samples: int = 4096,
@@ -407,7 +408,7 @@ def estimate_bound_constants(g: Generator, data, samples: int = 4096,
     # of the largest Hessian eigenvalue anywhere to the smallest anywhere
     # (a single point's condition number is 1 for every scalar generator
     # and would say nothing about it)
-    if g.separable and g.second_deriv is not None:
+    if g.second_deriv is not None:
         ss = np.atleast_2d(g.second_deriv(ipts))
         k1_i = int(np.argmax(ss.max(axis=-1)))
         k1_hat = float(ss.max() / ss.min())

@@ -16,8 +16,9 @@ keeps the chord factor rho_J (it does NOT become tB).
 alpha lies in [0, 1] (the raw gap: (0, 1)), else ValidationError. Past
 the checks of `generators` these functions read J'_a, the chord slope,
 rho_J and rho_B from `kernels` on (1, d) rows: a value is the kernel
-entry's float, except that a Jensen value (raw, scaled or total) whose
-rounding falls below 0 reads 0, as every such gap is >= 0 for convex F.
+entry's float, except that a Jensen or Bregman value (raw, scaled or
+total) whose rounding falls below 0 reads 0, as every such gap is >= 0
+for convex F. NaN passes through.
 """
 
 import math
@@ -91,7 +92,7 @@ def bregman(g: Generator, p, q) -> DivergenceValue:
         return DivergenceValue("bregman", 0.0)
     gq = np.asarray(g.grad(q), dtype=np.float64)
     value = float(g.f(p) - g.f(q) - (p - q) @ gq)
-    return DivergenceValue("bregman", value)
+    return DivergenceValue("bregman", max(value, 0.0))
 
 
 def jensen_scaled(g: Generator, alpha, p, q) -> DivergenceValue:

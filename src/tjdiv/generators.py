@@ -7,9 +7,11 @@ are batched: `f` maps (..., d) arrays to (...) values, `grad`,
 
 Each separable builtin, F(x) = sum_j phi(x_j), is one declaration of
 its scalar parts (domain, phi, phi', (phi')^-1, phi'') in `_SEPARABLE`,
-and `_separable` builds them all, casting the input to float64 once and
-summing phi with `coordinate_sum` (whose order neither layout nor batch
-size changes). `_affine` builds both affine maps, G(x) = lam F(a x) + c.
+squared-euclidean (phi = x^2 / 2) among them, and `_separable` builds
+them all, casting the input to float64 once and summing phi with
+`coordinate_sum` (whose order neither layout nor batch size changes).
+`_quadratic` builds squared-mahalanobis, F(x) = x'Qx / 2. `_affine`
+builds both affine maps, G(x) = lam F(a x) + c.
 
 Boundary conventions: evaluation at a closed boundary returns the limit
 value (0*log 0 = 0 for shannon and bit), but gradients are only defined
@@ -69,6 +71,10 @@ class Domain:
 
 @dataclass(frozen=True)
 class Generator:
+    """A strictly convex F and its batched callables. F is separable
+    (a sum over coordinates) exactly when `second_deriv`, the Hessian's
+    diagonal, is given; `hessian` is the full matrix."""
+
     name: str
     dim: int
     domain: Domain
@@ -77,7 +83,6 @@ class Generator:
     grad_inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
     second_deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    separable: bool = True
 
 
 def as_point(x, dim: Optional[int] = None) -> np.ndarray:
@@ -239,6 +244,10 @@ _SEPARABLE = {
             lambda x: _xlogx(x) + _xlogx(1.0 - x),
             lambda x: np.log(x / (1.0 - x)), _logistic,
             lambda x: 1.0 / (x * (1.0 - x))),
+    # phi' and its inverse are the identity: copies in x's layout
+    "squared-euclidean": (Domain(-math.inf, math.inf),
+                          lambda x: 0.5 * (x * x), lambda x: x.copy(order="K"),
+                          lambda y: y.copy(order="K"), np.ones_like),
 }
 
 
@@ -255,10 +264,9 @@ def _separable(name, dim):
         second_deriv=on_float64(ddphi))
 
 
-def _quadratic(name, dim, q):
+def _quadratic(dim, q):
     q = as_spd("matrix", q, dim)
     q_inv = np.linalg.inv(q)
-    is_identity = bool(np.array_equal(q, np.eye(dim)))
 
     def xq(x):
         # x @ q accumulated over the coordinate index left to right, as
@@ -274,22 +282,17 @@ def _quadratic(name, dim, q):
         x = np.asarray(x, dtype=np.float64)
         return 0.5 * coordinate_sum(xq(x) * x)
 
-    second = None
-    if is_identity:
-        second = lambda x: np.ones_like(np.asarray(x, dtype=np.float64))
-    elif dim == 1:
-        qq = float(q[0, 0])
-        second = lambda x: np.full_like(np.asarray(x, dtype=np.float64), qq)
+    def second(x):  # at d = 1 q is the Hessian: F is separable after all
+        return np.full_like(np.asarray(x, dtype=np.float64), q[0, 0])
 
     return Generator(
-        name=name, dim=dim,
+        name="squared-mahalanobis", dim=dim,
         domain=Domain(-math.inf, math.inf),
         f=f,
         grad=xq,
         grad_inverse=lambda y: np.asarray(y, dtype=np.float64) @ q_inv,
-        second_deriv=second,
-        hessian=lambda x: q,
-        separable=is_identity)
+        second_deriv=second if dim == 1 else None,
+        hessian=lambda x: q)
 
 
 def make_builtin(name: str, dimension: int = 1, matrix=None) -> Generator:
@@ -305,11 +308,9 @@ def make_builtin(name: str, dimension: int = 1, matrix=None) -> Generator:
     if name == "squared-mahalanobis":
         if matrix is None:
             raise ValidationError("squared-mahalanobis needs a matrix")
-        return _quadratic(name, dimension, matrix)
+        return _quadratic(dimension, matrix)
     if matrix is not None:
         raise ValidationError(f"{name} does not take a matrix")
-    if name == "squared-euclidean":
-        return _quadratic(name, dimension, np.eye(dimension))
     return _separable(name, dimension)
 
 
@@ -318,7 +319,7 @@ def hessian_at(g: Generator, x: np.ndarray) -> np.ndarray:
     CapabilityError if g has neither `hessian` nor `second_deriv`."""
     if g.hessian is not None:
         return np.asarray(g.hessian(x), dtype=np.float64)
-    if g.separable and g.second_deriv is not None:
+    if g.second_deriv is not None:
         return np.diag(g.second_deriv(np.asarray(x, dtype=np.float64)))
     raise CapabilityError(f"{g.name} exposes no Hessian information")
 
@@ -343,8 +344,7 @@ def _affine(g: Generator, name: str, domain: Domain, a: float, lam: float,
         grad=lambda x: s * g.grad(at(x)),
         grad_inverse=carried(gi, lambda y: gi(np.asarray(y) / s) / a),
         second_deriv=carried(d2, lambda x: s2 * d2(at(x))),
-        hessian=carried(h, lambda x: s2 * np.asarray(h(at(x)))),
-        separable=g.separable)
+        hessian=carried(h, lambda x: s2 * np.asarray(h(at(x)))))
 
 
 def affine_precompose(g: Generator, a: float, b: float = 0.0) -> Generator:

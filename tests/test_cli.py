@@ -147,10 +147,15 @@ def test_kl_gaussian_paths(capsys):
                            "--cov2", "1")
     assert code == 0
     assert rep["results"]["value"] == pytest.approx(0.5, abs=1e-15)
+    # a flag the kind reads is required, a usage error like any other
     code, _, err = run_cli(capsys, "divergence", "--kind", "kl-gaussian",
                            "--mu1", "0", "--mu2", "1")
-    assert code == 1
-    assert "--cov1" in err
+    assert code == 2
+    assert "--cov1 is required, as a flag or a config key" in err
+    code, _, err = run_cli(capsys, "divergence", "--kind", "bregman",
+                           "--p", "1")
+    assert code == 2
+    assert "--q is required, as a flag or a config key" in err
 
 
 def test_ragged_matrix_is_an_error(tmp_path, capsys):

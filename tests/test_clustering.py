@@ -731,6 +731,36 @@ def test_reassignment_raising_the_potential_is_an_error(monkeypatch):
         lloyd_cluster(SHANNON, X, SeedingConfig(k=2, rng_seed=11))
 
 
+def test_last_sweep_is_checked(monkeypatch):
+    # the sweep after the last centroid update once skipped the check
+    real, calls = kernels.min_divergence_assign, []
+
+    def second_inflated(g, alpha, x, centers, **kw):
+        calls.append(1)
+        mind, idx = real(g, alpha, x, centers, **kw)
+        return (mind + 1.0 if len(calls) == 2 else mind), idx
+
+    monkeypatch.setattr(kernels, "min_divergence_assign", second_inflated)
+    rng = np.random.default_rng(7)
+    X = np.concatenate([rng.normal(1.0, 0.05, size=10),
+                        rng.normal(5.0, 0.05, size=10)]).reshape(-1, 1)
+    with pytest.raises(InvariantError, match="round 2: re-assignment raised"):
+        lloyd_cluster(SHANNON, X, SeedingConfig(k=2, rng_seed=11),
+                      max_rounds=1)
+    assert len(calls) == 2
+
+
+def test_lloyd_rejects_a_second_alpha():
+    # the centroid alpha was once replaced by the seeding alpha unread
+    X = np.array([0.5, 1.0, 5.0, 6.0]).reshape(-1, 1)
+    cfg = SeedingConfig(k=2, rng_seed=1, alpha=0.5)
+    with pytest.raises(ValidationError, match=r"0\.3.*0\.5"):
+        lloyd_cluster(SHANNON, X, cfg, centroid_cfg=CentroidConfig(alpha=0.3))
+    same = lloyd_cluster(SHANNON, X, cfg, centroid_cfg=CentroidConfig())
+    plain = lloyd_cluster(SHANNON, X, cfg)
+    assert np.array_equal(same.centers, plain.centers)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rows_are_rejected(bad):
     X = np.array([0.5, 1.0, 2.0, 4.0, bad, 8.0]).reshape(-1, 1)

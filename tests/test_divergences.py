@@ -95,6 +95,24 @@ def test_jensen_raw_nonnegative_and_skew_symmetric(alpha, p, q):
     assert v == pytest.approx(w, abs=1e-15)
 
 
+# pairs at relative separation below 1e-8, where F(p) - F(q) - <p - q,
+# grad F(q)> is all cancellation
+_NEAR = st.tuples(st.floats(min_value=0.05, max_value=0.95),
+                  st.floats(min_value=-1e-8, max_value=1e-8)).map(
+    lambda t: (t[0], t[0] * (1.0 + t[1])))
+
+
+@given(name=st.sampled_from(("shannon", "burg", "bit")), pq=_NEAR)
+@example(name="shannon", pq=(0.5, 0.5000000001))  # B once read -5.9e-17
+def test_bregman_family_nonnegative_near_coincidence(name, pq):
+    g = make_builtin(name)
+    p, q = [pq[0]], [pq[1]]
+    assert bregman(g, p, q).value >= 0.0
+    assert total_bregman(g, p, q).value >= 0.0
+    assert jensen_scaled(g, 0.0, p, q).value >= 0.0
+    assert jensen_scaled(g, 1.0, q, p).value >= 0.0
+
+
 @given(lam=st.floats(min_value=0.1, max_value=10.0),
        c=st.floats(min_value=-5.0, max_value=5.0))
 def test_postcomposition_scales_jensen_raw(lam, c):

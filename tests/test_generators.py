@@ -178,6 +178,24 @@ def test_euclidean_is_identity_quadratic():
     assert float(g.f(x)) == pytest.approx(12.5)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dim", [1, 4, 16])
+def test_euclidean_equals_identity_mahalanobis_bit_for_bit(dim, order):
+    ge = make_builtin("squared-euclidean", dim)
+    gm = make_builtin("squared-mahalanobis", dim, matrix=np.eye(dim))
+    x = np.asarray(np.random.default_rng(dim).normal(0.0, 3.0, (50, dim)),
+                   order=order)
+    for part in ("f", "grad", "grad_inverse"):
+        got = getattr(ge, part)(x)
+        assert np.array_equal(got, getattr(gm, part)(x)), part
+        if part != "f":  # the identity's copies keep the input's layout
+            assert got.flags.f_contiguous == x.flags.f_contiguous, part
+    # the Hessian's diagonal, at every row
+    diag = np.diagonal(gm.hessian(x[0]))
+    assert np.array_equal(ge.second_deriv(x), np.broadcast_to(diag, x.shape))
+    assert np.array_equal(hessian_at(ge, x[0]), hessian_at(gm, x[0]))
+
+
 def test_separable_hessian_at():
     g = make_builtin("burg", 2)
     x = np.array([0.5, 2.0])
@@ -246,7 +264,7 @@ def test_affine_maps_equal_their_closed_forms_bit_for_bit(case):
             continue
         got = np.asarray(getattr(ga, part)(args[part]))
         assert np.array_equal(got, form(args[part])), part
-    assert ga.separable == g.separable and ga.dim == g.dim
+    assert ga.dim == g.dim
 
 
 def test_negated_domain_ends_have_no_negative_zero():

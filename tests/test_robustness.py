@@ -124,6 +124,17 @@ def test_sweep_range_validation():
             boundedness_sweep(g, 1.0, 100.0, per_decade=bad)
 
 
+def test_one_dimensional_mahalanobis_keeps_its_second_derivative():
+    # q is the 1 x 1 Hessian, so the scalar influence analysis applies
+    g = make_builtin("squared-mahalanobis", 1, matrix=2.0)
+    assert np.array_equal(g.second_deriv(np.array([[0.5], [-3.0]])),
+                          [[2.0], [2.0]])
+    rep = boundedness_sweep(g, 1.0, 1e6)
+    # z(y) = y - p: the quadratic's influence is unbounded
+    assert np.allclose(rep.z_values, rep.ys - 1.0, rtol=1e-12)
+    assert rep.classification == "unbounded-trending"
+
+
 def test_scalar_only_and_second_derivative_required():
     with pytest.raises(CapabilityError):
         influence_analytic(make_builtin("squared-euclidean", 2),
