@@ -4,8 +4,8 @@ Writes fixed-seed CSV datasets (400 rows at d = 1, 2, 4, 8, 16, a 24x2
 file, a file of repeated rows, the 24x2 points again under a header
 with a weight column and a blank line, and 9000 rows at d = 16) to a
 temporary directory, runs the seeded cluster, seed, centroid,
-bound-experiment, constants, influence, divergence and project
-commands in process, and prints one
+bound-experiment, constants, influence, divergence, project and
+metric-check commands in process, and prints one
 `name sha256[:16]` line per `results` block, each followed by one
 `name.key sha256[:16]` line per top-level key of that block and one
 `name.command sha256[:16]` line for the run's `command` echo, with the
@@ -189,6 +189,13 @@ def _commands(files):
                  ["divergence", "--kind", "kl-gaussian", "--mu1", "0,1",
                   "--cov1", "2,0.5;0.5,1", "--mu2", "1,0",
                   "--cov2", "1,0;0,3"]))
+    # sqrt(tJS) on the fixed counterexample and on random simplex triples
+    runs += [
+        ("metric-check", ["metric-check"]),
+        ("metric-check-search-d3",
+         ["metric-check", "--search", "--trials", "50", "--dim", "3",
+          "--rng-seed", "1"]),
+    ]
     return runs
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .errors import CapabilityError, ValidationError
 from .generators import (
-    Generator, as_count, as_points, as_real, ensure_domain)
+    Generator, as_count, as_point, as_points, as_real, ensure_domain)
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ class CentroidConfig:
     inner_cccp_iters: int = 20
     outer_tol: float = 1e-10
     outer_max_iters: int = 1000
-    init: Optional[np.ndarray] = None
 
     def __post_init__(self):
         as_real("alpha", self.alpha)
@@ -137,13 +136,15 @@ def total_loss(g: Generator, alpha, data: WeightedPointSet, c) -> float:
 
 
 def total_jensen_centroid(g: Generator, data: WeightedPointSet,
-                          cfg: CentroidConfig = CentroidConfig()) -> CentroidResult:
+                          cfg: CentroidConfig = CentroidConfig(),
+                          init=None) -> CentroidResult:
     """Two-stage loop: conformal weight renormalization, then a
-    frozen-weight CCCP stage solved to tolerance. Non-convergence is
-    reported (stop_reason), never raised."""
+    frozen-weight CCCP stage solved to tolerance, from `init` (a point in
+    the interior of g's domain) or else the barycenter. Non-convergence
+    is reported (stop_reason), never raised."""
     _check_inputs(g, data)
-    if cfg.init is not None:
-        c = np.atleast_1d(np.asarray(cfg.init, dtype=np.float64))
+    if init is not None:
+        c = as_point(init, g.dim)
         ensure_domain(g, c, interior=True)
     else:
         c = _barycenter(g, data)
@@ -198,6 +199,8 @@ def _total_jensen_centroid(g: Generator, data: WeightedPointSet,
 
 
 def left_sided_centroid(g: Generator, data: WeightedPointSet,
-                        cfg: CentroidConfig = CentroidConfig()) -> CentroidResult:
+                        cfg: CentroidConfig = CentroidConfig(),
+                        init=None) -> CentroidResult:
     """Left-sided total Jensen centroid: the right-sided one at 1 - alpha."""
-    return total_jensen_centroid(g, data, replace(cfg, alpha=1.0 - cfg.alpha))
+    return total_jensen_centroid(
+        g, data, replace(cfg, alpha=1.0 - cfg.alpha), init)

@@ -127,15 +127,19 @@ def _canon(x, out, quote):
 
 
 def _vec(text: str) -> np.ndarray:
+    """The coordinates of 'a,b'; an empty coordinate is an error."""
     try:
-        return np.array([float(t) for t in str(text).split(",") if t != ""])
+        return np.array([float(t) for t in str(text).split(",")])
     except ValueError:
-        raise ValidationError(f"cannot parse vector {text!r}")
+        raise ValidationError(f"cannot parse vector {text!r}") from None
 
 
 def _mat(text: str) -> list:
     """The rows of 'a,b;c,d'; generators.as_spd checks their shape."""
-    return [_vec(r) for r in str(text).split(";") if r != ""]
+    try:
+        return [_vec(r) for r in str(text).split(";")]
+    except ValidationError:
+        raise ValidationError(f"cannot parse matrix {text!r}") from None
 
 
 def _read_text(path):
@@ -309,7 +313,7 @@ def _dataset(ns, timings, interior, weighted=False):
     return g, data, meta
 
 
-def _generator_from(ns, dim=None):
+def _generator_from(ns, dim=1):
     matrix = None
     if getattr(ns, "matrix", None):
         if os.path.exists(ns.matrix):
@@ -319,9 +323,7 @@ def _generator_from(ns, dim=None):
                 raise ValidationError(f"{ns.matrix}: {exc}") from None
         else:
             matrix = _mat(ns.matrix)
-    if ns.dim is not None:
-        dim = ns.dim
-    return make_builtin(ns.generator, 1 if dim is None else dim, matrix)
+    return make_builtin(ns.generator, dim, matrix)
 
 
 def _fresh_seed() -> int:
@@ -484,11 +486,10 @@ def _constants_payload(c):
 
 def _cmd_bound_experiment(ns, timings):
     g, data, meta = _dataset(ns, timings, True)
-    cfg = SeedingConfig(k=ns.k, alpha=ns.alpha, rng_seed=ns.rng_seed,
-                        trials=ns.trials)
+    cfg = SeedingConfig(k=ns.k, alpha=ns.alpha, rng_seed=ns.rng_seed)
     grid = (ns.eps,) if ns.eps is not None else DEFAULT_EPS_GRID
     rep = seeding_bound_experiment(g, data.points, cfg, eps_grid=grid,
-                                   samples=ns.samples)
+                                   samples=ns.samples, trials=ns.trials)
     timings.update(rep.timings)
     results = {
         "mean_potential": rep.mean_potential,
@@ -581,8 +582,8 @@ FLAGS = {
     "kind": {"choices": list(KINDS)},
     "generator": {"choices": list(BUILTIN_NAMES)},
     "side": {"choices": ["right", "left"]},
-    "dim": {"type": int, "help": "dimension of the points (default: "
-            "inferred from the inputs; metric-check: 2)"},
+    "dim": {"type": int,
+            "help": "dimension of the simplex the triples are drawn from"},
     "matrix": {"help": "rows 'a,b;c,d' or a CSV file path"},
     "weights": {"help": "name of the weight column"},
     "inner_iters": {"type": int,
@@ -613,7 +614,7 @@ def _signature_defaults(fn):
 
 
 def _generator(name):
-    return {"generator": name, "dim": None, "matrix": None}
+    return {"generator": name, "matrix": None}
 
 
 _DATASET = dict(_generator("shannon"), input=REQUIRED, weights=None)
@@ -621,7 +622,7 @@ _CENTROID_FLAGS = {"inner_iters": CentroidConfig.inner_cccp_iters,
                    "outer_tol": CentroidConfig.outer_tol,
                    "outer_max": CentroidConfig.outer_max_iters}
 _ESTIMATE_KW = _signature_defaults(estimate_bound_constants)
-_GENERATOR_FLAGS = ("generator", "dim", "matrix", "alpha")
+_GENERATOR_FLAGS = ("generator", "matrix", "alpha")
 _GAUSSIAN_FLAGS = ("mu1", "cov1", "mu2", "cov2")
 
 # read at import: a profiler may later replace the library functions with

@@ -37,7 +37,7 @@ reported over a grid instead of a single number.
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 from typing import List, Optional
 
@@ -56,13 +56,11 @@ class SeedingConfig:
     k: int
     alpha: float = 0.5
     rng_seed: int = 0
-    trials: int = 1  # seeding_bound_experiment's; one seeding needs 1
 
     def __post_init__(self):
         as_count("k", self.k)
         as_real("alpha", self.alpha)
         as_count("rng_seed", self.rng_seed, lo=0)
-        as_count("trials", self.trials)
 
 
 @dataclass(frozen=True)
@@ -182,10 +180,6 @@ def _seed_indices(rows, n, k, rng, trials=1):
 
 def _seeded_indices(g, x, cfg: SeedingConfig, fx=None):
     # x is already checked by the public caller; fx = F(x), if known
-    if cfg.trials != 1:
-        raise ValidationError(
-            f"trials={cfg.trials}: a seeding is one trial; "
-            "seeding_bound_experiment runs many")
     if x.shape[0] < cfg.k:
         raise ValidationError(f"need at least k={cfg.k} points, have {x.shape[0]}")
     if fx is None and cfg.k > 1:  # k = 1 draws once and reads no column
@@ -316,7 +310,8 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
     previous clusters' new centres, which the check compares the sweep
     against, is the sum of the centroid stages' own losses at those
     centres: no kernel pass beyond the sweep it checks. `centroid_cfg`'s
-    alpha must equal `cfg.alpha`; its `init` is not read.
+    alpha must equal `cfg.alpha`. Each centroid starts at its cluster's
+    barycenter.
     """
     max_rounds = as_count("max_rounds", max_rounds, lo=0)
     if centroid_cfg is not None and centroid_cfg.alpha != cfg.alpha:
@@ -328,7 +323,7 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
     centers = x[_seeded_indices(g, x, cfg, fx)[0]]
     timings = {"seed_s": time.perf_counter() - t0,
                "assign_s": 0.0, "centroid_s": 0.0}
-    ccfg = replace(centroid_cfg or CentroidConfig(alpha=cfg.alpha), init=None)
+    ccfg = centroid_cfg or CentroidConfig(alpha=cfg.alpha)
     prev_idx = None
     held = None  # the points' potential under their clusters' new centres
     converged = False
@@ -361,8 +356,8 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
         members = {j: idx == j for j in range(cfg.k)}
         clusters = {j: WeightedPointSet.make(_take(x, m))
                     for j, m in members.items() if m.any()}
-        # each centroid starts at its cluster's barycenter (ccfg.init is
-        # None); all of them are checked in one call
+        # each centroid starts at its cluster's barycenter; all of them
+        # are checked in one call
         starts = np.array([m.weights @ m.points for m in clusters.values()])
         ensure_domain(g, starts, interior=True)
         new_centers = centers.copy()
@@ -442,15 +437,16 @@ DEFAULT_EPS_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
-                             eps_grid=DEFAULT_EPS_GRID,
-                             samples: int = 4096) -> ExperimentReport:
-    """Mean seeding potential over cfg.trials k-means++ trials vs the
+                             eps_grid=DEFAULT_EPS_GRID, samples: int = 4096,
+                             trials: int = 1) -> ExperimentReport:
+    """Mean seeding potential over `trials` k-means++ seedings vs the
     brute-force discrete optimum, with the plug-in multiplier
     2 U^2 (1+V) (2 + log k) tabulated over eps_grid. The trials are
     drawn in turn from one generator seeded by cfg.rng_seed, so the
     mean depends on (rng_seed, trials), and one trial draws what
     seed_indices draws."""
     # every option is checked before the first divergence is computed
+    trials = as_count("trials", trials)
     samples = as_count("samples", samples, lo=2)
     eps_grid = [as_real("eps", eps) for eps in eps_grid]
     x = as_points(data, g)
@@ -462,7 +458,7 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
     t1 = time.perf_counter()
     opt_pot = _optimum(cols, k)[0]
     t2 = time.perf_counter()
-    idx, mind = _seed_indices(cols.__getitem__, n, k, rng, cfg.trials)
+    idx, mind = _seed_indices(cols.__getitem__, n, k, rng, trials)
     if mind is None:  # k = 1: a trial's potential is its centre's row sum
         pots = cols.sum(axis=1)[idx[:, 0]]
     else:
@@ -486,5 +482,5 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
                "constants_s": time.perf_counter() - t3}
     return ExperimentReport(
         mean_potential=mean_pot, opt_potential=opt_pot, ratio=ratio,
-        constants=constants, curve=curve, trials=cfg.trials, k=cfg.k,
+        constants=constants, curve=curve, trials=trials, k=cfg.k,
         timings=timings)

@@ -186,31 +186,25 @@ def _js_sum(a, b):
     return out
 
 
-def _js_pair(p, q):
-    """p and q as nonnegative points of one dimension."""
-    p = as_point(p)
-    q = as_point(q)
-    if p.shape != q.shape:
-        raise ValidationError("p and q must have the same dimension")
-    if np.any(p < 0.0) or np.any(q < 0.0):
-        raise ValidationError("jensen-shannon needs nonnegative components")
-    return p, q
-
-
 def _js(p, q):
     """JS of a checked pair; 0 where p = q."""
     return 0.5 * _js_sum(p, q) + 0.5 * _js_sum(q, p)
 
 
+def _shannon_pair(p, q):
+    """(shannon of p's dimension, p, q) with the pair in its domain."""
+    g = make_builtin("shannon", as_point(p).size)
+    return (g, *as_pair(g, p, q))
+
+
 def jensen_shannon(p, q) -> DivergenceValue:
-    return DivergenceValue("jensen-shannon", _js(*_js_pair(p, q)))
+    return DivergenceValue("jensen-shannon", _js(*_shannon_pair(p, q)[1:]))
 
 
 def total_jensen_shannon(p, q) -> DivergenceValue:
     """rho_J * JS with the chord factor taken from F(x) = sum x log x - x."""
-    p, q = _js_pair(p, q)
-    rho = kernels.pairwise_conformal(make_builtin("shannon", p.size),
-                                     p[None], q[None])[0]
+    g, p, q = _shannon_pair(p, q)
+    rho = kernels.pairwise_conformal(g, p[None], q[None])[0]
     return DivergenceValue("total-jensen-shannon", float(rho) * _js(p, q))
 
 

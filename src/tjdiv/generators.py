@@ -264,19 +264,22 @@ def _separable(name, dim):
         second_deriv=on_float64(ddphi))
 
 
+def _right_product(m):
+    """x -> x @ m, accumulated over the coordinate index left to right,
+    as coordinate_sum does: BLAS's order depends on the batch shape. The
+    product keeps x's layout."""
+    def xm(x):
+        x = np.asarray(x, dtype=np.float64)
+        out = np.multiply(x[..., :1], m[0], out=np.empty_like(x))
+        for j in range(1, len(m)):
+            out += x[..., j:j + 1] * m[j]
+        return out
+    return xm
+
+
 def _quadratic(dim, q):
     q = as_spd("matrix", q, dim)
-    q_inv = np.linalg.inv(q)
-
-    def xq(x):
-        # x @ q accumulated over the coordinate index left to right, as
-        # coordinate_sum does: BLAS's order depends on the batch shape.
-        # The product keeps x's layout.
-        x = np.asarray(x, dtype=np.float64)
-        out = np.multiply(x[..., :1], q[0], out=np.empty_like(x))
-        for j in range(1, dim):
-            out += x[..., j:j + 1] * q[j]
-        return out
+    xq = _right_product(q)
 
     def f(x):
         x = np.asarray(x, dtype=np.float64)
@@ -290,7 +293,7 @@ def _quadratic(dim, q):
         domain=Domain(-math.inf, math.inf),
         f=f,
         grad=xq,
-        grad_inverse=lambda y: np.asarray(y, dtype=np.float64) @ q_inv,
+        grad_inverse=_right_product(np.linalg.inv(q)),
         second_deriv=second if dim == 1 else None,
         hessian=lambda x: q)
 

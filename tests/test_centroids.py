@@ -251,9 +251,28 @@ def test_stage_weights_are_normalized():
 def test_explicit_init_is_respected():
     g = make_builtin("shannon")
     data = WeightedPointSet.make([[1.0], [2.0], [4.0]])
-    res = total_jensen_centroid(g, data, CentroidConfig(init=np.array([1.1])))
+    res = total_jensen_centroid(g, data, init=np.array([1.1]))
     assert res.loss_trace[0] == pytest.approx(
         total_loss(g, 0.5, data, [1.1]), rel=1e-12)
+
+
+@pytest.mark.parametrize("side", [total_jensen_centroid, left_sided_centroid])
+@pytest.mark.parametrize("init, match", [
+    # [1.0] on 3-D data once ran, with F taken of a one-coordinate point;
+    # [1.0, 2.0] and a 2-D init ended in numpy ValueErrors
+    ([1.0], "point has dimension 1, generator expects 3"),
+    ([1.0, 2.0], "point has dimension 2, generator expects 3"),
+    ([[1.0, 1.0, 1.0]], "expected a point vector"),
+    ([1.0, np.nan, 1.0], "NaN or Inf")])
+def test_init_is_checked_as_a_point_of_the_generator(side, init, match):
+    g = make_builtin("shannon", 3)
+    data = WeightedPointSet.make([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5]])
+    with pytest.raises(ValidationError, match=match):
+        side(g, data, init=init)
+    # a point of the right dimension outside the interior is a domain error
+    with pytest.raises(DomainError, match="interior of shannon"):
+        side(g, data, init=[1.0, 0.0, 1.0])
+    assert side(g, data, init=[1.0, 1.0, 1.0]).converged
 
 
 @pytest.mark.parametrize("name, dim, outer_max", [

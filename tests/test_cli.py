@@ -133,12 +133,44 @@ def test_dimension_inferred_from_vectors(capsys):
     assert rep["results"]["value"] == pytest.approx(2.5, rel=1e-15)
 
 
-def test_dim_override_mismatch_fails(capsys):
-    code, _, err = run_cli(capsys, "divergence", "--kind", "total-jensen",
-                           "--generator", "shannon", "--dim", "3",
-                           "--p", "1,2", "--q", "2,1")
-    assert code == 1
-    assert "error:" in err
+@pytest.mark.parametrize("argv", [
+    ["divergence", "--kind", "total-jensen", "--generator", "shannon",
+     "--p", "1,2", "--q", "2,1"],
+    ["divergence", "--kind", "jensen-shannon", "--p", "0.2,0.8",
+     "--q", "0.5,0.5"],
+    ["project", "--p", "1,2", "--q", "2,1"],
+    ["centroid"], ["influence", "--p", "1.0"], ["seed", "--k", "2"],
+    ["cluster", "--k", "2"], ["bound-experiment", "--k", "2"],
+    ["constants"]], ids=lambda v: " ".join(v[:3]))
+def test_dim_is_a_usage_error_where_the_inputs_fix_it(tmp_path, capsys, argv):
+    # --dim could only repeat the dimension of --p, of the file, or 1,
+    # or fail later with "points have dimension 2, generator expects 3"
+    if argv[0] in ("centroid", "seed", "cluster", "bound-experiment",
+                   "constants"):
+        argv = argv + ["--input", _write(tmp_path / "d.csv", "1,2\n2,1\n")]
+    for dim in ("2", "3"):
+        code, rep, err = run_cli(capsys, *argv, "--dim", dim)
+        assert code == 2 and rep is None
+        assert "unrecognized arguments: --dim" in err
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+_TJ = ["--kind", "total-jensen", "--generator", "shannon"]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (_TJ + ["--p", "1,,2", "--q", "2,1"], "vector '1,,2'"),
+    (_TJ + ["--p", "1,", "--q", "2"], "vector '1,'"),
+    (_TJ + ["--p", ",1", "--q", "2"], "vector ',1'"),
+    (_TJ + ["--p", "", "--q", "2"], "vector ''"),
+    (["--kind", "kl-gaussian", "--mu1", "0,0", "--cov1", "1,0;;0,1",
+      "--mu2", "0,0", "--cov2", "1,0;0,1"], "matrix '1,0;;0,1'"),
+], ids=["inner", "trailing", "leading", "empty", "matrix-row"])
+def test_empty_coordinate_is_an_error(capsys, argv, text):
+    # 1,,2 once read as [1, 2] and exited 0; 1, read as [1]
+    code, rep, err = run_cli(capsys, "divergence", *argv)
+    assert code == 1 and rep is None
+    assert err == f"error: cannot parse {text}\n"
 
 
 def test_kl_gaussian_paths(capsys):
@@ -192,7 +224,7 @@ _GAUSS = ["--mu1", "0", "--cov1", "1", "--mu2", "1", "--cov2", "1"]
     # generator flags on the fixed-generator kinds once went unread
     ("total-jensen-shannon", ["--generator", "burg", "--alpha", "0.9"]
      + _PAIR, "--generator"),
-    ("jensen-shannon", ["--dim", "2"] + _PAIR, "--dim"),
+    ("jensen-shannon", ["--alpha", "0.3"] + _PAIR, "--alpha"),
     ("kl-gaussian", ["--alpha", "0.3"] + _GAUSS, "--alpha"),
     ("kl-gaussian", ["--matrix", "1"] + _GAUSS, "--matrix"),
     # a point pair on the Gaussian kind

@@ -28,23 +28,9 @@ SHANNON = make_builtin("shannon")
 def test_config_validation():
     # k=2.5 once ended in a numpy TypeError, rng_seed=-1 in a ValueError
     for bad in ({"k": 0}, {"k": 2.5}, {"k": 2, "alpha": 1.0},
-                {"k": 2, "alpha": np.nan}, {"k": 2, "trials": 0},
-                {"k": 2, "trials": 1.0}, {"k": 2, "rng_seed": -1}):
+                {"k": 2, "alpha": np.nan}, {"k": 2, "rng_seed": -1}):
         with pytest.raises(ValidationError):
             SeedingConfig(**bad)
-
-
-def test_single_seedings_reject_more_than_one_trial():
-    # trials=50 once returned one seeding, and lloyd_cluster ran with
-    # trials=7; only the bound experiment runs trials
-    X = np.array([0.5, 1.0, 2.0, 4.0, 8.0]).reshape(-1, 1)
-    for trials in (50, 7):
-        cfg = SeedingConfig(k=2, rng_seed=3, trials=trials)
-        for run in (seed, seed_indices, lloyd_cluster):
-            with pytest.raises(ValidationError,
-                               match="seeding_bound_experiment"):
-                run(SHANNON, X, cfg)
-    assert len(seed_indices(SHANNON, X, SeedingConfig(k=2, trials=1))) == 2
 
 
 def test_seeding_is_deterministic_and_without_replacement():
@@ -649,8 +635,8 @@ def test_k1_experiment_holds_no_running_minima():
 def test_k1_trial_potentials_are_the_table_row_sums():
     n, trials = 1000, 1000
     x = np.exp(np.random.default_rng(2).normal(0.0, 1.0, size=(n, 1)))
-    cfg = SeedingConfig(k=1, rng_seed=3, trials=trials)
-    rep = seeding_bound_experiment(SHANNON, x, cfg, samples=2)
+    cfg = SeedingConfig(k=1, rng_seed=3)
+    rep = seeding_bound_experiment(SHANNON, x, cfg, samples=2, trials=trials)
     sums = kernels.tj_table(SHANNON, 0.5, x).sum(axis=1)
     idx, _ = clustering._seed_indices(
         None, n, 1, np.random.default_rng(3), trials)
@@ -805,21 +791,13 @@ def test_lloyd_domain_checks_do_not_grow_with_n(monkeypatch):
 
 
 def test_lloyd_ignores_centroid_init():
-    # every centroid starts at its cluster's barycenter, whatever
-    # centroid_cfg.init says, so the barycenter check always applies
-    start = CentroidConfig(init=np.array([1.0]))
+    # every centroid starts at its cluster's barycenter, so the
+    # barycenter check always applies
     zeros = np.array([0.0, 0.0, 0.0, 5.0, 6.0, 7.0]).reshape(-1, 1)
-    for ccfg in (None, start):
-        with pytest.raises(DomainError, match=r"point \[0.0\] is outside "
-                           r"the interior of shannon's domain"):
-            lloyd_cluster(SHANNON, zeros, SeedingConfig(k=2, rng_seed=1),
-                          centroid_cfg=ccfg)
-    edge = np.array([0.0, 1.0, 5.0, 6.0]).reshape(-1, 1)
-    a = lloyd_cluster(SHANNON, edge, SeedingConfig(k=2, rng_seed=1))
-    b = lloyd_cluster(SHANNON, edge, SeedingConfig(k=2, rng_seed=1),
-                      centroid_cfg=start)
-    assert np.array_equal(a.centers, b.centers)
-    assert np.array_equal(a.assignments, b.assignments)
+    with pytest.raises(DomainError, match=r"point \[0.0\] is outside "
+                       r"the interior of shannon's domain"):
+        lloyd_cluster(SHANNON, zeros, SeedingConfig(k=2, rng_seed=1),
+                      centroid_cfg=None)
 
 
 def test_lloyd_trivial_and_degenerate_inputs():
@@ -921,7 +899,7 @@ def test_bound_experiment_trivial_and_small():
 
     Y = np.array([0.4, 0.7, 1.1, 1.6, 2.3, 3.1, 4.0, 5.2, 6.5, 8.0]).reshape(-1, 1)
     rep = seeding_bound_experiment(
-        SHANNON, Y, SeedingConfig(k=2, rng_seed=9, trials=50), samples=512)
+        SHANNON, Y, SeedingConfig(k=2, rng_seed=9), samples=512, trials=50)
     assert rep.ratio >= 1.0 - 1e-12
     assert rep.trials == 50 and rep.k == 2
     assert len(rep.curve) == len(DEFAULT_EPS_GRID)
@@ -936,8 +914,8 @@ def test_bound_experiment_trivial_and_small():
 def test_bound_experiment_matches_per_trial_draws(name, dim, k):
     g = make_builtin(name, dim)
     x = np.exp(np.random.default_rng(k).normal(0.0, 0.7, size=(14, dim)))
-    cfg = SeedingConfig(k=k, alpha=0.3, rng_seed=21, trials=40)
-    rep = seeding_bound_experiment(g, x, cfg, samples=64)
+    cfg = SeedingConfig(k=k, alpha=0.3, rng_seed=21)
+    rep = seeding_bound_experiment(g, x, cfg, samples=64, trials=40)
     cols = np.array([pairwise_total_jensen(g, 0.3, x, x[j:j + 1])
                      for j in range(len(x))])
     draws = _reference_batch(cols, k, 40, np.random.default_rng(21))
@@ -960,8 +938,8 @@ def test_one_trial_experiment_draws_what_seed_draws(k):
 def test_bound_experiment_on_duplicates_takes_the_uniform_branch():
     # three distinct rows and k = 4: every trial's last draw has zero mass
     X = np.repeat(np.array([1.0, 2.0, 5.0]), 3).reshape(-1, 1)
-    cfg = SeedingConfig(k=4, rng_seed=2, trials=30)
-    rep = seeding_bound_experiment(SHANNON, X, cfg, samples=64)
+    cfg = SeedingConfig(k=4, rng_seed=2)
+    rep = seeding_bound_experiment(SHANNON, X, cfg, samples=64, trials=30)
     assert rep.mean_potential == 0.0 and rep.opt_potential == 0.0
 
 
@@ -978,7 +956,7 @@ def test_bound_experiment_computes_each_column_once(k, monkeypatch):
     x = np.exp(np.random.default_rng(4).normal(0.0, 0.7, size=(24, 2)))
     g = make_builtin("burg", 2)
     seeding_bound_experiment(
-        g, x, SeedingConfig(k=k, rng_seed=1, trials=1000), samples=64)
+        g, x, SeedingConfig(k=k, rng_seed=1), samples=64, trials=1000)
     # every k reads the one n x n table, built in one block here
     assert len(calls) == 1
 
@@ -986,7 +964,8 @@ def test_bound_experiment_computes_each_column_once(k, monkeypatch):
 @pytest.mark.parametrize("options, name", [
     ({"eps_grid": (2.0,)}, "eps"), ({"eps_grid": (0.5, np.nan)}, "eps"),
     ({"eps_grid": (0.0,)}, "eps"), ({"samples": 1}, "samples"),
-    ({"samples": 2.5}, "samples")])
+    ({"samples": 2.5}, "samples"), ({"trials": 0}, "trials"),
+    ({"trials": 1.0}, "trials"), ({"trials": "2"}, "trials")])
 def test_bound_experiment_checks_options_before_any_divergence(options, name):
     # eps_grid=(2.0,) once raised only after the matrix, the optimum scan
     # and every trial had run
@@ -994,7 +973,7 @@ def test_bound_experiment_checks_options_before_any_divergence(options, name):
     g, seen = _counting_f(make_builtin("burg", 2))
     with pytest.raises(ValidationError, match=f"{name} must"):
         seeding_bound_experiment(
-            g, x, SeedingConfig(k=3, rng_seed=1, trials=1000), **options)
+            g, x, SeedingConfig(k=3, rng_seed=1), **{"trials": 1000, **options})
     assert _f_rows(seen) == 0
 
 
@@ -1002,7 +981,7 @@ def test_bound_holds_for_euclidean_at_unit_eps():
     ge = make_builtin("squared-euclidean")
     X = np.array([-2.0, -1.0, 0.0, 0.5, 1.5, 3.0]).reshape(-1, 1)
     rep = seeding_bound_experiment(
-        ge, X, SeedingConfig(k=2, rng_seed=13, trials=100), samples=512)
+        ge, X, SeedingConfig(k=2, rng_seed=13), samples=512, trials=100)
     cc = rep.constants
     assert cc.k1_hat == 1.0
     # tightest limit of the plug-in family: u, v evaluated at eps -> 1

@@ -326,8 +326,10 @@ def test_jensen_shannon_values():
     assert jensen_shannon([0.3, 0.7], [0.3, 0.7]).value == 0.0
     p, q = [0.2, 0.8], [0.6, 0.4]
     assert jensen_shannon(p, q).value == jensen_shannon(q, p).value
-    with pytest.raises(ValidationError):
+    with pytest.raises(DomainError):
         jensen_shannon([-0.1, 1.1], [0.5, 0.5])
+    with pytest.raises(ValidationError, match="dimension 3, generator expects 2"):
+        jensen_shannon([0.5, 0.5], [0.2, 0.3, 0.5])
 
 
 def test_jensen_shannon_equals_shannon_jensen_gap():
@@ -410,11 +412,14 @@ def test_scalar_api_equals_kernel_entries_bit_for_bit(name, d):
     g = make_builtin(name, d)
     lo, hi = _BOXES[name]
     rng = np.random.default_rng(61 + d)
-    for _ in range(200):
+    for i in range(400):
         p, q = rng.uniform(lo, hi, size=(2, d))
+        if i >= 200:  # near-coincident, where the kernel may round below 0
+            q = p * (1.0 + rng.uniform(-1e-9, 1e-9, size=d))
         a = float(rng.uniform(0.05, 0.95))
-        assert total_jensen(g, a, p, q).value == \
-            kernels.pairwise_total_jensen(g, a, p[None], q[None])[0]
+        # the scalar API reads 0 where the kernel rounds below 0
+        assert total_jensen(g, a, p, q).value == max(
+            kernels.pairwise_total_jensen(g, a, p[None], q[None])[0], 0.0)
         assert conformal_factors(g, p, q).rho_j == \
             kernels.pairwise_conformal(g, p[None], q[None])[0]
 

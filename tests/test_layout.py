@@ -74,6 +74,22 @@ def test_a_row_alone_gives_the_bits_it_gives_in_a_batch(name, dim):
     assert np.array_equal(coordinate_sum(x), np.asfortranarray(x).sum(axis=1))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dim", [2, 4, 16])
+def test_mahalanobis_gradients_give_batch_bits_and_keep_layout(dim, order):
+    # grad_inverse was y @ q_inv through BLAS: at d = 4 about half the
+    # rows had other bits alone than in a batch, and its output was
+    # row-major whatever the input's layout
+    g, x = _case("squared-mahalanobis", dim)
+    x = np.asarray(x[:200], order=order)
+    for part in (g.grad, g.grad_inverse):
+        batch = part(x)
+        assert np.array_equal(batch, [part(row) for row in x])
+        assert np.array_equal(batch, np.vstack([part(x[i:i + 1])
+                                                for i in range(len(x))]))
+        assert batch.flags.f_contiguous == x.flags.f_contiguous
+
+
 def test_point_sets_are_column_major(tmp_path):
     x = np.exp(np.random.default_rng(0).normal(size=(50, 4)))
     assert x.flags.c_contiguous and not x.flags.f_contiguous
