@@ -5,7 +5,9 @@ file, a file of repeated rows, the 24x2 points again under a header
 with a weight column and a blank line, and 9000 rows at d = 16) to a
 temporary directory, runs the seeded cluster, seed, centroid,
 bound-experiment, constants, influence, divergence, project and
-metric-check commands in process, and prints one
+metric-check commands in process (among them a cluster run whose
+sweeps re-seed an empty cluster, and the Jensen-Shannon kinds at
+p = q), and prints one
 `name sha256[:16]` line per `results` block, each followed by one
 `name.key sha256[:16]` line per top-level key of that block and one
 `name.command sha256[:16]` line for the run's `command` echo, with the
@@ -154,6 +156,11 @@ def _commands(files):
          ["centroid", "--input", files["weighted2"], "--outer-max", "200"]),
         ("seed-shannon-dup2",
          ["seed", "--input", files["dup2"], "--k", "4", "--rng-seed", "8"]),
+        # a centre duplicates another, so the sweeps re-seed an empty
+        # cluster in place
+        ("cluster-shannon-dup2",
+         ["cluster", "--input", files["dup2"], "--k", "4",
+          "--rng-seed", "8"]),
         ("influence-shannon",
          ["influence", "--p", "1.0", "--ymax", "1e6"]),
         ("influence-burg-empirical",
@@ -185,6 +192,10 @@ def _commands(files):
     for kind in ("jensen-shannon", "total-jensen-shannon"):
         runs.append((f"divergence-{kind}-simplex",
                      ["divergence", "--kind", kind] + pair))
+        # p = q, where rho_j is reported as null
+        runs.append((f"divergence-{kind}-coincident",
+                     ["divergence", "--kind", kind, "--p", "0.3,0.7",
+                      "--q", "0.3,0.7"]))
     runs.append(("divergence-kl-gaussian",
                  ["divergence", "--kind", "kl-gaussian", "--mu1", "0,1",
                   "--cov1", "2,0.5;0.5,1", "--mu2", "1,0",

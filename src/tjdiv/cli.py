@@ -48,8 +48,8 @@ from .clustering import (
     DEFAULT_EPS_GRID, SeedingConfig, _seed_with_potential,
     estimate_bound_constants, lloyd_cluster, seeding_bound_experiment)
 from .divergences import (
-    KINDS, bregman, conformal_factors, jensen_raw, jensen_scaled,
-    jensen_shannon, kl_gaussian, rho_b, total_bregman, total_jensen,
+    KINDS, _js_and_rho, bregman, conformal_factors, jensen_raw,
+    jensen_scaled, kl_gaussian, rho_b, total_bregman, total_jensen,
     total_jensen_shannon)
 from .errors import DomainError, TjdivError, ValidationError
 from .generators import BUILTIN_NAMES, as_count, ensure_domain, make_builtin
@@ -345,11 +345,9 @@ def _cmd_divergence(ns, timings):
     p, q = _vec(ns.p), _vec(ns.q)
 
     if kind in ("jensen-shannon", "total-jensen-shannon"):
-        fn = jensen_shannon if kind == "jensen-shannon" else total_jensen_shannon
-        value = results["value"] = fn(p, q).value
-        if not np.array_equal(p, q):
-            results["rho_j"] = conformal_factors(
-                make_builtin("shannon", p.size), p, q).rho_j
+        js, rho = _js_and_rho(p, q)
+        value = results["value"] = js if kind == "jensen-shannon" else rho * js
+        results["rho_j"] = None if np.array_equal(p, q) else rho
         return results, [f"{kind} = {value:.12g}"]
 
     g = _generator_from(ns, p.size)
@@ -589,10 +587,8 @@ FLAGS = {
     "inner_iters": {"type": int,
                     "help": "cap on CCCP map evaluations per centroid stage"},
     "report": {"help": "also write the results object to this path"},
-    "eps": {"type": float, "help": "influence: the outlier mass; "
-            "bound-experiment: one eps instead of the default grid"},
     **dict.fromkeys(("input", "p", "q", "mu1", "cov1", "mu2", "cov2"), {}),
-    **dict.fromkeys(("alpha", "outer_tol", "ymax"), {"type": float}),
+    **dict.fromkeys(("alpha", "outer_tol", "ymax", "eps"), {"type": float}),
     **dict.fromkeys(("outer_max", "per_decade", "k", "rng_seed",
                      "max_rounds", "trials", "samples"), {"type": int}),
     **dict.fromkeys(("empirical", "search"), {"action": "store_true"}),
@@ -655,7 +651,8 @@ COMMANDS = {
         dict(_generator("shannon"), p=REQUIRED, ymax=1e6,
              per_decade=_signature_defaults(boundedness_sweep)["per_decade"],
              empirical=False, eps=1e-4),
-        mode=("empirical", {False: ("eps",)}), kw={"p": {"type": float}}),
+        mode=("empirical", {False: ("eps",)}),
+        kw={"p": {"type": float}, "eps": {"help": "the outlier mass"}}),
     "seed": Command(
         _cmd_seed, "divergence-weighted center seeding",
         dict(_DATASET, alpha=SeedingConfig.alpha, k=REQUIRED, rng_seed=FRESH)),
@@ -668,7 +665,8 @@ COMMANDS = {
         _cmd_bound_experiment, "seeding guarantee sanity check",
         dict(_DATASET, alpha=SeedingConfig.alpha, k=REQUIRED, rng_seed=FRESH,
              trials=100, samples=_signature_defaults(
-                 seeding_bound_experiment)["samples"], eps=None)),
+                 seeding_bound_experiment)["samples"], eps=None),
+        kw={"eps": {"help": "one eps instead of the default grid"}}),
     "constants": Command(
         _cmd_constants, "empirical bound constants",
         dict(_DATASET, samples=_ESTIMATE_KW["samples"],
@@ -785,6 +783,20 @@ def _apply_config_and_defaults(ns, parser):
     return spec.flags.get("rng_seed") is FRESH and "rng_seed" not in unused
 
 
+def _joined(argv):
+    """argv (sys.argv[1:] if None) with '--p -1,2' read as '--p=-1,2':
+    argparse takes a token that starts with '-' for a flag unless it is
+    one plain number, and no flag starts with '-' and a digit or '.'."""
+    out = []
+    for tok in sys.argv[1:] if argv is None else argv:
+        if (tok[:1] == "-" and tok[1:2] in tuple("0123456789.")
+                and out and out[-1][:2] == "--" and "=" not in out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 _PARSER = None  # built by the first _parser() call, not at import
 
 
@@ -800,7 +812,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     parser = _parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_joined(argv))
         timings = {"parse_s": time.perf_counter() - t0}
         stochastic = _apply_config_and_defaults(ns, parser)
         results, summary = COMMANDS[ns.cmd].handler(ns, timings)

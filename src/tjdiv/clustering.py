@@ -22,9 +22,10 @@ bits of its own one-centre column. The table budget caps that matrix at
 C(n, 2) <= 1e6 pairs for every k. The optimum's scan reads the
 k-subsets in lexicographic order, each (k-1)-prefix expanded with every
 last index above it in one numpy step, a block of `kernels._BLOCK_BYTES`
-at a time; at k = 1 each potential is one row's sum. The optimum's
-assignments are one sweep against its centres, whose first minimum is
-the scan's tie rule. F(x) depends only on the points, so it is computed
+at a time; at k = 1 each potential is one row's sum. Row j of the
+table is the sweep's column for centre x_j, bit for bit, so the
+optimum's assignments are the first minimum over its centres' rows, the
+scan's tie rule. F(x) depends only on the points, so it is computed
 once per point set and every column, sweep and centroid stage over
 those points reads it.
 
@@ -284,12 +285,12 @@ def brute_force_discrete_optimum(g: Generator, alpha, data, k: int) -> ClusterMo
     """Exact minimizer of the potential over all k-subsets of the data."""
     x = as_points(data, g)
     _check_subsets(x.shape[0], k)
-    fx = g.f(x)
-    pot, subset = _optimum(kernels.tj_table(g, alpha, x, fx=fx), k)
-    centers = x[subset]
-    # the sweep's first minimum is the scan's tie rule
-    idx = kernels.min_divergence_assign(g, alpha, x, centers, fx=fx)[1]
-    return ClusterModel(centers=centers, assignments=idx,
+    cols = kernels.tj_table(g, alpha, x)
+    pot, subset = _optimum(cols, k)
+    # row j is centre x_j's sweep column, and argmin's first minimum is
+    # the scan's tie rule
+    return ClusterModel(centers=x[subset],
+                        assignments=cols[subset].argmin(axis=0),
                         potential=pot, rounds=0)
 
 
@@ -320,6 +321,7 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
     x = as_points(data, g)
     t0 = time.perf_counter()
     fx = g.f(x)
+    # a copy that no one else holds: repairs and rounds update it in place
     centers = x[_seeded_indices(g, x, cfg, fx)[0]]
     timings = {"seed_s": time.perf_counter() - t0,
                "assign_s": 0.0, "centroid_s": 0.0}
@@ -340,7 +342,6 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
                     f"from {held!r} to {new_pot!r}")
         for j in range(cfg.k):
             if not np.any(idx == j):
-                centers = centers.copy()
                 centers[j] = x[int(np.argmax(mind))]
                 mind, idx = kernels.min_divergence_assign(
                     g, cfg.alpha, x, centers, fx=fx)
@@ -360,16 +361,14 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
         # are checked in one call
         starts = np.array([m.weights @ m.points for m in clusters.values()])
         ensure_domain(g, starts, interior=True)
-        new_centers = centers.copy()
         held = 0.0
         for (j, cluster), start in zip(clusters.items(), starts):
             res = _total_jensen_centroid(
                 g, cluster, ccfg, start, fx[members[j]])
-            new_centers[j] = res.center
+            centers[j] = res.center
             # the loss is a mean over the cluster, and res.center is
             # where it was lowest
             held += len(cluster.weights) * min(res.loss_trace)
-        centers = new_centers
         prev_idx = idx
         timings["centroid_s"] += time.perf_counter() - t1
     return ClusterModel(centers=centers, assignments=idx,

@@ -186,26 +186,23 @@ def _js_sum(a, b):
     return out
 
 
-def _js(p, q):
-    """JS of a checked pair; 0 where p = q."""
-    return 0.5 * _js_sum(p, q) + 0.5 * _js_sum(q, p)
-
-
-def _shannon_pair(p, q):
-    """(shannon of p's dimension, p, q) with the pair in its domain."""
+def _js_and_rho(p, q):
+    """(JS, rho_J under shannon, F(x) = sum x log x - x) of a pair
+    checked once in shannon's domain; JS 0 and rho_J 1 where p = q."""
     g = make_builtin("shannon", as_point(p).size)
-    return (g, *as_pair(g, p, q))
+    p, q = as_pair(g, p, q)
+    rho = float(kernels.pairwise_conformal(g, p[None], q[None])[0])
+    return 0.5 * _js_sum(p, q) + 0.5 * _js_sum(q, p), rho
 
 
 def jensen_shannon(p, q) -> DivergenceValue:
-    return DivergenceValue("jensen-shannon", _js(*_shannon_pair(p, q)[1:]))
+    return DivergenceValue("jensen-shannon", _js_and_rho(p, q)[0])
 
 
 def total_jensen_shannon(p, q) -> DivergenceValue:
     """rho_J * JS with the chord factor taken from F(x) = sum x log x - x."""
-    g, p, q = _shannon_pair(p, q)
-    rho = kernels.pairwise_conformal(g, p[None], q[None])[0]
-    return DivergenceValue("total-jensen-shannon", float(rho) * _js(p, q))
+    js, rho = _js_and_rho(p, q)
+    return DivergenceValue("total-jensen-shannon", rho * js)
 
 
 def kl_gaussian(mu1, sigma1, mu2, sigma2) -> DivergenceValue:

@@ -28,16 +28,18 @@ bound constants (K2 from `chord_factors`, rho_B).
 
 F of the point side depends only on the point set, so a caller that
 sweeps the same points against many centres, or runs many centroid
-stages on them, computes it once and passes it in: the keyword-only
-`fp=` of `jensen_gap_and_conformal` and the tJ kernels built on it, and
-`fx=` of `min_divergence_assign`, `tj_table` and `jensen_loss`. Left
-out, it is computed from the points, with the same bits; F of a
-broadcast row is computed once per call.
+stages on them, computes it once and passes it in (`fp=` of
+`jensen_gap_and_conformal` and the tJ kernels on it, `fx=` of
+`min_divergence_assign` and `jensen_loss`). F not handed in is computed
+once per call, a row block at a time (`_f`), with the same bits; every
+block function receives F of both operands and evaluates F only at the
+midpoints.
 
 Points against a set of centres, tJ_alpha(x_i : c_j), is one block
 kernel, `_tj_block`, the one place that decides which (point, centre)
 pairs share a pass: the assignment sweep reduces its blocks over the
-centres, and `tj_table` keeps them whole.
+centres, and `tj_table` keeps them whole, its row j the sweep's column
+for centre x_j, bit for bit.
 
 `_BLOCK_BYTES`, 1 MiB or 8192 rows at d = 16, is the one work budget.
 Every kernel runs a row block at a time (`_by_rows`), so that no (rows,
@@ -110,37 +112,34 @@ def _by_rows(fn, n, d, *args, out=None):
     return out
 
 
-def _f_once(g, a, fa):
-    """F(a) if a is one broadcast row, for every block to read; else fa,
-    where None leaves F of the n-row operand to each block."""
-    return g.f(a) if fa is None and len(a) == 1 else fa
+def _f(g, a, fa=None):
+    """F of a's rows: fa if given, else computed a row block at a time."""
+    if fa is not None:
+        return fa
+    return _by_rows(lambda b: (g.f(b),), len(a), a.shape[1], a)[0]
 
 
-def _jensen(g, alpha, p, q, fp=None, fq=None):
-    """(F(p), F(q), row raw Jensen gap J'_alpha(p : q)); fp and fq are
-    F(p) and F(q) when the caller holds them."""
-    if fp is None:
-        fp = g.f(p)
-    if fq is None:
-        fq = g.f(q)
-    fm = g.f(alpha * p + (1.0 - alpha) * q)
-    return fp, fq, alpha * fp + (1.0 - alpha) * fq - fm
+def _jensen(g, alpha, p, q, fp, fq):
+    """Row raw Jensen gap J'_alpha(p : q) from fp = F(p) and fq = F(q);
+    F is evaluated only at the midpoints."""
+    return alpha * fp + (1.0 - alpha) * fq - g.f(alpha * p + (1.0 - alpha) * q)
 
 
-def _chord(df, p, q):
-    """(row squared chord slope Delta_F^2/<Delta,Delta>, row rho_J, mask
-    of p != q) from df = F(p) - F(q); slope 0 and rho_J 1 where p = q."""
+def _chord(p, q, fp, fq):
+    """(row Delta_F, squared slope Delta_F^2/<Delta,Delta>, rho_J, mask of
+    p != q) from fp, fq = F(p), F(q); slope 0 and rho_J 1 where p = q."""
+    df = fp - fq
     dd = coordinate_sum((p - q) ** 2)
     nz = dd > 0.0
     s2 = np.zeros_like(dd)
     s2[nz] = df[nz] ** 2 / dd[nz]
-    return s2, 1.0 / np.sqrt(1.0 + s2), nz
+    return df, s2, 1.0 / np.sqrt(1.0 + s2), nz
 
 
 def _gap_rho(g, alpha, p, q, fp, fq):
     """One block's (raw gap, exactly 0 where p_i = q_i; rho_J)."""
-    fp, fq, gap = _jensen(g, alpha, p, q, fp, fq)
-    _, rho, nz = _chord(fp - fq, p, q)
+    gap = _jensen(g, alpha, p, q, fp, fq)
+    _, _, rho, nz = _chord(p, q, fp, fq)
     return np.where(nz, gap, 0.0), rho
 
 
@@ -156,7 +155,7 @@ def jensen_gap_and_conformal(g, alpha, p, q, *, fp=None):
     alpha = as_real("alpha", alpha)
     p, q = _rows(p), _rows(q)
     return _by_rows(_gap_rho, max(len(p), len(q)), p.shape[1], g, alpha,
-                    p, q, _f_once(g, p, fp), _f_once(g, q, None))
+                    p, q, _f(g, p, fp), _f(g, q))
 
 
 def total_jensen_and_conformal(g, alpha, p, q, *, fp=None):
@@ -178,13 +177,8 @@ def chord_factors(g, p, q):
     """Row-wise (Delta_F, squared chord slope, rho_J) of (p_i, q_i) from
     one F pass, as in _chord; rows broadcast."""
     p, q = _rows(p), _rows(q)
-
-    def block(p, q, fp, fq):
-        df = (g.f(p) if fp is None else fp) - (g.f(q) if fq is None else fq)
-        return (df,) + _chord(df, p, q)[:2]
-
-    return _by_rows(block, max(len(p), len(q)), p.shape[1],
-                    p, q, _f_once(g, p, None), _f_once(g, q, None))
+    return _by_rows(lambda *a: _chord(*a)[:3], max(len(p), len(q)),
+                    p.shape[1], p, q, _f(g, p), _f(g, q))
 
 
 def pairwise_conformal(g, p, q):
@@ -205,9 +199,8 @@ def jensen_loss(g, alpha, x, w, c, *, fx=None):
     c; fx is F(x) if already known."""
     alpha = as_real("alpha", alpha)
     x, c = _rows(x), np.reshape(c, (1, -1))
-    fc = g.f(c)
-    gap = _by_rows(lambda xb, fxb: (_jensen(g, alpha, xb, c, fxb, fc)[2],),
-                   len(x), x.shape[1], x, fx)[0]
+    gap = _by_rows(lambda *a: (_jensen(g, alpha, *a),), len(x), x.shape[1],
+                   x, c, _f(g, x, fx), _f(g, c))[0]
     return float(w @ gap) / (alpha * (1.0 - alpha))
 
 
@@ -232,15 +225,14 @@ def _tj_block(g, alpha, xb, fxb, centers, fc):
     return out
 
 
-def tj_table(g, alpha, x, *, fx=None):
+def tj_table(g, alpha, x):
     """The n x n table t[j, i] = tJ_alpha(x_i : x_j) of x against its own
     rows. Row j is the column of centre x_j, so every read of a centre is
-    a contiguous row. F(x) is computed once, or taken from fx, and read
-    for both sides."""
+    a contiguous row, with the bits of min_divergence_assign's column for
+    that centre. F(x) is computed once and read for both sides."""
     alpha = as_real("alpha", alpha)
     x = _rows(x)
-    if fx is None:
-        fx = g.f(x)
+    fx = _f(g, x)
     return _by_rows(lambda xb, fxb: (_tj_block(g, alpha, xb, fxb, x, fx).T,),
                     len(x), x.shape[1], x, fx)[0].T
 
@@ -252,15 +244,14 @@ def min_divergence_assign(g, alpha, x, centers, *, fx=None):
     block of every tJ_alpha(x_i : c_j)."""
     alpha = as_real("alpha", alpha)
     x, centers = _rows(x), _rows(centers)
-    fc = g.f(centers)
+    fc = _f(g, centers)
 
     def block(xb, fxb):
-        vals = _tj_block(g, alpha, xb, g.f(xb) if fxb is None else fxb,
-                         centers, fc)
+        vals = _tj_block(g, alpha, xb, fxb, centers, fc)
         # argmin takes the first minimum
         return vals.min(axis=0), vals.argmin(axis=0)
 
-    return _by_rows(block, len(x), x.shape[1], x, fx)
+    return _by_rows(block, len(x), x.shape[1], x, _f(g, x, fx))
 
 
 class StageSolve(NamedTuple):

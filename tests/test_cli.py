@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from tjdiv import cli
+from tjdiv import cli, divergences
 from tjdiv.centroids import CentroidConfig
 from tjdiv.cli import canonical_dumps, load_dataset, main
 from tjdiv.clustering import (
@@ -171,6 +171,47 @@ def test_empty_coordinate_is_an_error(capsys, argv, text):
     code, rep, err = run_cli(capsys, "divergence", *argv)
     assert code == 1 and rep is None
     assert err == f"error: cannot parse {text}\n"
+
+
+def test_negative_first_coordinate_follows_its_flag(capsys):
+    # argparse took -1,2 for a flag: "argument --p: expected one argument"
+    pair = ["divergence", "--kind", "bregman"]
+    spaced = run_cli(capsys, *pair, "--p", "-1,2", "--q", "0,0")
+    joined = run_cli(capsys, *pair, "--p=-1,2", "--q", "0,0")
+    assert spaced[0] == joined[0] == 0
+    assert spaced[1]["results"] == joined[1]["results"]
+    assert spaced[1]["results"]["value"] == 2.5
+    assert run_cli(capsys, *pair, "--p", "1,2", "--q", "-0.5,3")[0] == 0
+    code, rep, _ = run_cli(capsys, "divergence", "--kind", "kl-gaussian",
+                           "--mu1", "-1,0", "--cov1", "1,0;0,1",
+                           "--mu2", "0,0", "--cov2", "1,0;0,1")
+    assert code == 0 and rep["results"]["value"] == 0.5
+
+
+@pytest.mark.parametrize("kind", ["jensen-shannon", "total-jensen-shannon"])
+def test_jensen_shannon_kinds_build_shannon_once(capsys, monkeypatch, kind):
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return make_builtin(*args, **kw)
+
+    monkeypatch.setattr(divergences, "make_builtin", counting)
+    monkeypatch.setattr(cli, "make_builtin", counting)
+    code, rep, _ = run_cli(capsys, "divergence", "--kind", kind,
+                           "--p", "0.2,0.8", "--q", "0.5,0.5")
+    assert code == 0 and rep["results"]["rho_j"] is not None
+    assert calls == [("shannon", 2)]
+
+
+def test_eps_help_is_the_commands_own(capsys):
+    # one help string once described both meanings of --eps
+    assert main(["influence", "-h"]) == 0
+    text = capsys.readouterr().out
+    assert "outlier mass" in text and "grid" not in text
+    assert main(["bound-experiment", "-h"]) == 0
+    text = capsys.readouterr().out
+    assert "grid" in text and "outlier mass" not in text
 
 
 def test_kl_gaussian_paths(capsys):
