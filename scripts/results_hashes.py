@@ -6,8 +6,10 @@ with a weight column and a blank line, and 9000 rows at d = 16) to a
 temporary directory, runs the seeded cluster, seed, centroid,
 bound-experiment, constants, influence, divergence, project and
 metric-check commands in process (among them a cluster run whose
-sweeps re-seed an empty cluster, and the Jensen-Shannon kinds at
-p = q), and prints one
+sweeps re-seed an empty cluster, the Jensen-Shannon kinds at p = q,
+the Bregman kinds on every builtin, jensen-scaled and total-jensen at
+alpha = 0 and 1, and total-jensen with q on the domain's boundary, where
+rho_b_q is null), and prints one
 `name sha256[:16]` line per `results` block, each followed by one
 `name.key sha256[:16]` line per top-level key of that block and one
 `name.command sha256[:16]` line for the run's `command` echo, with the
@@ -183,10 +185,24 @@ def _commands(files):
                      ["project", "--generator", gen, "--alpha", "0.4"]
                      + pair))
     for kind in ("bregman", "total-bregman"):
-        for gen in ("shannon", "burg"):
+        for gen in ("shannon", "burg", "bit", "squared-euclidean"):
             runs.append((f"divergence-{kind}-{gen}",
                          ["divergence", "--kind", kind, "--generator", gen]
                          + pair))
+        runs.append((f"divergence-{kind}-mahalanobis",
+                     ["divergence", "--kind", kind, *maha, "--p", "0.2,-0.3",
+                      "--q", "0.6,1.1"]))
+    # the tangent-gap limits, where both kinds read the Bregman gap
+    for kind in ("jensen-scaled", "total-jensen"):
+        for alpha in ("0", "1"):
+            for gen in ("shannon", "burg", "bit"):
+                runs.append((f"divergence-{kind}-{gen}-alpha{alpha}",
+                             ["divergence", "--kind", kind, "--generator",
+                              gen, "--alpha", alpha] + pair))
+    # q on the boundary, where rho_b_q is null
+    runs.append(("divergence-total-jensen-shannon-boundary",
+                 ["divergence", "--kind", "total-jensen", "--generator",
+                  "shannon", "--p", "0.2,0.8", "--q", "0,1"]))
     # "-simplex": the total-jensen run on shannon is already
     # divergence-total-jensen-shannon
     for kind in ("jensen-shannon", "total-jensen-shannon"):

@@ -41,20 +41,20 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .centroids import CentroidConfig, WeightedPointSet
 from .centroids import total_jensen_centroid, left_sided_centroid
 from .clustering import (
     DEFAULT_EPS_GRID, SeedingConfig, _seed_with_potential,
     estimate_bound_constants, lloyd_cluster, seeding_bound_experiment)
 from .divergences import (
-    KINDS, _js_and_rho, bregman, conformal_factors, jensen_raw,
-    jensen_scaled, kl_gaussian, rho_b, total_bregman, total_jensen,
-    total_jensen_shannon)
+    KINDS, _js_and_rho, bregman, jensen_raw, jensen_scaled, kl_gaussian,
+    total_bregman, total_jensen, total_jensen_shannon)
 from .errors import DomainError, TjdivError, ValidationError
-from .generators import BUILTIN_NAMES, as_count, ensure_domain, make_builtin
+from .generators import (
+    BUILTIN_NAMES, as_count, as_real, ensure_domain, make_builtin)
 from .geometry import project_beta, pythagoras_residual
-from .robustness import boundedness_sweep, influence_empirical
+from .robustness import _centroid_shift, boundedness_sweep
 
 COUNTEREXAMPLE = (
     np.array([0.98, 0.02]), np.array([0.52, 0.48]), np.array([0.006, 0.994]))
@@ -356,14 +356,12 @@ def _cmd_divergence(ns, timings):
           "total-jensen": total_jensen}[kind]
     # the Bregman kinds take no alpha, and leave --alpha unset
     args = (g, p, q) if ns.alpha is None else (g, ns.alpha, p, q)
-    value = results["value"] = fn(*args).value
+    value = results["value"] = fn(*args).value  # the one check of p and q
     if not np.array_equal(p, q):
-        cf = conformal_factors(g, p, q)
-        results.update(rho_j=cf.rho_j, slope_sq=cf.slope_sq)
-    try:
-        results["rho_b_q"] = rho_b(g, q)
-    except DomainError:
-        pass
+        _, s2, rho = kernels.chord_factors(g, p[None], q[None])
+        results.update(rho_j=float(rho[0]), slope_sq=float(s2[0]))
+    if g.domain.contains(q, interior=True):
+        results["rho_b_q"] = float(kernels.gradient_conformal(g, q[None])[0])
     alpha = "" if ns.alpha is None else f", alpha={ns.alpha}"
     return results, [f"{kind}({g.name}{alpha}) = {value:.12g}"]
 
@@ -371,12 +369,13 @@ def _cmd_divergence(ns, timings):
 def _cmd_project(ns, timings):
     p, q = _vec(ns.p), _vec(ns.q)
     g = _generator_from(ns, p.size)
-    res = project_beta(g, ns.alpha, p, q)
+    res = project_beta(g, ns.alpha, p, q)  # the one check of p and q
+    gap, rho = kernels.jensen_gap_and_conformal(g, ns.alpha, p[None], q[None])
     results = {
         "beta": res.beta,
         "distance": res.distance,
-        "j_raw": jensen_raw(g, ns.alpha, p, q).value,
-        "rho_j": conformal_factors(g, p, q).rho_j,
+        "j_raw": max(float(gap[0]), 0.0),
+        "rho_j": float(rho[0]),
         "pythagoras_residual": pythagoras_residual(g, ns.alpha, p, q),
     }
     return results, [
@@ -417,12 +416,13 @@ def _cmd_centroid(ns, timings):
 def _cmd_influence(ns, timings):
     g = _generator_from(ns)
     sweep = boundedness_sweep(g, ns.p, ns.ymax, per_decade=ns.per_decade)
+    eps = as_real("epsilon", ns.eps, hi=0.5) if ns.empirical else None
     table = []
     for y, z, rho in zip(sweep.ys, sweep.z_values, sweep.rho_values):
         row = {"y": float(y), "z_analytic": float(z), "rho_j": float(rho)}
         if ns.empirical:
-            row["z_empirical"] = influence_empirical(
-                g, ns.p, y, ns.eps).z_empirical
+            row["z_empirical"] = _centroid_shift(
+                g, ns.p, float(y), eps, float(z)).z_empirical
         table.append(row)
     results = {
         "table": table,

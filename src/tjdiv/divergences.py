@@ -13,12 +13,12 @@ rho_J depends only on squares, so it is symmetric in (p, q) and
 indifferent to the sign convention. At a in {0, 1} the total family
 keeps the chord factor rho_J (it does NOT become tB).
 
-alpha lies in [0, 1] (the raw gap: (0, 1)), else ValidationError. Past
-the checks of `generators` these functions read J'_a, the chord slope,
-rho_J and rho_B from `kernels` on (1, d) rows: a value is the kernel
-entry's float, except that a Jensen or Bregman value (raw, scaled or
-total) whose rounding falls below 0 reads 0, as every such gap is >= 0
-for convex F. NaN passes through.
+alpha lies in [0, 1] (the raw gap: (0, 1)), else ValidationError. Each
+function checks each of its points once, through `generators`, then
+reads J'_a, B, the chord slope, rho_J and rho_B from `kernels` on
+(1, d) rows: a value is the kernel entry's float, except that a Jensen
+or Bregman value (raw, scaled or total) whose rounding falls below 0
+reads 0, as every such gap is >= 0 for convex F. NaN passes through.
 """
 
 import math
@@ -86,13 +86,14 @@ def jensen_raw(g: Generator, alpha, p, q) -> DivergenceValue:
     return DivergenceValue("jensen-raw", max(float(gap[0]), 0.0))
 
 
+def _bregman(g, p, q) -> float:
+    """B(p:q) of a checked pair, q interior, read as 0 below 0."""
+    return max(float(kernels.bregman_gap(g, p[None], q[None])[0]), 0.0)
+
+
 def bregman(g: Generator, p, q) -> DivergenceValue:
     p, q = as_pair(g, p, q, interior_q=True)
-    if np.array_equal(p, q):
-        return DivergenceValue("bregman", 0.0)
-    gq = np.asarray(g.grad(q), dtype=np.float64)
-    value = float(g.f(p) - g.f(q) - (p - q) @ gq)
-    return DivergenceValue("bregman", max(value, 0.0))
+    return DivergenceValue("bregman", _bregman(g, p, q))
 
 
 def jensen_scaled(g: Generator, alpha, p, q) -> DivergenceValue:
@@ -106,25 +107,24 @@ def jensen_scaled(g: Generator, alpha, p, q) -> DivergenceValue:
 
 
 def total_bregman(g: Generator, p, q) -> DivergenceValue:
-    b = bregman(g, p, q).value  # checks p, and q on the interior
-    return DivergenceValue("total-bregman", rho_b(g, q) * b)
+    p, q = as_pair(g, p, q, interior_q=True)
+    rho = float(kernels.gradient_conformal(g, q[None])[0])
+    return DivergenceValue("total-bregman", rho * _bregman(g, p, q))
 
 
 def total_jensen(g: Generator, alpha, p, q, scaled: bool = True) -> DivergenceValue:
     """rho_J(p,q) * J_a(p:q); pass scaled=False for rho_J * J'_a.
 
-    p = q returns 0. At alpha in {0,1} the scaled family returns
-    rho_J * B (keeping the chord factor, which is what the limits
-    actually give).
+    p = q returns 0. At alpha = 0 (1) the scaled family returns rho_J *
+    B(p:q) (B(q:p)), as the limits do; q (p) must be interior, p = q too.
     """
     alpha = _alpha_ok(alpha, raw=not scaled)
-    p, q = as_pair(g, p, q)
-    if np.array_equal(p, q):
-        return DivergenceValue("total-jensen", 0.0)
+    if alpha == 1.0:  # rho_J is symmetric, bit for bit
+        p, q, alpha = q, p, 0.0
+    p, q = as_pair(g, p, q, interior_q=alpha == 0.0)
     p1, q1 = p[None], q[None]
-    if alpha in (0.0, 1.0):
-        value = (kernels.pairwise_conformal(g, p1, q1)
-                 * jensen_scaled(g, alpha, p, q).value)
+    if alpha == 0.0:
+        value = kernels.pairwise_conformal(g, p1, q1) * _bregman(g, p, q)
     elif scaled:
         value = kernels.total_jensen_and_conformal(g, alpha, p1, q1)[0]
     else:
@@ -180,7 +180,7 @@ def bisect(resid, lo: float, hi: float, tol: float) -> float:
 def _js_sum(a, b):
     # sum_i a_i * log(2 a_i / (a_i + b_i)) with 0 log 0 = 0
     out = 0.0
-    for ai, bi in zip(a, b):
+    for ai, bi in zip(a.tolist(), b.tolist()):
         if ai > 0.0:
             out += ai * math.log(2.0 * ai / (ai + bi))
     return out

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .divergences import bisect, jensen_raw
+from .divergences import bisect
 from .errors import DomainError
 from .generators import Generator, as_pair, as_real
 
@@ -96,9 +96,9 @@ def pythagoras_residual(g: Generator, alpha, p, q) -> float:
     """Relative residual of l^2 + tJ'^2 = J'^2 at the projection foot."""
     chord = _chord_data(g, alpha, p, q)
     res = _foot(*chord)
-    p, q, alpha, _, dd, fp, fq, _ = chord
+    _, _, alpha, _, dd, fp, fq, fmix = chord
     df = fp - fq
-    jr = jensen_raw(g, alpha, p, q).value
+    jr = alpha * fp + (1.0 - alpha) * fq - fmix  # J', in kernels' order
     leg = abs(alpha - res.beta) * math.sqrt(dd + df * df)
     lhs = leg * leg + res.distance * res.distance
     rhs = jr * jr

@@ -18,13 +18,14 @@ same bits as that row inside an (n, d) batch, and an F computed from a
 row-major copy of the points equals the kernel's own.
 
 The formulas are written here, once each, and nowhere else outside the
-geometry oracle: the raw gap J'_alpha (`_jensen`), the squared chord
-slope and rho_J (`_chord`), rho_B (`gradient_conformal`), and tJ_alpha =
-rho_J J'_alpha / (alpha (1 - alpha)) (`_scale`), both factors from one
-F pass (`total_jensen_and_conformal`). Callers: divergences, on (1, d) rows, so
-a scalar value is the kernel entry's float; seeding, Lloyd, the bound
-experiment and the centroids (tJ); the influence sweep (rho_J); the
-bound constants (K2 from `chord_factors`, rho_B).
+geometry oracle: the raw gap J'_alpha (`_jensen`), the squared chord slope
+and rho_J (`_chord`), the Bregman gap B_F (`bregman_gap`), rho_B
+(`gradient_conformal`), and tJ_alpha = rho_J J'_alpha / (alpha (1 -
+alpha)) (`_scale`), both factors from one F pass
+(`total_jensen_and_conformal`). Callers: divergences (B_F too) and the
+CLI, on (1, d) rows, so a scalar value is the kernel entry's float;
+seeding, Lloyd, the bound experiment and the centroids (tJ); the influence
+sweep (rho_J); the bound constants (K2 from `chord_factors`, rho_B).
 
 F of the point side depends only on the point set, so a caller that
 sweeps the same points against many centres, or runs many centroid
@@ -62,7 +63,7 @@ cap (`as_count`), and `_rows` gives each operand the one layout. The
 public functions of divergences, geometry, robustness, centroids and
 clustering, and the CLI's loader, check each array once (as_point or
 as_points, then one vectorized ensure_domain pass) before any kernel
-sees it.
+sees it; the CLI's other kernel calls read rows that one of them checked.
 """
 
 from typing import NamedTuple
@@ -184,6 +185,14 @@ def chord_factors(g, p, q):
 def pairwise_conformal(g, p, q):
     """Row-wise rho_J(p_i, q_i); 1 on coincident rows, and rows broadcast."""
     return chord_factors(g, p, q)[2]
+
+
+def bregman_gap(g, p, q):
+    """Row-wise B_F(p_i : q_i), q_i interior; exactly 0 where p_i = q_i."""
+    p, q = _rows(p), _rows(q)
+    return _by_rows(
+        lambda p, q, fp, fq: (fp - fq - coordinate_sum((p - q) * g.grad(q)),),
+        max(len(p), len(q)), p.shape[1], p, q, _f(g, p), _f(g, q))[0]
 
 
 def gradient_conformal(g, q):

@@ -69,15 +69,19 @@ def influence_empirical(g: Generator, p, y, epsilon: float) -> InfluenceResult:
     computing the alpha=1/2 centroid of {(p, 1/(1+eps)), (y, eps/(1+eps))}."""
     epsilon = as_real("epsilon", epsilon, hi=0.5)
     z_a = influence_analytic(g, p, y)
+    return _centroid_shift(g, float(np.atleast_1d(p)[0]),
+                           float(np.atleast_1d(y)[0]), epsilon, z_a)
+
+
+def _centroid_shift(g, p0, y, epsilon, z_a) -> InfluenceResult:
+    """influence_empirical on a checked pair p0, y, epsilon, z_a = z(y)."""
     data = WeightedPointSet.make(
-        [[float(np.atleast_1d(p)[0])], [float(np.atleast_1d(y)[0])]],
-        [1.0 / (1.0 + epsilon), epsilon / (1.0 + epsilon)])
+        [[p0], [y]], [1.0 / (1.0 + epsilon), epsilon / (1.0 + epsilon)])
     # solved to CCCP_TOL: the first-order comparison needs the exact
     # minimizer, not a budgeted approximation
     c = kernels.cccp_steps(g, 0.5, data.points, data.weights,
                            data.weights @ data.points, 500).center
     x_tilde = float(c[0])
-    p0 = float(data.points[0, 0])
     return InfluenceResult(
         z_analytic=z_a, z_empirical=(x_tilde - p0) / epsilon,
         x_tilde=x_tilde, epsilon=epsilon)
@@ -93,6 +97,10 @@ def boundedness_sweep(g: Generator, p, y_max: float,
     p = as_point(p, 1)
     p0 = float(p[0])
     y0 = 2.0 * abs(p0) if p0 != 0.0 else 1.0
+    if not y0 < g.domain.hi:
+        raise ValidationError(
+            f"the sweep starts at y = {y0}, which leaves no y_max in "
+            f"{g.name}'s domain {g.domain.describe()}")
     y_max = float(y_max)
     if y_max <= y0:
         raise ValidationError(f"y_max must exceed {y0}")

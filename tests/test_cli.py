@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from tjdiv import cli, divergences
+from tjdiv import cli, divergences, generators
 from tjdiv.centroids import CentroidConfig
 from tjdiv.cli import canonical_dumps, load_dataset, main
 from tjdiv.clustering import (
@@ -202,6 +202,59 @@ def test_jensen_shannon_kinds_build_shannon_once(capsys, monkeypatch, kind):
                            "--p", "0.2,0.8", "--q", "0.5,0.5")
     assert code == 0 and rep["results"]["rho_j"] is not None
     assert calls == [("shannon", 2)]
+
+
+_SHANNON_PAIR = ["--generator", "shannon", "--p", "0.2,0.3", "--q", "0.6,0.1"]
+
+
+def _run_id(argv):
+    return "-".join(a.lstrip("-") for a in argv
+                    if a not in _SHANNON_PAIR and not a.startswith("0."))
+
+
+@pytest.mark.parametrize("argv", [
+    *[["divergence", "--kind", kind, *_SHANNON_PAIR]
+      for kind in ("jensen-raw", "jensen-scaled", "bregman", "total-bregman",
+                   "total-jensen")],
+    *[["divergence", "--kind", kind, "--alpha", alpha, *_SHANNON_PAIR]
+      for kind in ("jensen-scaled", "total-jensen") for alpha in ("0", "1")],
+    *[["divergence", "--kind", kind, "--p", "0.2,0.8", "--q", "0.5,0.5"]
+      for kind in ("jensen-shannon", "total-jensen-shannon")],
+    ["project", *_SHANNON_PAIR],
+], ids=_run_id)
+def test_each_point_is_checked_once_per_run(capsys, monkeypatch, argv):
+    # a divergence run once checked its two points 5 to 7 times, and
+    # project 10 times, through public functions that re-checked them
+    calls = _count_domain_checks(monkeypatch)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert 0 < len(calls) <= (4 if argv[0] == "project" else 2)
+
+
+def test_empirical_influence_checks_the_sweep_once(capsys, monkeypatch):
+    # every row's empirical solve once checked p and y again: 690 checks
+    calls = _count_domain_checks(monkeypatch)
+    code, rep, _ = run_cli(capsys, "influence", "--generator", "burg",
+                           "--p", "1", "--empirical")
+    assert code == 0 and len(rep["results"]["table"]) > 200
+    assert len(calls) == 3
+
+
+def _count_domain_checks(monkeypatch):
+    """The list that every generators.ensure_domain call, from any
+    tjdiv module, now appends its arguments to."""
+    calls = []
+    real = generators.ensure_domain
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("tjdiv")
+                and getattr(mod, "ensure_domain", None) is real):
+            monkeypatch.setattr(mod, "ensure_domain", counting)
+    return calls
 
 
 def test_eps_help_is_the_commands_own(capsys):
@@ -798,6 +851,17 @@ def test_influence_rejects_eps_without_empirical(capsys):
     assert code == 1 and rep is None
     assert err.startswith(
         "error: influence without --empirical does not use --eps")
+
+
+def test_sweep_that_no_y_max_fits_is_one_error(capsys):
+    # the sweep starts at 2p = 1.2 on bit: --ymax 0.9 was told to exceed
+    # 1.2, and --ymax 1.5 that it lies outside [0, 1]
+    for ymax in ("0.9", "1.5"):
+        code, rep, err = run_cli(capsys, "influence", "--generator", "bit",
+                                 "--p", "0.6", "--ymax", ymax)
+        assert code == 1 and rep is None
+        assert err == ("error: the sweep starts at y = 1.2, which leaves "
+                       "no y_max in bit's domain [0.0, 1.0]\n")
 
 
 # metric-check command

@@ -15,7 +15,7 @@ from tjdiv.divergences import (
     kl_gaussian, rho_b, stolarsky_epsilon, total_bregman, total_jensen,
     total_jensen_shannon)
 from tjdiv.errors import CapabilityError, DomainError, ValidationError
-from tjdiv.generators import affine_postcompose, make_builtin
+from tjdiv.generators import BUILTIN_NAMES, affine_postcompose, make_builtin
 
 E = math.e
 
@@ -164,6 +164,24 @@ def test_total_bregman_is_scaled_bregman():
         tb = total_bregman(g, p, q).value
         assert tb == pytest.approx(rho_b(g, q) * bregman(g, p, q).value,
                                    rel=1e-14)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_every_scalar_value_is_a_python_float(name):
+    # jensen_shannon and total_jensen_shannon once returned np.float64,
+    # and no other test noticed
+    matrix = [[2.0, 0.5], [0.5, 1.0]] if name == "squared-mahalanobis" else None
+    g = make_builtin(name, 2, matrix)
+    values = [jensen_shannon([0.2, 0.8], [0.5, 0.5]),
+              total_jensen_shannon([0.2, 0.8], [0.5, 0.5]),
+              kl_gaussian([0.0], [[1.0]], [1.0], [[2.0]])]
+    for p, q in (([0.2, 0.3], [0.6, 0.1]), ([0.2, 0.3], [0.2, 0.3])):
+        values += [bregman(g, p, q), total_bregman(g, p, q),
+                   jensen_raw(g, 0.3, p, q),
+                   total_jensen(g, 0.3, p, q, scaled=False)]
+        for a in (0.0, 0.3, 1.0):
+            values += [jensen_scaled(g, a, p, q), total_jensen(g, a, p, q)]
+    assert [type(v.value) for v in values] == [float] * len(values)
 
 
 def test_total_bregman_euclidean_exhibit():
@@ -460,8 +478,8 @@ def _mp_grad(name, x):
 
 
 def _mp_reference(name, a, p, q):
-    """(J'_a, tJ_a, rho_J(p, q), rho_B(q)) at 50 digits, from the float
-    inputs taken exactly."""
+    """(J'_a, tJ_a, rho_J(p, q), rho_B(q), B(p:q), tB(p:q)) at 50 digits,
+    from the float inputs taken exactly."""
     with mp.workdps(50):
         a, p, q = mp.mpf(a), [mp.mpf(v) for v in p], [mp.mpf(v) for v in q]
         fp, fq = _mp_f(name, p), _mp_f(name, q)
@@ -469,8 +487,11 @@ def _mp_reference(name, a, p, q):
         gap = a * fp + (1 - a) * fq - _mp_f(name, mix)
         dd = mp.fsum((u - v) ** 2 for u, v in zip(p, q))
         rho_j = 1 / mp.sqrt(1 + (fp - fq) ** 2 / dd)
-        rho_b = 1 / mp.sqrt(1 + mp.fsum(v * v for v in _mp_grad(name, q)))
-        return gap, rho_j * gap / (a * (1 - a)), rho_j, rho_b
+        gq = _mp_grad(name, q)
+        rho_b = 1 / mp.sqrt(1 + mp.fsum(v * v for v in gq))
+        breg = fp - fq - mp.fsum((u - v) * w for u, v, w in zip(p, q, gq))
+        return (gap, rho_j * gap / (a * (1 - a)), rho_j, rho_b, breg,
+                rho_b * breg)
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])
@@ -488,7 +509,8 @@ def test_formulas_match_mpmath_oracle(name, d):
             continue
         a = float(rng.uniform(0.05, 0.95))
         got = (jensen_raw(g, a, p, q).value, total_jensen(g, a, p, q).value,
-               conformal_factors(g, p, q).rho_j, rho_b(g, q))
+               conformal_factors(g, p, q).rho_j, rho_b(g, q),
+               bregman(g, p, q).value, total_bregman(g, p, q).value)
         for x, ref in zip(got, _mp_reference(name, a, p, q)):
             assert abs(x - ref) <= 1e-11 * abs(ref)
         checked += 1

@@ -124,6 +124,18 @@ def test_sweep_range_validation():
             boundedness_sweep(g, 1.0, 100.0, per_decade=bad)
 
 
+@pytest.mark.parametrize("p", [0.5, 0.6, 0.99])
+def test_sweep_that_no_y_max_fits_is_one_error(p):
+    # on bit the sweep starts at 2p >= 1: each y_max was told either to
+    # exceed 2p or that it lies outside [0, 1]
+    g = make_builtin("bit")
+    for y_max in (0.9, 1.0, 1.5, 2.5):
+        with pytest.raises(ValidationError, match=(
+                rf"^the sweep starts at y = {2 * p}, which leaves "
+                r"no y_max in bit's domain \[0\.0, 1\.0\]$")):
+            boundedness_sweep(g, p, y_max)
+
+
 def test_one_dimensional_mahalanobis_keeps_its_second_derivative():
     # q is the 1 x 1 Hessian, so the scalar influence analysis applies
     g = make_builtin("squared-mahalanobis", 1, matrix=2.0)
