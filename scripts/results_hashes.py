@@ -2,14 +2,17 @@
 
 Writes fixed-seed CSV datasets (400 rows at d = 1, 2, 4, 8, 16, a 24x2
 file, a file of repeated rows, the 24x2 points again under a header
-with a weight column and a blank line, and 9000 rows at d = 16) to a
-temporary directory, runs the seeded cluster, seed, centroid,
-bound-experiment, constants, influence, divergence, project and
-metric-check commands in process (among them a cluster run whose
-sweeps re-seed an empty cluster, the Jensen-Shannon kinds at p = q,
-the Bregman kinds on every builtin, jensen-scaled and total-jensen at
-alpha = 0 and 1, and total-jensen with q on the domain's boundary, where
-rho_b_q is null), and prints one
+with a weight column and a blank line, 9000 rows at d = 16, and two 4x2
+files within 1e-13 of a domain end: shannon's at 1e-14 scale, bit's
+near 1) to a temporary directory, runs the seeded cluster, seed,
+centroid, bound-experiment, constants, influence, divergence, project
+and metric-check commands in process (among them a cluster run whose
+sweeps re-seed an empty cluster, centroids on the two files near a
+domain end, the Jensen-Shannon kinds at p = q, the Bregman kinds on
+every builtin, total-bregman on burg at q = 1e-200, where |grad F|^2
+overflows, jensen-scaled and total-jensen at alpha = 0 and 1, and
+total-jensen with q on the domain's boundary, where rho_b_q is null),
+and prints one
 `name sha256[:16]` line per `results` block, each followed by one
 `name.key sha256[:16]` line per top-level key of that block and one
 `name.command sha256[:16]` line for the run's `command` echo, with the
@@ -83,6 +86,13 @@ def _datasets(tmp):
     labels = rng.integers(0, 4, size=9000)
     wide = np.exp(means[labels] + rng.normal(0.0, 0.4, size=(9000, 16)))
     files["wide16"] = _write_csv(os.path.join(tmp, "wide16.csv"), wide)
+    # points closer to a domain end than the 1e-12 margin the CCCP solver
+    # once kept: shannon's points at 1e-14 scale, and bit's within 1e-13
+    # of 1
+    near = np.array([[1.0, 3.0], [2.0, 5.0], [4.0, 1.0], [3.0, 2.0]])
+    files["tiny2"] = _write_csv(os.path.join(tmp, "tiny2.csv"), 1e-14 * near)
+    files["nearone2"] = _write_csv(os.path.join(tmp, "nearone2.csv"),
+                                   1.0 - 1e-14 * near)
     return files
 
 
@@ -163,6 +173,9 @@ def _commands(files):
         ("cluster-shannon-dup2",
          ["cluster", "--input", files["dup2"], "--k", "4",
           "--rng-seed", "8"]),
+        ("centroid-shannon-tiny2", ["centroid", "--input", files["tiny2"]]),
+        ("centroid-bit-nearone2",
+         ["centroid", "--input", files["nearone2"], "--generator", "bit"]),
         ("influence-shannon",
          ["influence", "--p", "1.0", "--ymax", "1e6"]),
         ("influence-burg-empirical",
@@ -199,6 +212,10 @@ def _commands(files):
                 runs.append((f"divergence-{kind}-{gen}-alpha{alpha}",
                              ["divergence", "--kind", kind, "--generator",
                               gen, "--alpha", alpha] + pair))
+    # |grad F(q)| = 1e200, whose square overflows
+    runs.append(("divergence-total-bregman-burg-q1e-200",
+                 ["divergence", "--kind", "total-bregman", "--generator",
+                  "burg", "--p", "1", "--q", "1e-200"]))
     # q on the boundary, where rho_b_q is null
     runs.append(("divergence-total-jensen-shannon-boundary",
                  ["divergence", "--kind", "total-jensen", "--generator",

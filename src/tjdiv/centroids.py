@@ -41,9 +41,12 @@ class WeightedPointSet:
         w = np.ones(n) if weights is None else np.asarray(weights, np.float64)
         if w.shape != (n,):
             raise ValidationError(f"{n} points but weight shape {w.shape}")
-        if not (np.all(np.isfinite(w)) and np.all(w >= 0.0) and w.sum() > 0.0):
+        if not (np.all(np.isfinite(w)) and np.all(w >= 0.0) and w.any()):
             raise ValidationError(
                 "weights must be finite, nonnegative and not all zero")
+        with np.errstate(over="ignore"):
+            if w.sum() == math.inf:  # finite weights whose sum overflows
+                w = w / w.max()
         return cls(points=pts, weights=w / w.sum())
 
     @property
@@ -127,12 +130,13 @@ def jensen_centroid_cccp(g: Generator, alpha, data: WeightedPointSet,
 
 
 def total_loss(g: Generator, alpha, data: WeightedPointSet, c) -> float:
-    """L(c; w) = sum_i w_i tJ_a(p_i : c), original weights, c in g's domain."""
+    """L(c; w) = sum_i w_i tJ_a(p_i : c) with the original weights, the
+    points and c in g's domain."""
     c = np.atleast_1d(np.asarray(c, dtype=np.float64))
     if c.ndim != 1:
         raise ValidationError(f"a center is one point, got shape {c.shape}")
     return float(data.weights @ kernels.pairwise_total_jensen(
-        g, alpha, data.points, as_points(c[None, :], g)))
+        g, alpha, as_points(data.points, g), as_points(c[None, :], g)))
 
 
 def total_jensen_centroid(g: Generator, data: WeightedPointSet,

@@ -202,10 +202,10 @@ def seed(g: Generator, data, cfg: SeedingConfig) -> np.ndarray:
     return x[_seeded_indices(g, x, cfg)[0]]
 
 
-def _seed_with_potential(g: Generator, data, cfg: SeedingConfig):
-    """(seed_indices, their potential): one kernel column more than the
+def _seed_with_potential(g: Generator, x, cfg: SeedingConfig):
+    """(seed_indices, their potential) on rows x that the caller has
+    checked against g's closed domain: one kernel column more than the
     draws, not a k-centre sweep."""
-    x = as_points(data, g)
     fx = g.f(x)
     idx, mind = _seeded_indices(g, x, cfg, fx)
     last = _tj_column(g, cfg.alpha, x, fx, idx[-1])
@@ -355,8 +355,9 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
         # a cluster left empty by the repair (its re-seeded center
         # duplicates another center) keeps its center
         members = {j: idx == j for j in range(cfg.k)}
-        clusters = {j: WeightedPointSet.make(_take(x, m))
-                    for j, m in members.items() if m.any()}
+        # rows of the checked x, under the uniform weights make would give
+        clusters = {j: WeightedPointSet(_take(x, m), np.full(c, 1.0 / c))
+                    for j, m in members.items() if (c := m.sum())}
         # each centroid starts at its cluster's barycenter; all of them
         # are checked in one call
         starts = np.array([m.weights @ m.points for m in clusters.values()])

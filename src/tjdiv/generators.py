@@ -180,7 +180,8 @@ def as_count(name: str, n, lo: int = 1) -> int:
 
 def as_spd(name: str, m, dim: int) -> np.ndarray:
     """m as a finite, symmetric positive-definite (dim, dim) float64
-    matrix; a scalar is a 1 x 1 matrix."""
+    matrix; a scalar is a 1 x 1 matrix. It returns (m + m') / 2, so that
+    x @ m is the gradient of x'mx / 2; a symmetric m keeps its bits."""
     try:
         m = np.atleast_2d(np.asarray(m, dtype=np.float64))
     except (TypeError, ValueError):  # ragged rows, or not numbers
@@ -193,6 +194,7 @@ def as_spd(name: str, m, dim: int) -> np.ndarray:
         raise ValidationError(f"{name} contains NaN or Inf")
     if not np.allclose(m, m.T, atol=1e-10):
         raise ValidationError(f"{name} must be symmetric")
+    m = (m + m.T) / 2.0
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError:

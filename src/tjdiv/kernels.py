@@ -66,6 +66,7 @@ as_points, then one vectorized ensure_domain pass) before any kernel
 sees it; the CLI's other kernel calls read rows that one of them checked.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -196,11 +197,18 @@ def bregman_gap(g, p, q):
 
 
 def gradient_conformal(g, q):
-    """Row-wise rho_B(q_i) = 1/sqrt(1 + |grad F(q_i)|^2), q_i interior."""
+    """Row-wise rho_B(q_i) = 1/sqrt(1 + |grad F(q_i)|^2), q_i interior;
+    1/|grad F| where its square overflows, the norm by hypot, which scales
+    each step by its larger operand (Higham 2002, sec. 27)."""
     q = _rows(q)
-    return _by_rows(
-        lambda q: (1.0 / np.sqrt(1.0 + coordinate_sum(g.grad(q) ** 2)),),
-        len(q), q.shape[1], q)[0]
+    with np.errstate(over="ignore"):
+        rho = _by_rows(
+            lambda q: (1.0 / np.sqrt(1.0 + coordinate_sum(g.grad(q) ** 2)),),
+            len(q), q.shape[1], q)[0]
+    big = rho == 0.0
+    if big.any():
+        rho[big] = 1.0 / np.hypot.reduce(g.grad(q[big]), axis=-1, initial=0.0)
+    return rho
 
 
 def jensen_loss(g, alpha, x, w, c, *, fx=None):
@@ -290,14 +298,15 @@ def cccp_steps(g, alpha, x, w, c0, iters):
     The stage stops when |G(c) - c|_inf <= CCCP_TOL |c|_inf and returns
     G(c). Between evaluations, Anderson acceleration (memory 3; Walker &
     Ni 2011) extrapolates from the last residuals. An extrapolated point
-    is kept only if it lies strictly inside the domain box and its
+    is kept only if it lies strictly inside the open domain and its
     residual is smaller than the current one; otherwise the solver takes
     the plain step and clears the history. The first evaluation is
     always the plain step, so a cap of 1 is exactly one CCCP step.
 
-    G is clamped 1e-12 inside the domain box if it ever lands outside
-    (cannot happen for the builtin generators, whose inverse gradients
-    map into the open domain).
+    The inverse gradient maps into the open domain, but its float can
+    round onto an end (shannon's exp underflows to 0 below about -745,
+    bit's logistic rounds to 1.0 above about 37). Only then does a
+    coordinate of G move, to the nearest float inside the domain.
 
     The stage holds one column-major (n, d) buffer `gr` for the call.
     Each evaluation forms a*x_i + (1-a)*c in it a row block at a time,
@@ -310,8 +319,9 @@ def cccp_steps(g, alpha, x, w, c0, iters):
     n, d = x.shape
     gr = np.empty((n, d), order="F")
     w = np.asarray(w, dtype=np.float64)
-    lo = g.domain.lo + 1e-12
-    hi = g.domain.hi - 1e-12
+    # np.nextafter raises on a subnormal under np.errstate(all="raise")
+    inside = (math.nextafter(g.domain.lo, math.inf),
+              math.nextafter(g.domain.hi, -math.inf))
 
     def cccp_map(c):
         cc = (1.0 - alpha) * c
@@ -322,7 +332,7 @@ def cccp_steps(g, alpha, x, w, c0, iters):
             return (g.grad(arg),)
 
         grad = _by_rows(grad_at, n, d, x, gr, out=(gr,))[0]
-        return np.clip(g.grad_inverse(w @ grad), lo, hi)
+        return np.clip(g.grad_inverse(w @ grad), *inside)
 
     def small(r, c):  # the stopping test
         return np.abs(r).max() <= CCCP_TOL * np.abs(c).max()
@@ -337,7 +347,7 @@ def cccp_steps(g, alpha, x, w, c0, iters):
         if hist:
             dr, dg = (np.column_stack(h) for h in zip(*hist))
             cand = gc - dg @ np.linalg.lstsq(dr, r, rcond=None)[0]
-            if np.all((cand > lo) & (cand < hi)):  # NaN is never inside
+            if g.domain.rows_inside(cand, interior=True):  # NaN is not
                 t = cand
             else:
                 hist.clear()

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .centroids import WeightedPointSet
 from .errors import CapabilityError, ValidationError
 from .generators import Generator, as_count, as_point, as_real, ensure_domain
 
@@ -75,12 +74,12 @@ def influence_empirical(g: Generator, p, y, epsilon: float) -> InfluenceResult:
 
 def _centroid_shift(g, p0, y, epsilon, z_a) -> InfluenceResult:
     """influence_empirical on a checked pair p0, y, epsilon, z_a = z(y)."""
-    data = WeightedPointSet.make(
-        [[p0], [y]], [1.0 / (1.0 + epsilon), epsilon / (1.0 + epsilon)])
+    x = np.array([[p0], [y]])
+    w = np.array([1.0 / (1.0 + epsilon), epsilon / (1.0 + epsilon)])
+    w /= w.sum()  # as WeightedPointSet.make normalises
     # solved to CCCP_TOL: the first-order comparison needs the exact
     # minimizer, not a budgeted approximation
-    c = kernels.cccp_steps(g, 0.5, data.points, data.weights,
-                           data.weights @ data.points, 500).center
+    c = kernels.cccp_steps(g, 0.5, x, w, w @ x, 500).center
     x_tilde = float(c[0])
     return InfluenceResult(
         z_analytic=z_a, z_empirical=(x_tilde - p0) / epsilon,
@@ -95,6 +94,7 @@ def boundedness_sweep(g: Generator, p, y_max: float,
     _scalar_gen(g)
     per_decade = as_count("per_decade", per_decade)
     p = as_point(p, 1)
+    ensure_domain(g, p, interior=True)
     p0 = float(p[0])
     y0 = 2.0 * abs(p0) if p0 != 0.0 else 1.0
     if not y0 < g.domain.hi:
@@ -111,7 +111,6 @@ def boundedness_sweep(g: Generator, p, y_max: float,
     decades = math.log10(y_max / y0)
     n = max(2, int(math.ceil(per_decade * decades)) + 1)
     ys = np.geomspace(y0, y_max, n)
-    ensure_domain(g, p, interior=True)
     ensure_domain(g, ys[:, None])
     ensure_domain(g, 0.5 * (p + ys[:, None]), interior=True)
     zs = _z(g, p, ys[:, None])

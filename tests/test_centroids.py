@@ -1,5 +1,7 @@
 """Skew Jensen centroids (inner fixed point) and the two-stage total loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -443,3 +445,69 @@ def test_oscillation_guard_is_named():
     res = total_jensen_centroid(g, data, CentroidConfig(outer_tol=1e-300))
     assert res.stop_reason == "oscillation" and not res.converged
     assert np.all(np.diff(res.loss_trace)[-5:] > 0.0)
+
+
+def test_cccp_centroid_below_the_old_margin_scales_with_the_points():
+    # the solver kept G 1e-12 inside the domain and returned 1e-12 here,
+    # where the centroid is 1.8685e-14
+    g = make_builtin("shannon")
+    tiny = jensen_centroid_cccp(
+        g, 0.5, WeightedPointSet.make([[1e-14], [3e-14]]), iters=50)
+    unit = jensen_centroid_cccp(
+        g, 0.5, WeightedPointSet.make([[1.0], [3.0]]), iters=50)
+    assert tiny[0] == pytest.approx(1e-14 * unit[0], rel=1e-12, abs=0.0)
+
+
+def test_cccp_centroids_near_both_ends_of_bit():
+    # bit's F is symmetric under x -> 1 - x, and near 0 it is shannon's F
+    # to first order; the solver returned 1e-12 and 1 - 1e-12 here
+    x = np.array([[1.0 - 1e-14], [1.0 - 3e-14]])
+    u = 1.0 - x  # exact
+
+    def centroid(name, pts):
+        return jensen_centroid_cccp(make_builtin(name), 0.5,
+                                    WeightedPointSet.make(pts), iters=50)[0]
+
+    s = 2.0 ** -46  # shannon's centroid scales with the points
+    ref = s * centroid("shannon", u / s)
+    assert centroid("bit", u) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    # a point near 1 is resolved to an ulp of 1
+    assert abs(centroid("bit", x) - (1.0 - ref)) <= 4 * 2.0 ** -53
+
+
+def test_cccp_moves_only_coordinates_on_a_domain_end():
+    # an inverse gradient that rounds onto both ends of bit's domain in
+    # two coordinates: those move to the nearest floats inside, and the
+    # third keeps the plain step's bits
+    plain = make_builtin("bit", 3)
+    ends = np.array([0.0, 1.0, np.nan])
+    g = replace(plain, grad_inverse=lambda y: np.where(
+        np.isnan(ends), plain.grad_inverse(y), ends))
+    x = np.array([[0.2, 0.4, 0.6], [0.3, 0.5, 0.7]])
+    w = np.array([0.5, 0.5])
+    c = cccp_steps(g, 0.5, x, w, w @ x, 1).center
+    assert c[0] == 5e-324 and c[1] == 1.0 - 2.0 ** -53
+    assert c[2] == cccp_steps(plain, 0.5, x, w, w @ x, 1).center[2]
+
+
+def test_total_loss_checks_the_points():
+    # 1-D points under a 2-D generator and a row at -1 gave numbers
+    g = make_builtin("shannon", 2)
+    with pytest.raises(ValidationError, match="dimension 1"):
+        total_loss(g, 0.5, WeightedPointSet.make([[1.0], [2.0]]), [1.0, 1.0])
+    bad = WeightedPointSet.make([[1.0, 2.0], [-1.0, 0.5]])
+    with pytest.raises(DomainError, match=r"\[-1.0, 0.5\]") as exc:
+        total_loss(g, 0.5, bad, [1.0, 1.0])
+    assert exc.value.row == 1
+
+
+def test_weights_whose_sum_overflows_are_scaled_first():
+    # the sum was inf, so the weights came out 0 with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        even = WeightedPointSet.make([[1.0], [2.0]], [1e308, 1e308])
+        tilted = WeightedPointSet.make([[1.0], [2.0], [3.0]],
+                                       [1.5e308, 0.5e308, 1e308])
+    assert even.weights.tolist() == [0.5, 0.5]
+    assert tilted.weights.tolist() == pytest.approx([0.5, 1 / 6, 1 / 3],
+                                                    rel=1e-15)

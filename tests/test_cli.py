@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tjdiv import cli, divergences, generators
-from tjdiv.centroids import CentroidConfig
+from tjdiv.centroids import CentroidConfig, WeightedPointSet
 from tjdiv.cli import canonical_dumps, load_dataset, main
 from tjdiv.clustering import (
     SeedingConfig, estimate_bound_constants, lloyd_cluster,
@@ -1045,3 +1045,45 @@ def test_echoed_defaults_are_the_library_defaults(
         assert rep["command"][flag] == _library_defaults(owner)[name], flag
     # cluster's one alpha serves both its configs
     assert CentroidConfig.alpha == SeedingConfig.alpha
+
+
+def test_empirical_influence_packs_no_checked_point_set(capsys, monkeypatch):
+    # each row's solve packed its pair with WeightedPointSet.make
+    made = []
+    real = WeightedPointSet.make
+    monkeypatch.setattr(WeightedPointSet, "make", classmethod(
+        lambda cls, *args: made.append(args) or real(*args)))
+    code, rep, _ = run_cli(capsys, "influence", "--generator", "burg",
+                           "--p", "1", "--empirical")
+    assert code == 0 and len(rep["results"]["table"]) > 200
+    assert made == []
+
+
+def test_seed_checks_its_file_once(tmp_path, capsys, monkeypatch):
+    # the loader checked the rows, then the seeding checked them again
+    data = _write(tmp_path / "z.csv", "1.0\n0.0\n2.0\n4.0\n")
+    calls = _count_domain_checks(monkeypatch)
+    code, _, _ = run_cli(capsys, "seed", "--input", data, "--k", "2",
+                         "--rng-seed", "0")
+    assert code == 0 and len(calls) == 1
+
+
+def test_centroid_weights_whose_sum_overflows(tmp_path, capsys):
+    # the weights came out 0 and the run ended in numpy's LinAlgError
+    results = []
+    for w in ("1e308", "1"):
+        data = _write(tmp_path / "w.csv", f"x,weight\n1.0,{w}\n3.0,{w}\n")
+        code, rep, _ = run_cli(capsys, "centroid", "--generator",
+                               "squared-euclidean", "--input", data)
+        assert code == 0
+        results.append(rep["results"])
+    assert results[0] == results[1]
+
+
+def test_influence_checks_p_before_the_sweep_range(capsys):
+    # a p outside the domain was reported as a sweep-range error
+    code, rep, err = run_cli(capsys, "influence", "--generator", "bit",
+                             "--p=-1")
+    assert code == 1 and rep is None
+    assert err.startswith("error: point [-1.0] is outside the interior "
+                          "of bit's domain [0.0, 1.0]")

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations
@@ -9,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from tjdiv import clustering, kernels
+from tjdiv import clustering, generators, kernels
 from tjdiv.centroids import (
     CentroidConfig, WeightedPointSet, jensen_centroid_cccp,
     total_jensen_centroid)
@@ -989,3 +990,31 @@ def test_bound_holds_for_euclidean_at_unit_eps():
     v1 = 1.0 + cc.k2_hat
     mult1 = 2.0 * u1 ** 2 * (1.0 + v1) * (2.0 + math.log(2))
     assert rep.ratio <= mult1
+
+
+def test_lloyd_checks_its_points_once(monkeypatch):
+    # each round's clusters went through WeightedPointSet.make, whose
+    # as_points tested every row of x again
+    checked, made = [], []
+    real_points, real_make = generators.as_points, WeightedPointSet.make
+
+    def counting_points(*args, **kw):
+        checked.append(args)
+        return real_points(*args, **kw)
+
+    def counting_make(cls, *args, **kw):
+        made.append(args)
+        return real_make(*args, **kw)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("tjdiv")
+                and getattr(mod, "as_points", None) is real_points):
+            monkeypatch.setattr(mod, "as_points", counting_points)
+    monkeypatch.setattr(WeightedPointSet, "make", classmethod(counting_make))
+    rng = np.random.default_rng(7)
+    x = np.exp(np.concatenate([rng.normal(0.0, 0.1, size=(50, 2)),
+                               rng.normal(2.0, 0.1, size=(50, 2))]))
+    model = lloyd_cluster(make_builtin("shannon", 2), x,
+                          SeedingConfig(k=3, rng_seed=3))
+    assert model.rounds >= 2
+    assert len(checked) == 1 and made == []

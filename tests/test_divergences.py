@@ -1,6 +1,7 @@
 """Divergence family: closed forms, hierarchy identities, limits."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath as mp
@@ -514,3 +515,21 @@ def test_formulas_match_mpmath_oracle(name, d):
         for x, ref in zip(got, _mp_reference(name, a, p, q)):
             assert abs(x - ref) <= 1e-11 * abs(ref)
         checked += 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rho_b_where_the_squared_gradient_overflows(d):
+    # |grad F|^2 overflowed once |grad F| passed about 1.3e154: rho_B read
+    # 0 with a RuntimeWarning, and tB read 0 where it is near 1
+    g = make_builtin("burg", d)
+    rng = np.random.default_rng(d)
+    qs = np.vstack([10.0 ** rng.uniform(-300.0, 0.0, size=(40, d)),
+                    np.full((1, d), 1e-300), np.full((1, d), 1e-154)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels.gradient_conformal(g, qs)
+        tb = [total_bregman(g, np.ones(d), q).value for q in qs]
+    for q, r, t in zip(qs, got, tb):
+        ref = _mp_reference("burg", 0.5, np.ones(d), q)
+        assert abs(r - ref[3]) <= 1e-14 * ref[3]
+        assert abs(t - ref[5]) <= 1e-13 * ref[5]

@@ -425,3 +425,17 @@ def test_shared_checkers_accept_in_range_values_and_nothing_else():
               [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0]], "eye"):
         with pytest.raises(ValidationError, match="^m "):
             as_spd("m", m, 2)
+
+
+def test_mahalanobis_gradient_is_the_gradient_of_f():
+    # a matrix symmetric only to rounding was kept as given, so grad
+    # (x @ q) read -0.6000108 where a central difference of F reads
+    # -0.6000054
+    q = np.array([[2.0, 1.0], [1.000009, 2.0]])
+    g = make_builtin("squared-mahalanobis", 2, q)
+    x, h = np.array([0.3, -1.2]), 1e-5
+    for j, e in enumerate(np.eye(2) * h):
+        fd = (g.f(x + e) - g.f(x - e)) / (2.0 * h)
+        assert abs(g.grad(x)[j] - fd) <= 1e-9
+    sym = np.array([[2.0, 0.3], [0.3, 1.0]])  # exact input keeps its bits
+    assert np.array_equal(as_spd("m", sym, 2), sym)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tjdiv.errors import CapabilityError, ValidationError
+from tjdiv.errors import CapabilityError, DomainError, ValidationError
 from tjdiv.generators import make_builtin
 from tjdiv.robustness import (boundedness_sweep, influence_analytic,
                               influence_empirical)
@@ -154,3 +154,10 @@ def test_scalar_only_and_second_derivative_required():
     g = replace(make_builtin("shannon"), second_deriv=None)
     with pytest.raises(CapabilityError):
         influence_analytic(g, 1.0, 2.0)
+
+
+def test_sweep_checks_p_before_its_range():
+    # p = -1 on bit was reported as a sweep start that leaves no y_max
+    with pytest.raises(DomainError, match=r"^point \[-1.0\] is outside "
+                       r"the interior of bit's domain \[0.0, 1.0\]$"):
+        boundedness_sweep(make_builtin("bit"), -1.0, 0.9)
