@@ -1,24 +1,25 @@
 """Fingerprint the seeded CLI `results` blocks of one tjdiv source tree.
 
 Writes fixed-seed CSV datasets (400 rows at d = 1, 2, 4, 8, 16, a 24x2
-file, a file of repeated rows, the 24x2 points again under a header
-with a weight column and a blank line, 9000 rows at d = 16, and two 4x2
-files within 1e-13 of a domain end: shannon's at 1e-14 scale, bit's
-near 1) to a temporary directory, runs the seeded cluster, seed,
-centroid, bound-experiment, constants, influence, divergence, project
-and metric-check commands in process (among them a cluster run whose
-sweeps re-seed an empty cluster, centroids on the two files near a
-domain end, the Jensen-Shannon kinds at p = q, the Bregman kinds on
-every builtin, total-bregman on burg at q = 1e-200, where |grad F|^2
-overflows, jensen-scaled and total-jensen at alpha = 0 and 1, and
-total-jensen with q on the domain's boundary, where rho_b_q is null),
-and prints one
-`name sha256[:16]` line per `results` block, each followed by one
-`name.key sha256[:16]` line per top-level key of that block and one
-`name.command sha256[:16]` line for the run's `command` echo, with the
-temporary directory replaced by a fixed token. Run it against two trees
-and diff the output to see which results, which fields of them, and
-which echoes a change moved:
+file, a file of repeated rows, the 24x2 points again under a header with
+a weight column and a blank line, 9000 rows at d = 16 and the same rows
+mapped into (0, 1), and two 4x2 files within 1e-13 of a domain end:
+shannon's at 1e-14 scale, bit's near 1) to a temporary directory, runs
+the seeded cluster, seed, centroid, bound-experiment, constants,
+influence, divergence, project and metric-check commands in process
+(among them a cluster run whose sweeps re-seed an empty cluster,
+centroids on the 9000-row files, whose CCCP stages span two row blocks,
+for shannon, burg, bit and squared-mahalanobis, centroids on the two
+files near a domain end, the Jensen-Shannon kinds at p = q, the Bregman
+kinds on every builtin, total-bregman on burg at q = 1e-200, where
+|grad F|^2 overflows, jensen-scaled and total-jensen at alpha = 0 and 1,
+and total-jensen with q on the domain's boundary, where rho_b_q is
+null), and prints one `name sha256[:16]` line per `results` block, each
+followed by one `name.key sha256[:16]` line per top-level key of that
+block and one `name.command sha256[:16]` line for the run's `command`
+echo, with the temporary directory replaced by a fixed token. Run it
+against two trees and diff the output to see which results, which fields
+of them, and which echoes a change moved:
 
     python scripts/results_hashes.py > change.txt
     python scripts/results_hashes.py --src ../parent/src > parent.txt
@@ -86,6 +87,9 @@ def _datasets(tmp):
     labels = rng.integers(0, 4, size=9000)
     wide = np.exp(means[labels] + rng.normal(0.0, 0.4, size=(9000, 16)))
     files["wide16"] = _write_csv(os.path.join(tmp, "wide16.csv"), wide)
+    # the same rows mapped into (0, 1), for bit
+    files["wide16unit"] = _write_csv(os.path.join(tmp, "wide16unit.csv"),
+                                     wide / (1.0 + wide))
     # points closer to a domain end than the 1e-12 margin the CCCP solver
     # once kept: shannon's points at 1e-14 scale, and bit's within 1e-13
     # of 1
@@ -94,6 +98,13 @@ def _datasets(tmp):
     files["nearone2"] = _write_csv(os.path.join(tmp, "nearone2.csv"),
                                    1.0 - 1e-14 * near)
     return files
+
+
+def _tridiagonal(d):
+    """The --matrix text of the SPD (d, d) matrix with 2 on the diagonal
+    and 0.5 beside it."""
+    return ";".join(",".join("2" if i == j else "0.5" if abs(i - j) == 1
+                             else "0" for j in range(d)) for i in range(d))
 
 
 def _commands(files):
@@ -161,6 +172,18 @@ def _commands(files):
           "--trials", "200", "--samples", "1024", "--rng-seed", "9"]),
         ("centroid-shannon-wide16",
          ["centroid", "--input", files["wide16"], "--outer-max", "200"]),
+        # grad written into the CCCP stage's buffer across row blocks, on
+        # every other builtin
+        ("centroid-burg-wide16",
+         ["centroid", "--input", files["wide16"], "--generator", "burg",
+          "--outer-max", "200"]),
+        ("centroid-bit-wide16",
+         ["centroid", "--input", files["wide16unit"], "--generator", "bit",
+          "--outer-max", "200"]),
+        ("centroid-mahalanobis-wide16",
+         ["centroid", "--input", files["wide16"], "--generator",
+          "squared-mahalanobis", "--matrix", _tridiagonal(16),
+          "--outer-max", "200"]),
         ("cluster-shannon-wide16",
          ["cluster", "--input", files["wide16"], "--k", "4",
           "--rng-seed", "3", "--max-rounds", "20", "--outer-max", "50"]),

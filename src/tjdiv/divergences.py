@@ -18,7 +18,8 @@ function checks each of its points once, through `generators`, then
 reads J'_a, B, the chord slope, rho_J and rho_B from `kernels` on
 (1, d) rows: a value is the kernel entry's float, except that a Jensen
 or Bregman value (raw, scaled or total) whose rounding falls below 0
-reads 0, as every such gap is >= 0 for convex F. NaN passes through.
+reads 0, as every such gap is >= 0 for convex F. NaN passes through;
+a Bregman gap that overflows float64 raises ValidationError.
 """
 
 import math
@@ -87,8 +88,18 @@ def jensen_raw(g: Generator, alpha, p, q) -> DivergenceValue:
 
 
 def _bregman(g, p, q) -> float:
-    """B(p:q) of a checked pair, q interior, read as 0 below 0."""
-    return max(float(kernels.bregman_gap(g, p[None], q[None])[0]), 0.0)
+    """B(p:q) of a checked pair, q interior, read as 0 below 0. A gap
+    that overflows raises: burg's grad F(q) = -1/q is -inf at a
+    subnormal q, where B would read inf (NaN where p_i = q_i) and tB
+    0 * inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = float(kernels.bregman_gap(g, p[None], q[None])[0])
+        if math.isinf(gap) or (
+                math.isnan(gap) and not np.isfinite(g.grad(q)).all()):
+            raise ValidationError(
+                f"B(p:q) overflows float64: grad F at {q.tolist()} or F "
+                f"lies beyond the float64 range")
+    return max(gap, 0.0)
 
 
 def bregman(g: Generator, p, q) -> DivergenceValue:
@@ -108,8 +119,9 @@ def jensen_scaled(g: Generator, alpha, p, q) -> DivergenceValue:
 
 def total_bregman(g: Generator, p, q) -> DivergenceValue:
     p, q = as_pair(g, p, q, interior_q=True)
+    gap = _bregman(g, p, q)  # first: it raises where grad F(q) overflows
     rho = float(kernels.gradient_conformal(g, q[None])[0])
-    return DivergenceValue("total-bregman", rho * _bregman(g, p, q))
+    return DivergenceValue("total-bregman", rho * gap)
 
 
 def total_jensen(g: Generator, alpha, p, q, scaled: bool = True) -> DivergenceValue:

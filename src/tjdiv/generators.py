@@ -13,6 +13,14 @@ them all, casting the input to float64 once and summing phi with
 `_quadratic` builds squared-mahalanobis, F(x) = x'Qx / 2. `_affine`
 builds both affine maps, G(x) = lam F(a x) + c.
 
+`grad` may take an optional `out=`: grad(x, out=buf) writes grad F(x)
+into buf, which may be x itself, and returns it. Every builtin and
+affine map takes it. A user generator's grad is handed a buffer only
+if it declares one (`takes_out`: a ufunc, a function with an `out`
+parameter, or one with **kwargs that wraps no callable without one),
+and the array it returns is the one used, so a grad that declares out=
+and ignores it still gives the right values.
+
 Boundary conventions: evaluation at a closed boundary returns the limit
 value (0*log 0 = 0 for shannon and bit), but gradients are only defined
 on the open interior and requesting one at a boundary raises.
@@ -25,6 +33,7 @@ than restate a domain, interval, count or matrix test. `as_points`
 also fixes the one layout of point sets, column-major (n, d).
 """
 
+import inspect
 import math
 import operator
 from dataclasses import dataclass
@@ -226,6 +235,13 @@ def _xlogx(x):
     return out
 
 
+def _logit(x, out=None):
+    """log(x / (1 - x)); the quotient and the log run in `out`, and
+    1 - x is the one temporary, so out may be x itself."""
+    q = np.divide(x, 1.0 - x, out=out)
+    return np.log(q, out=q)
+
+
 def _logistic(y):
     out = np.empty_like(y)
     pos = y >= 0
@@ -235,20 +251,21 @@ def _logistic(y):
     return out
 
 
-# name: (coordinate domain, phi, phi', (phi')^-1, phi''), on float64 arrays
+# name: (coordinate domain, phi, phi', (phi')^-1, phi''), on float64
+# arrays; phi' takes out=, which may be x itself
 _SEPARABLE = {
     "shannon": (Domain(0.0, math.inf, eval_closed_lo=True),
                 lambda x: _xlogx(x) - x, np.log, np.exp, lambda x: 1.0 / x),
     "burg": (Domain(0.0, math.inf),
-             lambda x: -np.log(x), lambda x: -1.0 / x, lambda y: -1.0 / y,
-             lambda x: x ** -2.0),
+             lambda x: -np.log(x),
+             lambda x, out=None: np.divide(-1.0, x, out=out),
+             lambda y: -1.0 / y, lambda x: x ** -2.0),
     "bit": (Domain(0.0, 1.0, eval_closed_lo=True, eval_closed_hi=True),
             lambda x: _xlogx(x) + _xlogx(1.0 - x),
-            lambda x: np.log(x / (1.0 - x)), _logistic,
-            lambda x: 1.0 / (x * (1.0 - x))),
+            _logit, _logistic, lambda x: 1.0 / (x * (1.0 - x))),
     # phi' and its inverse are the identity: copies in x's layout
     "squared-euclidean": (Domain(-math.inf, math.inf),
-                          lambda x: 0.5 * (x * x), lambda x: x.copy(order="K"),
+                          lambda x: 0.5 * (x * x), np.positive,
                           lambda y: y.copy(order="K"), np.ones_like),
 }
 
@@ -262,17 +279,44 @@ def _separable(name, dim):
     return Generator(
         name=name, dim=dim, domain=domain,
         f=on_float64(lambda x: coordinate_sum(phi(x))),
-        grad=on_float64(dphi), grad_inverse=on_float64(dphi_inv),
-        second_deriv=on_float64(ddphi))
+        grad=lambda x, out=None: dphi(np.asarray(x, dtype=np.float64),
+                                      out=out),
+        grad_inverse=on_float64(dphi_inv), second_deriv=on_float64(ddphi))
+
+
+def takes_out(fn) -> bool:
+    """Whether fn declares an `out=` keyword: a ufunc, or a function
+    whose parameters name `out` or take **kwargs. A **kwargs wrapper
+    that names what it wraps (functools.wraps's __wrapped__) forwards
+    out= only if that callable takes it. Only such a `grad` is handed a
+    buffer to write into."""
+    while not isinstance(fn, np.ufunc):
+        code = getattr(fn, "__code__", None)
+        if code is None:
+            return False
+        named = code.co_varnames[code.co_posonlyargcount:
+                                 code.co_argcount + code.co_kwonlyargcount]
+        kwargs = bool(code.co_flags & inspect.CO_VARKEYWORDS)
+        if "out" in named or (kwargs and not hasattr(fn, "__wrapped__")):
+            return True
+        if not kwargs:
+            return False
+        fn = fn.__wrapped__
+    return True
 
 
 def _right_product(m):
     """x -> x @ m, accumulated over the coordinate index left to right,
     as coordinate_sum does: BLAS's order depends on the batch shape. The
-    product keeps x's layout."""
-    def xm(x):
+    product keeps x's layout, or goes into `out`; an out that shares
+    memory with x, written column by column, makes x one copy first."""
+    def xm(x, out=None):
         x = np.asarray(x, dtype=np.float64)
-        out = np.multiply(x[..., :1], m[0], out=np.empty_like(x))
+        if out is None:
+            out = np.empty_like(x)
+        elif np.may_share_memory(x, out):
+            x = x.copy(order="K")
+        np.multiply(x[..., :1], m[0], out=out)
         for j in range(1, len(m)):
             out += x[..., j:j + 1] * m[j]
         return out
@@ -335,7 +379,8 @@ def _affine(g: Generator, name: str, domain: Domain, a: float, lam: float,
     grad G^-1(y) = grad F^-1(y / (lam a)) / a, and G's curvature is lam
     a^2 times F's at a x. Factors and divisors of 1.0 change no bit, so
     each map passes 1.0 for the other's parameter; at a = 1 the product
-    a x, a fresh (n, d) array on every call, is not formed."""
+    a x, a fresh (n, d) array on every call, is not formed. grad takes
+    out=, where the scale lam a is applied."""
     s, s2 = lam * a, lam * a * a
     gi, d2, h = g.grad_inverse, g.second_deriv, g.hessian
     at = (lambda x: x) if a == 1.0 else (lambda x: a * np.asarray(x))
@@ -346,7 +391,7 @@ def _affine(g: Generator, name: str, domain: Domain, a: float, lam: float,
     return Generator(
         name=name, dim=g.dim, domain=domain,
         f=lambda x: lam * g.f(at(x)) + c,
-        grad=lambda x: s * g.grad(at(x)),
+        grad=lambda x, out=None: np.multiply(g.grad(at(x)), s, out=out),
         grad_inverse=carried(gi, lambda y: gi(np.asarray(y) / s) / a),
         second_deriv=carried(d2, lambda x: s2 * d2(at(x))),
         hessian=carried(h, lambda x: s2 * np.asarray(h(at(x)))))

@@ -54,8 +54,8 @@ minor page faults where the blocked call made none. Each block's
 results go into preallocated n-row outputs; when one block holds every
 row, the block's arrays are returned as they are, with no copy. Every
 row's value has the same bits alone and inside any batch, so the block
-size moves no result. `cccp_steps` holds one (n, d) buffer per call and
-fills it block by block at each evaluation.
+size moves no result. `cccp_steps` holds one (n, d) buffer per call,
+and at each evaluation grad writes each block of it in place.
 
 Kernels check only their own options, alpha in (0, 1) (`as_real`; the
 limit cases belong to the divergence API) and `cccp_steps`' evaluation
@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .generators import as_count, as_real, coordinate_sum
+from .generators import as_count, as_real, coordinate_sum, takes_out
 
 # the most bytes of any (rows, d) float64 operand a kernel forms; at 2
 # MiB the page faults came back on 20000 x 16 points, and at 256 KiB a
@@ -105,12 +105,12 @@ def _by_rows(fn, n, d, *args, out=None):
         if out is None:
             out = tuple(np.empty((n,) + r.shape[1:], r.dtype, order="F")
                         for r in part)
-        for o, r in zip(out, part):
-            o[s] = r
+        for j, o in enumerate(out):
+            o[s] = part[j]
         # dropped before fn makes the next block, which then reuses their
         # memory: held a block longer, they made the allocator hand pages
         # back to the system and fault them in again
-        del part, r
+        del part
     return out
 
 
@@ -189,7 +189,8 @@ def pairwise_conformal(g, p, q):
 
 
 def bregman_gap(g, p, q):
-    """Row-wise B_F(p_i : q_i), q_i interior; exactly 0 where p_i = q_i."""
+    """Row-wise B_F(p_i : q_i), q_i interior; exactly 0 where p_i = q_i
+    and grad F(q_i) is finite."""
     p, q = _rows(p), _rows(q)
     return _by_rows(
         lambda p, q, fp, fq: (fp - fq - coordinate_sum((p - q) * g.grad(q)),),
@@ -301,7 +302,10 @@ def cccp_steps(g, alpha, x, w, c0, iters):
     is kept only if it lies strictly inside the open domain and its
     residual is smaller than the current one; otherwise the solver takes
     the plain step and clears the history. The first evaluation is
-    always the plain step, so a cap of 1 is exactly one CCCP step.
+    always the plain step, so a cap of 1 is exactly one CCCP step. The
+    history is two preallocated (d, 3) arrays, its columns oldest first
+    and shifted in place, and one max |residual| serves both the
+    stopping test and the comparison with the next residual.
 
     The inverse gradient maps into the open domain, but its float can
     round onto an end (shannon's exp underflows to 0 below about -745,
@@ -311,7 +315,10 @@ def cccp_steps(g, alpha, x, w, c0, iters):
     The stage holds one column-major (n, d) buffer `gr` for the call.
     Each evaluation forms a*x_i + (1-a)*c in it a row block at a time,
     overwrites each block with grad there, and sums with the one product
-    w @ gr.
+    w @ gr. A grad that takes out= (`generators.takes_out`) is handed the
+    block as both its input and its output, so no block array is made
+    and none copied; the array any grad returns, if not the block
+    itself, is copied into it.
     """
     alpha = as_real("alpha", alpha)
     iters = as_count("iters", iters)
@@ -319,6 +326,7 @@ def cccp_steps(g, alpha, x, w, c0, iters):
     n, d = x.shape
     gr = np.empty((n, d), order="F")
     w = np.asarray(w, dtype=np.float64)
+    grad, into = g.grad, takes_out(g.grad)
     # np.nextafter raises on a subnormal under np.errstate(all="raise")
     inside = (math.nextafter(g.domain.lo, math.inf),
               math.nextafter(g.domain.hi, -math.inf))
@@ -326,39 +334,50 @@ def cccp_steps(g, alpha, x, w, c0, iters):
     def cccp_map(c):
         cc = (1.0 - alpha) * c
 
-        def grad_at(xb, arg):
-            np.multiply(xb, alpha, out=arg)
-            arg += cc
-            return (g.grad(arg),)
+        def fill(xb, b):  # grad at a*x + (1-a)*c, in the block b of gr
+            np.multiply(xb, alpha, out=b)
+            b += cc
+            gb = grad(b, out=b) if into else grad(b)
+            if gb is not b:
+                b[...] = gb
+            return ()
 
-        grad = _by_rows(grad_at, n, d, x, gr, out=(gr,))[0]
-        return np.clip(g.grad_inverse(w @ grad), *inside)
+        _by_rows(fill, n, d, x, gr, out=())
+        return np.clip(g.grad_inverse(w @ gr), *inside)
 
-    def small(r, c):  # the stopping test
-        return np.abs(r).max() <= CCCP_TOL * np.abs(c).max()
+    def small(rmax, c):  # the stopping test, on max |residual|
+        return rmax <= CCCP_TOL * np.abs(c).max()
 
     c = np.array(c0, dtype=np.float64, ndmin=1)
     gc = cccp_map(c)
     r = gc - c  # the fixed-point residual at c
+    rmax = np.abs(r).max()
     evals, accepted = 1, 0
-    hist = []  # (residual difference, image difference), oldest first
-    while evals < iters and not small(r, c):
+    # the last k (residual, image) differences, as columns oldest first
+    dr, dg, k = np.empty((d, _AA_MEMORY)), np.empty((d, _AA_MEMORY)), 0
+    while evals < iters and not small(rmax, c):
         t = gc  # the plain step, unless an extrapolation replaces it
-        if hist:
-            dr, dg = (np.column_stack(h) for h in zip(*hist))
-            cand = gc - dg @ np.linalg.lstsq(dr, r, rcond=None)[0]
+        if k:
+            coef = np.linalg.lstsq(dr[:, :k], r, rcond=None)[0]
+            cand = gc - dg[:, :k] @ coef
             if g.domain.rows_inside(cand, interior=True):  # NaN is not
                 t = cand
             else:
-                hist.clear()
+                k = 0
         gt = cccp_map(t)
         evals += 1
         rt = gt - t
+        rtmax = np.abs(rt).max()
         if t is not gc:
-            if not np.abs(rt).max() < np.abs(r).max():
-                hist.clear()  # rejected: the plain step comes next
+            if not rtmax < rmax:
+                k = 0  # rejected: the plain step comes next
                 continue
             accepted += 1
-        hist = (hist + [(rt - r, gt - gc)])[-_AA_MEMORY:]
-        c, gc, r = t, gt, rt
-    return StageSolve(gc, evals, "tol" if small(r, c) else "cap", accepted)
+        if k == _AA_MEMORY:
+            dr[:, :-1], dg[:, :-1] = dr[:, 1:], dg[:, 1:]
+        else:
+            k += 1
+        np.subtract(rt, r, out=dr[:, k - 1])
+        np.subtract(gt, gc, out=dg[:, k - 1])
+        c, gc, r, rmax = t, gt, rt, rtmax
+    return StageSolve(gc, evals, "tol" if small(rmax, c) else "cap", accepted)

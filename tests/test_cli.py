@@ -7,6 +7,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,20 @@ def test_ragged_matrix_is_an_error(tmp_path, capsys):
                            bad, "--p", "1,2", "--q", "2,1")
     assert code == 1
     assert err.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("p", ["1", "1e-320"])
+@pytest.mark.parametrize("kind", ["bregman", "total-bregman"])
+def test_a_bregman_gap_that_overflows_is_an_error(kind, p, capsys):
+    # it was printed as value null (total-bregman) or inf, with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep, err = run_cli(capsys, "divergence", "--kind", kind,
+                                 "--generator", "burg", "--p", p,
+                                 "--q", "1e-320")
+    assert code == 1 and rep is None
+    assert err == ("error: B(p:q) overflows float64: grad F at [1e-320] "
+                   "or F lies beyond the float64 range\n")
 
 
 def test_exit_codes_for_usage_and_domain_errors(capsys):

@@ -533,3 +533,25 @@ def test_rho_b_where_the_squared_gradient_overflows(d):
         ref = _mp_reference("burg", 0.5, np.ones(d), q)
         assert abs(r - ref[3]) <= 1e-14 * ref[3]
         assert abs(t - ref[5]) <= 1e-13 * ref[5]
+
+
+@pytest.mark.parametrize("p", [[1.0, 1.0], [1e-320, 0.5]])
+def test_a_bregman_gap_that_overflows_raises(p):
+    # burg's grad F(q) = -1/q is -inf at a subnormal q: bregman read inf
+    # (NaN at p = q) and total_bregman 0 * inf = NaN, each with a
+    # RuntimeWarning
+    g = make_builtin("burg", 2)
+    q = [1e-320, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (lambda: bregman(g, p, q), lambda: total_bregman(g, p, q),
+                      lambda: jensen_scaled(g, 0.0, p, q),
+                      lambda: total_jensen(g, 1.0, q, p)):
+            with pytest.raises(ValidationError, match="overflows float64"):
+                value()
+
+
+def test_rho_b_where_grad_f_overflows_warns():
+    # rho_B there is about 1e-320, but reads 0: the overflow must show
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rho_b(make_builtin("burg", 2), [1e-320, 0.5])

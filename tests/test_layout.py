@@ -2,7 +2,9 @@
 kernels give the same bits whatever layout a caller passes and however
 many rows they take at a time."""
 
+import functools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from tjdiv.centroids import WeightedPointSet
 from tjdiv.cli import load_dataset
 from tjdiv.generators import (
     Domain, Generator, affine_postcompose, affine_precompose, as_points,
-    coordinate_sum, make_builtin)
+    coordinate_sum, make_builtin, takes_out)
 from tjdiv.kernels import (
     cccp_steps, min_divergence_assign, pairwise_total_jensen)
 
@@ -200,3 +202,106 @@ def test_tj_kernel_holds_less_than_one_more_point_set():
     finally:
         tracemalloc.stop()
     assert peak < 1.1 * x.nbytes
+
+
+# grad(x, out=buf): a generator's gradient written into the caller's
+# buffer, which may be x itself, with the bits of grad(x)
+
+_OUT_NAMES = NAMES + ("squared-euclidean", "affine", "user", "pre-negative",
+                      "affine-of-plain-grad")
+
+
+def _out_case(name, dim):
+    """_blocked_case, plus shannon precomposed with a < 0 and an affine
+    map of a user grad that takes no out=."""
+    if name == "pre-negative":
+        g, x = _blocked_case("shannon", dim)
+        return affine_precompose(g, -2.0), as_points(-x)
+    if name == "affine-of-plain-grad":
+        g, x = _blocked_case("user", dim)
+        g = replace(g, grad=lambda y: np.sinh(y))
+        return affine_postcompose(affine_precompose(g, 0.5), 3.0), x
+    return _blocked_case(name, dim)
+
+
+@pytest.mark.parametrize("dim", [1, 4, 16])
+@pytest.mark.parametrize("name", _OUT_NAMES)
+def test_grad_into_out_gives_the_bits_of_grad(name, dim):
+    g, x = _out_case(name, dim)
+    assert takes_out(g.grad)
+    whole = g.grad(x)
+    for row, ref in zip(x, whole):  # (d,) points
+        buf = np.empty(dim)
+        assert g.grad(row, out=buf) is buf
+        assert np.array_equal(buf, ref)
+    kept = x.copy(order="F")
+    gr = np.empty_like(x, order="F")
+    same = x.copy(order="F")
+    for i in range(0, len(x), _BLOCK):  # F-order row-block views
+        b, s = gr[i:i + _BLOCK], same[i:i + _BLOCK]
+        assert g.grad(x[i:i + _BLOCK], out=b) is b
+        assert g.grad(s, out=s) is s  # out is x
+    assert np.array_equal(gr, whole)
+    assert np.array_equal(same, whole)
+    assert np.array_equal(x, kept)
+
+
+def test_takes_out_reads_the_callable():
+    assert takes_out(np.log)
+    assert takes_out(lambda x, out=None: x)
+    assert takes_out(lambda x, *, out: x)
+    assert takes_out(lambda x, **kw: x)
+    assert not takes_out(lambda x: x)
+    assert not takes_out(lambda x, *args: x)
+    assert not takes_out(len)
+    # a forwarding wrapper declares what it wraps
+    assert takes_out(_forwarding(np.log))
+    assert takes_out(_forwarding(_forwarding(lambda x, out=None: x)))
+    assert not takes_out(_forwarding(lambda x: x))
+    assert not takes_out(functools.wraps(np.log)(lambda x: np.log(x)))
+
+
+def _forwarding(fn):  # a generic wrapper, as a logger or tracer writes one
+    @functools.wraps(fn)
+    def forward(*args, **kwargs):
+        return fn(*args, **kwargs)
+    return forward
+
+
+@pytest.mark.parametrize("name", NAMES + ("squared-euclidean", "affine",
+                                          "user"))
+def test_a_stage_hands_grad_its_block_on_every_call(name, monkeypatch):
+    g, x = _blocked_case(name, 4)
+    w = np.linspace(1.0, 2.0, len(x))
+    w /= w.sum()
+    whole = cccp_steps(g, 0.3, x, w, w @ x, 20)
+    seen = []
+
+    def grad(y, **kw):
+        seen.append(kw.get("out") is y)
+        return g.grad(y, **kw)
+
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * 4 * _BLOCK)
+    solve = cccp_steps(replace(g, grad=grad), 0.3, x, w, w @ x, 20)
+    # 13 rows in blocks of 5: three grad calls per evaluation
+    assert len(seen) == 3 * solve.evals and all(seen)
+    assert np.array_equal(solve.center, whole.center)
+    assert solve[1:] == whole[1:]
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+@pytest.mark.parametrize("name", ["shannon", "user"])
+def test_a_grad_that_ignores_out_gives_the_same_stage(name, blocked,
+                                                      monkeypatch):
+    g, x = _blocked_case(name, 4)
+    w = np.linspace(1.0, 2.0, len(x))
+    w /= w.sum()
+    if blocked:
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * 4 * _BLOCK)
+    solves = [cccp_steps(replace(g, grad=grad), 0.3, x, w, w @ x, 20)
+              for grad in (g.grad, lambda y: g.grad(y),
+                           lambda y, **kwargs: g.grad(y),
+                           _forwarding(lambda y: g.grad(y)))]
+    for other in solves[1:]:
+        assert np.array_equal(other.center, solves[0].center)
+        assert other[1:] == solves[0][1:]
