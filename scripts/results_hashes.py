@@ -3,8 +3,9 @@
 Writes fixed-seed CSV datasets (400 rows at d = 1, 2, 4, 8, 16, a 24x2
 file, a file of repeated rows, the 24x2 points again under a header with
 a weight column and a blank line, 9000 rows at d = 16 and the same rows
-mapped into (0, 1), and two 4x2 files within 1e-13 of a domain end:
-shannon's at 1e-14 scale, bit's near 1) to a temporary directory, runs
+mapped into (0, 1), two 4x2 files within 1e-13 of a domain end:
+shannon's at 1e-14 scale, bit's near 1, and five points at d = 1 with
+their image in (0, 1)) to a temporary directory, runs
 the seeded cluster, seed, centroid, bound-experiment, constants,
 influence, divergence, project and metric-check commands in process
 (among them a cluster run whose sweeps re-seed an empty cluster,
@@ -13,13 +14,16 @@ for shannon, burg, bit and squared-mahalanobis, centroids on the two
 files near a domain end, the Jensen-Shannon kinds at p = q, the Bregman
 kinds on every builtin, total-bregman on burg at q = 1e-200, where
 |grad F|^2 overflows, jensen-scaled and total-jensen at alpha = 0 and 1,
-and total-jensen with q on the domain's boundary, where rho_b_q is
-null), and prints one `name sha256[:16]` line per `results` block, each
-followed by one `name.key sha256[:16]` line per top-level key of that
-block and one `name.command sha256[:16]` line for the run's `command`
-echo, with the temporary directory replaced by a fixed token. Run it
-against two trees and diff the output to see which results, which fields
-of them, and which echoes a change moved:
+total-jensen with q on the domain's boundary, where rho_b_q is null,
+and the tiny-n seedings `seed --k 2` and `seed --k 1` on the 5-point
+d = 1 file [0.5, 1, 2, 4, 8], for shannon and burg, and for bit on the
+same points mapped into (0, 1), at rng seeds 4 and 5), and prints one
+`name sha256[:16]` line per `results` block, each followed by one
+`name.key sha256[:16]` line per top-level key of that block and one
+`name.command sha256[:16]` line for the run's `command` echo, with the
+temporary directory replaced by a fixed token. Run it against two trees
+and diff the output to see which results, which fields of them, and
+which echoes a change moved:
 
     python scripts/results_hashes.py > change.txt
     python scripts/results_hashes.py --src ../parent/src > parent.txt
@@ -97,6 +101,12 @@ def _datasets(tmp):
     files["tiny2"] = _write_csv(os.path.join(tmp, "tiny2.csv"), 1e-14 * near)
     files["nearone2"] = _write_csv(os.path.join(tmp, "nearone2.csv"),
                                    1.0 - 1e-14 * near)
+    # five points at d = 1, a seeding's fixed cost with no bulk math, and
+    # the same points mapped into (0, 1), for bit
+    draws = np.array([0.5, 1.0, 2.0, 4.0, 8.0]).reshape(-1, 1)
+    files["draws1"] = _write_csv(os.path.join(tmp, "draws1.csv"), draws)
+    files["draws1unit"] = _write_csv(os.path.join(tmp, "draws1unit.csv"),
+                                     draws / (1.0 + draws))
     return files
 
 
@@ -201,6 +211,16 @@ def _commands(files):
          ["centroid", "--input", files["nearone2"], "--generator", "bit"]),
         ("influence-shannon",
          ["influence", "--p", "1.0", "--ymax", "1e6"]),
+    ]
+    # a single small seeding: one column at k = 2, none at k = 1
+    for gen, f in (("shannon", "draws1"), ("burg", "draws1"),
+                   ("bit", "draws1unit")):
+        for k in ("1", "2"):
+            for rng_seed in ("4", "5"):
+                runs.append((f"seed-{gen}-draws1-k{k}-s{rng_seed}",
+                             ["seed", "--input", files[f], "--generator", gen,
+                              "--k", k, "--rng-seed", rng_seed]))
+    runs += [
         ("influence-burg-empirical",
          ["influence", "--generator", "burg", "--p", "1.0", "--ymax", "1e3",
           "--per-decade", "8", "--empirical"]),

@@ -27,7 +27,8 @@ table is the sweep's column for centre x_j, bit for bit, so the
 optimum's assignments are the first minimum over its centres' rows, the
 scan's tie rule. F(x) depends only on the points, so it is computed
 once per point set and every column, sweep and centroid stage over
-those points reads it.
+those points reads it; a seeding's column for x_j is the table's row j
+computed alone (`kernels.tj_row`).
 
 The approximation-bound constants K1 (Hessian eigenvalue spread over
 the closure) and K2 (squared chord slope) are estimated by sampling the
@@ -132,8 +133,8 @@ def _take(x, rows):
 
 
 def _tj_column(g, alpha, x, fx, j):
-    """tJ_alpha(x_i : x_j) for every row i, fx = F(x): one kernel call."""
-    return kernels.pairwise_total_jensen(g, alpha, x, x[j:j + 1], fp=fx)
+    """tJ_alpha(x_i : x_j) for every row i, fx = F(x): the tJ table's row j."""
+    return kernels.tj_row(g, alpha, x, j, fx=fx)
 
 
 def _seed_indices(rows, n, k, rng, trials=1):
@@ -163,8 +164,9 @@ def _seed_indices(rows, n, k, rng, trials=1):
         # each contiguous row sums in the pairwise order of a 1-D sum
         totals = mind.sum(axis=1, keepdims=True)
         pos = totals[:, 0] > 0.0
-        zero = (~pos).nonzero()[0].tolist()
-        live = pos.nonzero()[0] if zero else slice(None)
+        live, zero = slice(None), ()
+        if np.count_nonzero(pos) < len(pos):  # a row has no mass left
+            live, zero = pos.nonzero()[0], (~pos).nonzero()[0].tolist()
         m = mind[live]
         cross = m.cumsum(axis=1) > rng.random((len(m), 1)) * totals[live]
         pick = cross.argmax(axis=1)

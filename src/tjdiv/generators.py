@@ -30,7 +30,10 @@ pairs (`as_point`, `as_points`, `as_pair`, `ensure_domain`), real
 options in an interval (`as_real`), counts (`as_count`) and symmetric
 positive-definite matrices (`as_spd`). Other modules call these rather
 than restate a domain, interval, count or matrix test. `as_points`
-also fixes the one layout of point sets, column-major (n, d).
+also fixes the one layout of point sets, column-major (n, d), and tests
+a domain in one comparison pass and one reduction (`Domain.contains`).
+NaN is in no box and +-inf only at a closed infinite end, which no
+builtin has, so only such a domain, or none, needs a finiteness pass.
 """
 
 import inspect
@@ -56,21 +59,32 @@ class Domain:
     eval_closed_lo: bool = False
     eval_closed_hi: bool = False
 
+    def _coords_inside(self, x, interior):
+        """Membership of each coordinate of x; NaN is never inside."""
+        x = np.asarray(x)
+        closed_lo = self.eval_closed_lo and not interior
+        closed_hi = self.eval_closed_hi and not interior
+        return ((x >= self.lo) if closed_lo else (x > self.lo)) \
+            & ((x <= self.hi) if closed_hi else (x < self.hi))
+
     def rows_inside(self, x, interior: bool = False) -> np.ndarray:
         """Membership of each point in x, one broadcast comparison.
 
         The last axis holds coordinates: a (d,) point gives a 0-d bool,
-        an (n, d) stack gives n bools. NaN is never inside.
+        an (n, d) stack gives n bools.
         """
-        x = np.asarray(x)
-        closed_lo = self.eval_closed_lo and not interior
-        closed_hi = self.eval_closed_hi and not interior
-        ok = ((x >= self.lo) if closed_lo else (x > self.lo)) \
-            & ((x <= self.hi) if closed_hi else (x < self.hi))
+        ok = self._coords_inside(x, interior)
         return ok.all(axis=-1) if ok.ndim else ok
 
     def contains(self, x: np.ndarray, interior: bool = False) -> bool:
-        return bool(np.all(self.rows_inside(x, interior)))
+        """Whether all of x lies in the box: one pass, one reduction."""
+        return bool(self._coords_inside(x, interior).all())
+
+    @property
+    def excludes_inf(self) -> bool:
+        """No +-inf is inside: no infinite end is closed."""
+        return not (self.eval_closed_lo and self.lo == -math.inf
+                    or self.eval_closed_hi and self.hi == math.inf)
 
     def describe(self) -> str:
         lb = "[" if self.eval_closed_lo else "("
@@ -110,23 +124,23 @@ def as_points(x, g: Optional[Generator] = None) -> np.ndarray:
     """A nonempty, finite (n, d) float64 array, column-major; 1-D input
     is n points of dimension 1. Only input in another layout is copied.
     With a generator, the points must also match its dimension and lie
-    in its domain (closed where evaluation is)."""
+    in its domain (closed where evaluation is); NaN or +-inf is then a
+    DomainError, or a ValidationError if the domain lets +-inf in."""
     pts = np.asarray(x, dtype=np.float64, order="F")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValidationError(
             f"points must form a nonempty (n, d) array, got {pts.shape}")
-    if g is not None:
-        if pts.shape[1] != g.dim:
-            raise ValidationError(
-                f"points have dimension {pts.shape[1]}, "
-                f"generator expects {g.dim}")
-        # before the finiteness test, so that a builtin generator, whose
-        # domain excludes NaN and +-Inf, names the offending point
-        ensure_domain(g, pts)
-    if not np.all(np.isfinite(pts)):
+    if g is not None and pts.shape[1] != g.dim:
+        raise ValidationError(
+            f"points have dimension {pts.shape[1]}, generator expects {g.dim}")
+    # a domain that excludes NaN and +-Inf, as every builtin's does, makes
+    # the finiteness pass redundant, and its DomainError names the point
+    if (g is None or not g.domain.excludes_inf) and not np.isfinite(pts).all():
         raise ValidationError("points contain NaN or Inf")
+    if g is not None:
+        ensure_domain(g, pts)
     return pts
 
 
@@ -177,8 +191,11 @@ def as_real(name: str, x, lo: float = 0.0, hi: float = 1.0,
 
 def as_count(name: str, n, lo: int = 1) -> int:
     """n as an int >= lo. A float is not a count, integral or not: no
-    truncation decides how many rounds, draws or points run."""
+    truncation decides how many rounds, draws or points run. Nor is a
+    bool, which operator.index would read as 0 or 1."""
     try:
+        if isinstance(n, (bool, np.bool_)):
+            raise TypeError
         k = operator.index(n)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {n!r}") from None

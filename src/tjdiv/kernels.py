@@ -24,8 +24,9 @@ and rho_J (`_chord`), the Bregman gap B_F (`bregman_gap`), rho_B
 alpha)) (`_scale`), both factors from one F pass
 (`total_jensen_and_conformal`). Callers: divergences (B_F too) and the
 CLI, on (1, d) rows, so a scalar value is the kernel entry's float;
-seeding, Lloyd, the bound experiment and the centroids (tJ); the influence
-sweep (rho_J); the bound constants (K2 from `chord_factors`, rho_B).
+seeding (`tj_row`), Lloyd, the bound experiment and the centroids (tJ);
+the influence sweep (rho_J); the bound constants (K2 from
+`chord_factors`, rho_B).
 
 F of the point side depends only on the point set, so a caller that
 sweeps the same points against many centres, or runs many centroid
@@ -40,7 +41,9 @@ Points against a set of centres, tJ_alpha(x_i : c_j), is one block
 kernel, `_tj_block`, the one place that decides which (point, centre)
 pairs share a pass: the assignment sweep reduces its blocks over the
 centres, and `tj_table` keeps them whole, its row j the sweep's column
-for centre x_j, bit for bit.
+for centre x_j, bit for bit. A seeding column is one such row alone
+(`tj_row`): a one-centre `_tj_block` pass per row block, reading F(x_j)
+from the F(x) the caller holds, so F runs only at the midpoints.
 
 `_BLOCK_BYTES`, 1 MiB or 8192 rows at d = 16, is the one work budget.
 Every kernel runs a row block at a time (`_by_rows`), so that no (rows,
@@ -133,8 +136,7 @@ def _chord(p, q, fp, fq):
     df = fp - fq
     dd = coordinate_sum((p - q) ** 2)
     nz = dd > 0.0
-    s2 = np.zeros_like(dd)
-    s2[nz] = df[nz] ** 2 / dd[nz]
+    s2 = np.divide(df ** 2, dd, out=np.zeros(dd.shape), where=nz)
     return df, s2, 1.0 / np.sqrt(1.0 + s2), nz
 
 
@@ -142,7 +144,8 @@ def _gap_rho(g, alpha, p, q, fp, fq):
     """One block's (raw gap, exactly 0 where p_i = q_i; rho_J)."""
     gap = _jensen(g, alpha, p, q, fp, fq)
     _, _, rho, nz = _chord(p, q, fp, fq)
-    return np.where(nz, gap, 0.0), rho
+    np.copyto(gap, 0.0, where=~nz)
+    return gap, rho
 
 
 def _scale(gap, rho, alpha):
@@ -225,22 +228,32 @@ def jensen_loss(g, alpha, x, w, c, *, fx=None):
 def _tj_block(g, alpha, xb, fxb, centers, fc):
     """The (k, rows) block of tJ_alpha(xb_i : centers_j), row j for
     centre j; fxb = F(xb) and fc = F(centers). Centres come m at a time,
-    as many as keep the stacked pairs within _BLOCK_BYTES, each group one
-    kernel pass on the points tiled m times against each centre repeated
-    once per point, both column-major. When one centre fits, it is a
+    as many as keep the stacked pairs within _BLOCK_BYTES. A group of two
+    or more is one kernel pass on the points tiled against each centre
+    repeated once per point, both column-major; a lone centre is a
     broadcast (1, d) row, uncopied. Every entry has the bits of its own
     one-centre pass."""
-    rows = len(xb)
-    out = np.empty((len(centers), rows))
+    rows, k = len(xb), len(centers)
     m = max(1, _BLOCK_BYTES // (8 * xb.size))
-    for j in range(0, len(centers), m):
+    out = None if k <= m else np.empty((k, rows))
+    for j in range(0, k, m):
         p, fp, q, fq = xb, fxb, centers[j:j + m], fc[j:j + m]
-        if m > 1:
+        if len(q) > 1:
             p, fp = np.tile(xb.T, len(q)).T, np.tile(fxb, len(q))
             q, fq = np.repeat(q.T, rows, axis=1).T, np.repeat(fq, rows)
-        out[j:j + m] = _scale(*_gap_rho(g, alpha, p, q, fp, fq),
-                              alpha).reshape(-1, rows)
+        vals = _scale(*_gap_rho(g, alpha, p, q, fp, fq), alpha)
+        if out is None:  # one group: its fresh values are the block
+            return vals.reshape(k, rows)
+        out[j:j + m] = vals.reshape(-1, rows)
     return out
+
+
+def _tj_rows(g, alpha, x, fx, centers, fc):
+    """(k, n) rows tJ_alpha(x_i : centers_j), one _tj_block per row block
+    of x; fx = F(x) and fc = F(centers)."""
+    return _by_rows(
+        lambda xb, fxb: (_tj_block(g, alpha, xb, fxb, centers, fc).T,),
+        len(x), x.shape[1], x, fx)[0].T
 
 
 def tj_table(g, alpha, x):
@@ -251,8 +264,17 @@ def tj_table(g, alpha, x):
     alpha = as_real("alpha", alpha)
     x = _rows(x)
     fx = _f(g, x)
-    return _by_rows(lambda xb, fxb: (_tj_block(g, alpha, xb, fxb, x, fx).T,),
-                    len(x), x.shape[1], x, fx)[0].T
+    return _tj_rows(g, alpha, x, fx, x, fx)
+
+
+def tj_row(g, alpha, x, j, *, fx=None):
+    """Row j of tj_table(g, alpha, x), 0 <= j < n: tJ_alpha(x_i : x_j)
+    for every row i, with its bits, from one one-centre _tj_block pass per
+    row block; F(x_j) is read from F(x), which is fx if already known."""
+    alpha = as_real("alpha", alpha)
+    x = _rows(x)
+    fx = _f(g, x, fx)
+    return _tj_rows(g, alpha, x, fx, x[j:j + 1], fx[j:j + 1])[0]
 
 
 def min_divergence_assign(g, alpha, x, centers, *, fx=None):

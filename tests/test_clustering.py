@@ -1,5 +1,6 @@
 """Seeding, Lloyd clustering, brute-force optima, and bound constants."""
 
+import hashlib
 import inspect
 import math
 import sys
@@ -264,20 +265,20 @@ def test_batched_draws_match_the_exact_pair_frequencies():
 
 
 def test_seeding_evaluates_one_tj_column_per_new_center(monkeypatch):
-    rows = []
-    tj = kernels.jensen_gap_and_conformal
+    pairs = []
+    block = kernels._tj_block
 
-    def counting(g, alpha, p, q, **kw):
-        rows.append(np.broadcast_shapes(p.shape, q.shape)[0])
-        return tj(g, alpha, p, q, **kw)
+    def counting(g, alpha, xb, fxb, centers, fc):
+        pairs.append(len(centers) * len(xb))
+        return block(g, alpha, xb, fxb, centers, fc)
 
-    monkeypatch.setattr(kernels, "jensen_gap_and_conformal", counting)
+    monkeypatch.setattr(kernels, "_tj_block", counting)
     x = np.exp(np.random.default_rng(3).normal(size=(50, 2)))
     g = make_builtin("shannon", 2)
     for k in (1, 2, 8):
-        rows.clear()
+        pairs.clear()
         seed_indices(g, x, SeedingConfig(k=k, rng_seed=k))
-        assert sum(rows) == 50 * (k - 1)
+        assert sum(pairs) == 50 * (k - 1)
 
 
 def _counting_f(g):
@@ -302,9 +303,10 @@ def test_seeding_evaluates_f_of_the_points_once():
     for k in (1, 2, 5):
         seen.clear()
         idx = seed_indices(g, x, SeedingConfig(k=k, rng_seed=k))
-        # F(x) once, then per new centre its own row and the n midpoints;
-        # k = 1 draws one uniform index and evaluates nothing
-        assert _f_rows(seen) == (0 if k == 1 else n + (k - 1) * (n + 1))
+        # F(x) once, then per new centre the n midpoints, its own row's F
+        # read from F(x); k = 1 draws one uniform index and evaluates
+        # nothing
+        assert _f_rows(seen) == (0 if k == 1 else n + (k - 1) * n)
         assert np.array_equal(
             idx, seed_indices(make_builtin("shannon", 2), x,
                               SeedingConfig(k=k, rng_seed=k)))
@@ -433,17 +435,19 @@ def test_lloyd_checks_its_sweeps_without_a_pairwise_pass(monkeypatch):
     rng = np.random.default_rng(4)
     x = np.exp(rng.normal(0.0, 1.0, size=(300, 4)))
     # the held potential of every round comes from the centroid stages'
-    # losses: the only kernel columns are the k - 1 seeding draws
-    real, calls = kernels.pairwise_total_jensen, []
+    # losses: the only kernel columns are the k - 1 seeding draws, and no
+    # pairwise pass runs
+    calls = {"tj_row": 0, "pairwise_total_jensen": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(kernels, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
 
-    def counted(*args, **kw):
-        calls.append(1)
-        return real(*args, **kw)
-
-    monkeypatch.setattr(kernels, "pairwise_total_jensen", counted)
+        monkeypatch.setattr(kernels, name, counted)
     model = lloyd_cluster(g, x, SeedingConfig(k=3, rng_seed=1, alpha=0.3),
                           max_rounds=6)
-    assert model.rounds >= 3 and len(calls) == 2
+    assert model.rounds >= 3
+    assert calls == {"tj_row": 2, "pairwise_total_jensen": 0}
     assert set(model.timings) == {"seed_s", "assign_s", "centroid_s"}
     assert all(t >= 0.0 for t in model.timings.values())
 
@@ -585,6 +589,65 @@ def test_blocked_table_matches_its_columns(name, dim, monkeypatch):
     # F of the points once, which both sides of every pair read, then
     # the n^2 midpoints
     assert _f_rows(seen) == n + n * n
+
+
+@pytest.mark.parametrize("n, dim", [(5, 1), (9000, 16)])
+@pytest.mark.parametrize("name", generators.BUILTIN_NAMES)
+def test_seeding_column_is_the_tables_row_and_the_pairwise_column(
+        name, n, dim):
+    # 9000 rows at d = 16 span two 8192-row blocks
+    rng = np.random.default_rng(n + dim)
+    if name == "squared-mahalanobis":
+        a = rng.normal(size=(dim, dim))
+        g = make_builtin(name, dim, matrix=a @ a.T + dim * np.eye(dim))
+    else:
+        g = make_builtin(name, dim)
+    if name.startswith("squared"):
+        x = rng.normal(0.0, 2.0, size=(n, dim))
+    elif name == "bit":
+        x = rng.uniform(0.05, 0.95, size=(n, dim))
+    else:
+        x = np.exp(rng.normal(0.0, 1.0, size=(n, dim)))
+    x[1] = x[0]  # a coincident pair, whose gap is set to exactly 0
+    x = generators.as_points(x, g)
+    fx = g.f(x)
+    js = [0, 2, n - 1]
+    if n * n <= 10 ** 4:
+        rows = kernels.tj_table(g, 0.4, x)[js]
+    else:
+        # tj_table's own computation on these centres; at this size every
+        # centre is a pass of its own, as in the whole table
+        rows = kernels._tj_rows(g, 0.4, x, fx, x[js], fx[js])
+    for j, row in zip(js, rows):
+        col = clustering._tj_column(g, 0.4, x, fx, j)
+        assert np.array_equal(col, row)
+        assert np.array_equal(col, kernels.tj_row(g, 0.4, x, j))
+        assert np.array_equal(
+            col, pairwise_total_jensen(g, 0.4, x, x[j:j + 1], fp=fx))
+    assert clustering._tj_column(g, 0.4, x, fx, 0)[1] == 0.0
+
+
+def test_small_seedings_draw_the_recorded_indices():
+    # the seed-draws benchmark's op for rng_seed 0..999: a digest of the
+    # indices recorded at commit 04708ef, before the seeding column read
+    # the table kernel
+    y = np.array([0.5, 1.0, 2.0, 4.0, 8.0]).reshape(-1, 1)
+    idx = np.array([seed_indices(SHANNON, y, SeedingConfig(k=2, rng_seed=s))
+                    for s in range(1000)], dtype=np.int64)
+    assert hashlib.sha256(idx.tobytes()).hexdigest() == (
+        "d690ba0d34a91cb313bcddd306368ef57daf522738c4348932f54de3174261f2")
+
+
+def test_counts_reject_bools():
+    # True once ran k = 1, rng_seed=False seed 0, max_rounds=False no round
+    x = np.array([0.5, 1.0, 2.0, 4.0, 8.0]).reshape(-1, 1)
+    for bad in ({"k": True}, {"k": np.True_}, {"k": 2, "rng_seed": False},
+                {"k": 2, "rng_seed": np.False_}):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            SeedingConfig(**bad)
+    for rounds in (False, np.False_, True):
+        with pytest.raises(ValidationError, match="^max_rounds must be an"):
+            lloyd_cluster(SHANNON, x, SeedingConfig(k=2), max_rounds=rounds)
 
 
 @pytest.mark.parametrize("block", [1, 3, 16, None])

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from tjdiv.errors import CapabilityError, DomainError, ValidationError
 from tjdiv.generators import (
     BUILTIN_NAMES, Domain, Generator, _xlogx, affine_postcompose,
-    affine_precompose, as_count, as_point, as_real, as_spd, ensure_domain,
-    hessian_at, make_builtin)
+    affine_precompose, as_count, as_point, as_points, as_real, as_spd,
+    coordinate_sum, ensure_domain, hessian_at, make_builtin)
 
 POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
 UNIT_OPEN = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)
@@ -128,6 +128,32 @@ def test_stack_check_matches_a_row_by_row_loop(interior):
                 ensure_domain(g, x[bad[0]], interior)
             assert stacked.value.row == bad[0]
             assert str(stacked.value) == str(single.value)
+
+
+def test_points_are_checked_finite_where_the_domain_lets_infinity_in():
+    # a user domain closed at its infinite ends holds +-inf, so only the
+    # finiteness pass keeps them out; a builtin's box already does
+    closed = Domain(-math.inf, math.inf, eval_closed_lo=True,
+                    eval_closed_hi=True)
+    g = Generator(name="cosh", dim=2, domain=closed,
+                  f=lambda x: coordinate_sum(np.cosh(x)), grad=np.sinh)
+    assert not closed.excludes_inf
+    assert as_points([[1.0, 2.0]], g).shape == (1, 2)
+    for bad in (np.inf, -np.inf, np.nan):
+        x = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            as_points(x, g)
+        for name in BUILTIN_NAMES:
+            builtin = make_builtin(name, 2, matrix=np.eye(2) if name
+                                   == "squared-mahalanobis" else None)
+            assert builtin.domain.excludes_inf
+            with pytest.raises(DomainError,
+                               match=r"^point \[0\.75, (inf|nan)\]") as err:
+                as_points(np.abs(x) / 4.0, builtin)
+            assert err.value.row == 1
+    half = Domain(0.0, math.inf, eval_closed_hi=True)
+    assert not half.excludes_inf
+    assert Domain(0.0, math.inf, eval_closed_lo=True).excludes_inf
 
 
 def test_as_point_shapes():
