@@ -5,7 +5,8 @@ file, a file of repeated rows, the 24x2 points again under a header with
 a weight column and a blank line, 9000 rows at d = 16 and the same rows
 mapped into (0, 1), two 4x2 files within 1e-13 of a domain end:
 shannon's at 1e-14 scale, bit's near 1, and five points at d = 1 with
-their image in (0, 1)) to a temporary directory, runs
+their image in (0, 1), one row [1.5, 2] and three 2-d rows, one on
+shannon's boundary) to a temporary directory, runs
 the seeded cluster, seed, centroid, bound-experiment, constants,
 influence, divergence, project and metric-check commands in process
 (among them a cluster run whose sweeps re-seed an empty cluster,
@@ -17,7 +18,9 @@ kinds on every builtin, total-bregman on burg at q = 1e-200, where
 total-jensen with q on the domain's boundary, where rho_b_q is null,
 and the tiny-n seedings `seed --k 2` and `seed --k 1` on the 5-point
 d = 1 file [0.5, 1, 2, 4, 8], for shannon and burg, and for bit on the
-same points mapped into (0, 1), at rng seeds 4 and 5), and prints one
+same points mapped into (0, 1), at rng seeds 4 and 5, and the bound
+constants on the one row, on the bit points, which straddle 1/2, and on
+the rows with a boundary row), and prints one
 `name sha256[:16]` line per `results` block, each followed by one
 `name.key sha256[:16]` line per top-level key of that block and one
 `name.command sha256[:16]` line for the run's `command` echo, with the
@@ -107,6 +110,12 @@ def _datasets(tmp):
     files["draws1"] = _write_csv(os.path.join(tmp, "draws1.csv"), draws)
     files["draws1unit"] = _write_csv(os.path.join(tmp, "draws1unit.csv"),
                                      draws / (1.0 + draws))
+    # one row, whose convex closure is the row itself, and shannon points
+    # with a row on the domain's boundary
+    files["onerow2"] = _write_csv(os.path.join(tmp, "onerow2.csv"),
+                                  np.array([[1.5, 2.0]]))
+    files["zero2"] = _write_csv(os.path.join(tmp, "zero2.csv"), np.array(
+        [[0.0, 1.0], [1.5, 2.0], [3.0, 0.5]]))
     return files
 
 
@@ -131,7 +140,7 @@ def _commands(files):
             (f"centroid-shannon-d{d}",
              ["centroid", "--input", f, "--outer-max", "200"]),
             (f"constants-shannon-d{d}",
-             ["constants", "--input", f, "--samples", "1024"]),
+             ["constants", "--input", f]),
         ]
     # squared-mahalanobis, the one generator built from its matrix
     maha = ["--generator", "squared-mahalanobis", "--matrix", "2,0.5;0.5,1"]
@@ -142,7 +151,7 @@ def _commands(files):
         ("centroid-mahalanobis-d2",
          ["centroid", "--input", files["mix2"], *maha, "--outer-max", "200"]),
         ("constants-mahalanobis-d2",
-         ["constants", "--input", files["mix2"], *maha, "--samples", "1024"]),
+         ["constants", "--input", files["mix2"], *maha]),
         ("influence-mahalanobis-d1",
          ["influence", "--generator", "squared-mahalanobis", "--matrix", "2",
           "--p", "1"]),
@@ -163,23 +172,21 @@ def _commands(files):
           "--alpha", "0.3", "--outer-max", "200"]),
         ("bound-experiment-burg-d2",
          ["bound-experiment", "--input", files["small2"], "--generator",
-          "burg", "--k", "3", "--trials", "200", "--samples", "1024",
-          "--rng-seed", "5"]),
+          "burg", "--k", "3", "--trials", "200", "--rng-seed", "5"]),
         ("bound-experiment-burg-d2-k1",
          ["bound-experiment", "--input", files["small2"], "--generator",
-          "burg", "--k", "1", "--trials", "200", "--samples", "1024",
-          "--rng-seed", "6"]),
+          "burg", "--k", "1", "--trials", "200", "--rng-seed", "6"]),
         # 400 rows at d = 1: the k = 1 table spans several centre blocks
         ("bound-experiment-shannon-d1-k1",
          ["bound-experiment", "--input", files["mix1"], "--k", "1",
-          "--trials", "200", "--samples", "1024", "--rng-seed", "10"]),
+          "--trials", "200", "--rng-seed", "10"]),
         ("bound-experiment-shannon-d2-k2",
          ["bound-experiment", "--input", files["small2"], "--k", "2",
-          "--trials", "200", "--samples", "1024", "--rng-seed", "7"]),
+          "--trials", "200", "--rng-seed", "7"]),
         # every trial's fourth draw takes the zero-mass branch
         ("bound-experiment-shannon-dup2-k4",
          ["bound-experiment", "--input", files["dup2"], "--k", "4",
-          "--trials", "200", "--samples", "1024", "--rng-seed", "9"]),
+          "--trials", "200", "--rng-seed", "9"]),
         ("centroid-shannon-wide16",
          ["centroid", "--input", files["wide16"], "--outer-max", "200"]),
         # grad written into the CCCP stage's buffer across row blocks, on
@@ -211,6 +218,13 @@ def _commands(files):
          ["centroid", "--input", files["nearone2"], "--generator", "bit"]),
         ("influence-shannon",
          ["influence", "--p", "1.0", "--ymax", "1e6"]),
+        # the bound constants on one row, on bit points on both sides of
+        # 1/2 (where phi'' is least) and on a row at shannon's boundary
+        ("constants-shannon-onerow2",
+         ["constants", "--input", files["onerow2"]]),
+        ("constants-bit-draws1unit",
+         ["constants", "--input", files["draws1unit"], "--generator", "bit"]),
+        ("constants-shannon-zero2", ["constants", "--input", files["zero2"]]),
     ]
     # a single small seeding: one column at k = 2, none at k = 1
     for gen, f in (("shannon", "draws1"), ("burg", "draws1"),

@@ -24,8 +24,9 @@ command. Within it:
 
 A config file of key=value lines can supply any flag, required ones
 included; explicit flags win. Keys match flag names with either dashes
-or underscores. A value is checked as the flag's would be (its type and
-choices), and a repeated key is an error.
+or underscores, and one that matches none is a usage error. A value is
+checked as the flag's would be (its type and choices), and a repeated
+key is an error.
 """
 
 import argparse
@@ -487,7 +488,7 @@ def _cmd_bound_experiment(ns, timings):
     cfg = SeedingConfig(k=ns.k, alpha=ns.alpha, rng_seed=ns.rng_seed)
     grid = (ns.eps,) if ns.eps is not None else DEFAULT_EPS_GRID
     rep = seeding_bound_experiment(g, data.points, cfg, eps_grid=grid,
-                                   samples=ns.samples, trials=ns.trials)
+                                   trials=ns.trials)
     timings.update(rep.timings)
     results = {
         "mean_potential": rep.mean_potential,
@@ -504,9 +505,9 @@ def _cmd_bound_experiment(ns, timings):
 
 
 def _cmd_constants(ns, timings):
-    g, data, meta = _dataset(ns, timings, True)
-    c = estimate_bound_constants(g, data.points, samples=ns.samples,
-                                 rng_seed=ns.rng_seed)
+    # a boundary row is read, as an infinite bound
+    g, data, meta = _dataset(ns, timings, False)
+    c = estimate_bound_constants(g, data.points)
     curve = [{"eps": float(e), "u": c.u(e), "v": c.v(e)}
              for e in DEFAULT_EPS_GRID]
     results = dict(_constants_payload(c), curve=curve, n_points=meta["rows"])
@@ -590,7 +591,7 @@ FLAGS = {
     **dict.fromkeys(("input", "p", "q", "mu1", "cov1", "mu2", "cov2"), {}),
     **dict.fromkeys(("alpha", "outer_tol", "ymax", "eps"), {"type": float}),
     **dict.fromkeys(("outer_max", "per_decade", "k", "rng_seed",
-                     "max_rounds", "trials", "samples"), {"type": int}),
+                     "max_rounds", "trials"), {"type": int}),
     **dict.fromkeys(("empirical", "search"), {"action": "store_true"}),
 }
 
@@ -617,7 +618,6 @@ _DATASET = dict(_generator("shannon"), input=REQUIRED, weights=None)
 _CENTROID_FLAGS = {"inner_iters": CentroidConfig.inner_cccp_iters,
                    "outer_tol": CentroidConfig.outer_tol,
                    "outer_max": CentroidConfig.outer_max_iters}
-_ESTIMATE_KW = _signature_defaults(estimate_bound_constants)
 _GENERATOR_FLAGS = ("generator", "matrix", "alpha")
 _GAUSSIAN_FLAGS = ("mu1", "cov1", "mu2", "cov2")
 
@@ -664,13 +664,10 @@ COMMANDS = {
     "bound-experiment": Command(
         _cmd_bound_experiment, "seeding guarantee sanity check",
         dict(_DATASET, alpha=SeedingConfig.alpha, k=REQUIRED, rng_seed=FRESH,
-             trials=100, samples=_signature_defaults(
-                 seeding_bound_experiment)["samples"], eps=None),
+             trials=100, eps=None),
         kw={"eps": {"help": "one eps instead of the default grid"}}),
     "constants": Command(
-        _cmd_constants, "empirical bound constants",
-        dict(_DATASET, samples=_ESTIMATE_KW["samples"],
-             rng_seed=_ESTIMATE_KW["rng_seed"])),
+        _cmd_constants, "closed-form bound constants", dict(_DATASET)),
     "metric-check": Command(
         _cmd_metric_check, "triangle inequality probe for sqrt(tJS)",
         dict(search=False, trials=1000, dim=2, rng_seed=FRESH),
@@ -757,7 +754,8 @@ def _apply_config_and_defaults(ns, parser):
     config = _read_config(ns.config) if ns.config else {}
     for key, raw in config.items():
         if key not in spec.flags:
-            raise ValidationError(f"config key {key!r} is not a {ns.cmd} flag")
+            _subparser(parser, ns.cmd).error(
+                f"config key {key!r} is not a {ns.cmd} flag")
         value = _config_value(key, raw, _flag_kw(spec, key))
         if getattr(ns, key) is None:  # else the explicit flag wins
             setattr(ns, key, value)

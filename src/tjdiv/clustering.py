@@ -30,11 +30,11 @@ once per point set and every column, sweep and centroid stage over
 those points reads it; a seeding's column for x_j is the table's row j
 computed alone (`kernels.tj_row`).
 
-The approximation-bound constants K1 (Hessian eigenvalue spread over
-the closure) and K2 (squared chord slope) are estimated by sampling the
-data's convex closure; the derived U and V keep a free parameter
-eps in (0, 1) that no finite computation pins down, so bound curves are
-reported over a grid instead of a single number.
+The approximation-bound constants K1 (curvature spread over the data's
+convex closure) and K2 (its largest squared chord slope) are read in
+closed form off the rows' coordinate ranges; the derived U and V keep a
+free parameter eps in (0, 1) that no finite computation pins down, so
+bound curves are reported over a grid instead of a single number.
 """
 
 import math
@@ -50,7 +50,7 @@ from .centroids import (
     CentroidConfig, WeightedPointSet, _total_jensen_centroid)
 from .errors import CapabilityError, InvariantError, ValidationError
 from .generators import (
-    Generator, as_count, as_points, as_real, ensure_domain, hessian_at)
+    Generator, as_count, as_points, as_real, coordinate_sum, ensure_domain)
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,16 @@ class ClusterModel:
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Empirical constants behind the seeding guarantee.
+    """Constants of the seeding guarantee over the data's convex closure,
+    read off the rows' coordinate ranges [lo_j, hi_j]. For separable F
+    (phi_j' increases), K2 = sum_j max(phi_j'(lo_j)^2, phi_j'(hi_j)^2)
+    bounds every squared chord slope (mean value theorem), rho_min =
+    1/sqrt(1 + K2) and rho_max (from phi_j'^2's least value on [lo_j,
+    hi_j]) bound rho_B, all exact at d = 1, and K1 (phi'' at lo, hi and
+    F's clipped minimiser) is exact for the builtins. With `hessian` only
+    they are values at the rows, exact for squared-mahalanobis (K1 =
+    cond(Q)) but for rho_max. A boundary row makes K1 and K2 inf and
+    rho_min 0 (boundary_excluded counts them); witnesses attain K1, K2.
 
     u(eps) = 2 (1 + K2) K1^2 / eps and v(eps) = K1^2 (1 + K2) / eps stay
     parameterized: eps is an existential constant with no constructive
@@ -93,7 +102,7 @@ class BoundConstants:
     rho_min: float
     rho_max: float
     k1_witness: np.ndarray
-    k2_witness: tuple
+    k2_witness: np.ndarray
     boundary_excluded: int = 0
     epsilon_note: str = field(
         default="U and V depend on a free eps in (0,1); use u(eps)/v(eps)")
@@ -380,66 +389,60 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
                         timings=timings)
 
 
-def estimate_bound_constants(g: Generator, data, samples: int = 4096,
-                             rng_seed: int = 0) -> BoundConstants:
-    """Sample the data's convex closure for K1, K2, and the conformal
-    extremes. Estimates that blow up near a domain boundary are reported
-    with their witness rather than raised."""
+def estimate_bound_constants(g: Generator, data) -> BoundConstants:
+    """BoundConstants of the data; `hessian` is called once on the stacked
+    interior rows, and a (d, d) result is read as every row's."""
     x = as_points(data, g)
-    n = x.shape[0]
-    samples = as_count("samples", samples, lo=2)
-    as_count("rng_seed", rng_seed, lo=0)
-    rng = np.random.default_rng(rng_seed)
-    lam = rng.dirichlet(np.ones(n), size=samples)
-    pts = np.empty((n + samples, x.shape[1]), order="F")
-    pts[:n] = x
-    pts[n:] = lam @ x
-
-    interior = g.domain.rows_inside(pts, interior=True)
-    excluded = int((~interior).sum())
-    ipts = _take(pts, interior)
-    if len(ipts) == 0:
-        raise ValidationError("no interior points in the convex closure")
-
-    # K1 bounds the curvature spread across the whole closure: the ratio
-    # of the largest Hessian eigenvalue anywhere to the smallest anywhere
-    # (a single point's condition number is 1 for every scalar generator
-    # and would say nothing about it)
-    if g.second_deriv is not None:
-        ss = np.atleast_2d(g.second_deriv(ipts))
-        k1_i = int(np.argmax(ss.max(axis=-1)))
-        k1_hat = float(ss.max() / ss.min())
-        k1_wit = ipts[k1_i]
-    elif g.hessian is not None:
-        sub = ipts[:min(len(ipts), 512)]
-        eigs = np.array([np.linalg.eigvalsh(hessian_at(g, row)) for row in sub])
-        k1_i = int(np.argmax(eigs[:, -1]))
-        k1_hat = float(eigs[:, -1].max() / eigs[:, 0].min())
-        k1_wit = sub[k1_i]
-    else:
-        raise CapabilityError(f"{g.name} exposes no curvature information")
-
-    # K2: the largest squared chord slope over sampled pairs
-    a = _take(pts, rng.integers(0, len(pts), size=samples))
-    b = _take(pts, rng.integers(0, len(pts), size=samples))
-    s2 = kernels.chord_factors(g, a, b)[1]
-    k2_i = int(np.argmax(s2))
-    k2_hat = float(s2[k2_i])
-    k2_wit = (a[k2_i], b[k2_i])
-
-    rho = kernels.gradient_conformal(g, ipts)
-    return BoundConstants(
-        k1_hat=k1_hat, k2_hat=k2_hat,
-        rho_min=float(rho.min()), rho_max=float(rho.max()),
-        k1_witness=k1_wit, k2_witness=k2_wit,
-        boundary_excluded=excluded)
+    inside = g.domain.rows_inside(x, interior=True)
+    excluded = len(x) - int(np.count_nonzero(inside))
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    box = np.stack([lo, hi, lo])
+    with np.errstate(all="ignore"):  # log 0 or 1/0 at a boundary end
+        if g.second_deriv is not None and g.grad_inverse is not None:
+            # F's minimiser clipped into [lo, hi]; fmin and fmax drop NaN
+            m = g.grad_inverse(np.zeros_like(lo))
+            box[2] = np.fmax(lo, np.fmin(m, hi))
+        edge = ~g.domain.rows_inside(box[..., None], interior=True)
+        if (edge[0] & (lo == hi)).any():
+            raise ValidationError("no interior points in the convex closure")
+        if g.second_deriv is not None:
+            gr, d2 = g.grad(box), g.second_deriv(box)
+            a = np.where(edge, np.inf, np.abs(gr))
+            # the largest |phi_j'| on [lo_j, hi_j], and the least: 0 where
+            # phi_j' changes sign there
+            ext = np.stack([a[:2].max(axis=0), np.where(
+                (gr[0] < 0.0) & (gr[1] > 0.0), 0.0, a.min(axis=0))])
+            s = coordinate_sum(ext * ext)
+            # rho_B as gradient_conformal forms it, 1/|.| where s overflows
+            rho_min, rho_max = np.where(s < math.inf, 1.0 / np.sqrt(1.0 + s),
+                                        1.0 / np.hypot.reduce(ext, axis=1))
+            k2_hat, k2_wit = float(s[0]), np.where(a[0] >= a[1], lo, hi)
+            k1_hat = float(d2.max() / d2.min())
+            k1_wit = box[np.argmax(d2.max(axis=1))]
+        elif g.hessian is not None:
+            rows = _take(x, inside)
+            if not len(rows):
+                raise ValidationError("no data row is interior")
+            s2 = coordinate_sum(g.grad(rows) ** 2)
+            eig = np.linalg.eigvalsh(g.hessian(rows)).reshape(-1, len(lo))
+            i, j = int(np.argmax(s2)), int(np.argmax(eig[:, -1]))
+            k2_hat, k2_wit = float(s2[i]), rows[i]
+            k1_hat, k1_wit = float(eig[j, -1] / eig[:, 0].min()), rows[j]
+            rho = kernels.gradient_conformal(g, rows)
+            rho_min, rho_max = rho.min(), rho.max()
+        else:
+            raise CapabilityError(f"{g.name} exposes no curvature information")
+    if excluded:
+        k1_hat, k2_hat, rho_min = math.inf, math.inf, 0.0
+    return BoundConstants(k1_hat, k2_hat, float(rho_min), float(rho_max),
+                          k1_wit, k2_wit, excluded)
 
 
 DEFAULT_EPS_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
-                             eps_grid=DEFAULT_EPS_GRID, samples: int = 4096,
+                             eps_grid=DEFAULT_EPS_GRID,
                              trials: int = 1) -> ExperimentReport:
     """Mean seeding potential over `trials` k-means++ seedings vs the
     brute-force discrete optimum, with the plug-in multiplier
@@ -449,7 +452,6 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
     seed_indices draws."""
     # every option is checked before the first divergence is computed
     trials = as_count("trials", trials)
-    samples = as_count("samples", samples, lo=2)
     eps_grid = [as_real("eps", eps) for eps in eps_grid]
     x = as_points(data, g)
     n, k = x.shape[0], cfg.k
@@ -471,7 +473,7 @@ def seeding_bound_experiment(g: Generator, data, cfg: SeedingConfig,
     else:
         ratio = 0.0 if mean_pot == 0.0 else math.inf
     t3 = time.perf_counter()
-    constants = estimate_bound_constants(g, x, samples, rng_seed=cfg.rng_seed)
+    constants = estimate_bound_constants(g, x)
     curve = []
     for eps in eps_grid:
         u = constants.u(eps)

@@ -271,7 +271,7 @@ def test_criterion_09_seeding_bound_and_frequencies():
     X = np.array([0.4, 0.7, 1.1, 1.6, 2.3, 3.1, 4.0, 5.2, 6.5, 8.0]).reshape(-1, 1)
     rep = seeding_bound_experiment(
         g, X, SeedingConfig(k=2, rng_seed=424242),
-        eps_grid=(0.5,), samples=4096, trials=2000)
+        eps_grid=(0.5,), trials=2000)
     assert rep.ratio >= 1.0 - 1e-12
     mult = rep.curve[0]["multiplier"]
     if math.isfinite(mult):
@@ -361,7 +361,7 @@ def test_criterion_12_stochastic_determinism(tmp_path, capsys):
         ["seed", "--input", str(data), "--k", "2"],
         ["cluster", "--input", str(data), "--k", "2"],
         ["bound-experiment", "--input", str(small), "--k", "2",
-         "--trials", "20", "--samples", "256"],
+         "--trials", "20"],
         ["metric-check", "--search", "--trials", "50"],
     ]
     for argv in commands:

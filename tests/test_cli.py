@@ -1,6 +1,7 @@
 """End-to-end command tests: run main() in process and parse the report."""
 
 import dataclasses
+import importlib.util
 import inspect
 import json
 import math
@@ -9,10 +10,11 @@ import subprocess
 import sys
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from tjdiv import cli, divergences, generators
+from tjdiv import cli, divergences, generators, kernels
 from tjdiv.centroids import CentroidConfig, WeightedPointSet
 from tjdiv.cli import canonical_dumps, load_dataset, main
 from tjdiv.clustering import (
@@ -714,9 +716,9 @@ def test_seed_takes_closed_domain_points_cluster_needs_interior(
 
 
 @pytest.mark.parametrize("cmd, extra", [
-    ("seed", ["--k", "1"]),
-    ("cluster", ["--k", "1"]),
-    ("bound-experiment", ["--k", "1", "--trials", "2", "--samples", "16"]),
+    ("seed", ["--k", "1", "--rng-seed", "0"]),
+    ("cluster", ["--k", "1", "--rng-seed", "0"]),
+    ("bound-experiment", ["--k", "1", "--trials", "2", "--rng-seed", "0"]),
     ("constants", []),
 ])
 def test_commands_without_weights_reject_a_weight_column(
@@ -724,8 +726,7 @@ def test_commands_without_weights_reject_a_weight_column(
     auto = _write(tmp_path / "auto.csv", "x,weight\n1.0,9\n4.0,1\n")
     named = _write(tmp_path / "named.csv", "x,mass\n1.0,9\n4.0,1\n")
     for argv in (["--input", auto], ["--input", named, "--weights", "mass"]):
-        code, rep, err = run_cli(capsys, cmd, *argv, "--rng-seed", "0",
-                                 *extra)
+        code, rep, err = run_cli(capsys, cmd, *argv, *extra)
         assert code == 1 and rep is None
         assert err.startswith(f"error: {cmd} does not use point weights")
 
@@ -784,11 +785,90 @@ def test_constants_command_euclidean(tmp_path, capsys):
     assert "rng_seed=" not in err
 
 
+@pytest.mark.parametrize("cmd, key, extra", [
+    ("constants", "samples", []), ("constants", "rng_seed", []),
+    ("bound-experiment", "samples", ["--k", "1", "--rng-seed", "0"])])
+def test_sampling_knobs_of_the_bound_constants_are_usage_errors(
+        tmp_path, capsys, cmd, key, extra):
+    # the constants are closed forms, which no sample count or seed
+    # changes: the knob is refused, as a flag and as a config key
+    data = _write(tmp_path / "d.csv", "1.0\n2.0\n4.0\n")
+    flag = "--" + key.replace("_", "-")
+    code, rep, err = run_cli(capsys, cmd, "--input", data, *extra, flag, "64")
+    assert code == 2 and rep is None
+    assert f"unrecognized arguments: {flag} 64" in err
+    cfg = _write(tmp_path / "c.cfg", f"{key}=64\n")
+    code, rep, err = run_cli(capsys, cmd, "--input", data, *extra,
+                             "--config", cfg)
+    assert code == 2 and rep is None
+    assert f"error: config key {key!r} is not a {cmd} flag" in err
+
+
+def test_constants_of_one_row_are_its_gradient(tmp_path, capsys):
+    # K2 once read 2, the squared slope of two samples an ulp apart
+    data = _write(tmp_path / "one.csv", "1.5,2.0\n")
+    code, rep, _ = run_cli(capsys, "constants", "--input", data)
+    assert code == 0
+    res = rep["results"]
+    k2 = float(mp.log(1.5) ** 2 + mp.log(2) ** 2)  # |grad F|^2 at the row
+    assert res["k2_hat"] == pytest.approx(k2, rel=1e-15)
+    assert res["rho_min"] == res["rho_max"] == pytest.approx(
+        1.0 / math.sqrt(1.0 + k2), rel=1e-15)
+    assert res["k1_hat"] == pytest.approx(2.0 / 1.5, rel=1e-15)
+
+
+def test_constants_read_a_boundary_row_as_an_infinite_bound(
+        tmp_path, capsys):
+    data = _write(tmp_path / "z.csv", "0.0,1.0\n1.5,2.0\n3.0,0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep, _ = run_cli(capsys, "constants", "--input", data)
+    assert code == 0
+    res = rep["results"]
+    assert res["boundary_excluded"] == 1
+    # non-finite floats are written as null
+    assert res["k1_hat"] is None and res["k2_hat"] is None
+    # log x changes sign in both coordinates' ranges
+    assert (res["rho_min"], res["rho_max"]) == (0.0, 1.0)
+    assert all(row["u"] is None and row["v"] is None for row in res["curve"])
+
+
+def _results_hashes():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
+        / "results_hashes.py"
+    spec = importlib.util.spec_from_file_location("results_hashes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_k2_bounds_every_pair_slope_of_the_fingerprinted_inputs(
+        tmp_path, capsys):
+    rh = _results_hashes()
+    runs = [argv for _, argv in rh._commands(rh._datasets(str(tmp_path)))
+            if argv[0] in ("constants", "bound-experiment")]
+    assert len(runs) >= 10
+    for argv in runs:
+        code, rep, _ = run_cli(capsys, *argv)
+        assert code == 0
+        res = rep["results"]
+        k2 = res.get("constants", res)["k2_hat"]
+        k2 = math.inf if k2 is None else k2
+        ns = cli._parser().parse_args(argv)
+        cli._apply_config_and_defaults(ns, cli._parser())
+        x = load_dataset(ns.input)[0].points
+        g = cli._generator_from(ns, x.shape[1])
+        i, j = np.triu_indices(len(x), 1)
+        keep = np.any(x[i] != x[j], axis=1)
+        slopes = kernels.chord_factors(g, x[i[keep]], x[j[keep]])[1]
+        assert not len(slopes) or k2 >= slopes.max(), argv
+
+
 def test_bound_experiment_single_eps(tmp_path, capsys):
     data = _write(tmp_path / "pts.csv", "0.5\n1.0\n2.0\n4.0\n8.0\n")
     code, rep, _ = run_cli(capsys, "bound-experiment", "--input", data,
                            "--k", "2", "--rng-seed", "3", "--trials", "20",
-                           "--samples", "256", "--eps", "0.5")
+                           "--eps", "0.5")
     assert code == 0
     res = rep["results"]
     assert len(res["curve"]) == 1
@@ -822,7 +902,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     runs = [("seed", "--k", "0.5"),
             ("seed", "--input", data, "--k", "3", "--rng-seed", "7"),
             ("bound-experiment", "--config", cfg, "--k", "2",
-             "--trials", "5", "--samples", "64")]
+             "--trials", "5")]
     reused = [run_cli(capsys, *argv) for argv in runs]
     parser = cli._parser()
     assert cli._parser() is parser
@@ -930,7 +1010,6 @@ def test_mode_flags_from_a_config_file_are_checked_too(tmp_path, capsys):
     (["centroid", "--outer-tol", "nan"], "outer_tol"),
     (["cluster", "--k", "2", "--max-rounds", "-4"], "max_rounds"),
     (["seed", "--k", "2", "--rng-seed", "-3"], "rng_seed"),
-    (["bound-experiment", "--k", "2", "--samples", "1"], "samples"),
     (["influence", "--p", "1.0", "--per-decade", "-5"], "per_decade"),
     (["metric-check", "--search", "--trials", "0"], "trials"),
     (["metric-check", "--search", "--dim", "1"], "dim"),
@@ -967,7 +1046,8 @@ def test_config_rejects_unknown_and_bad_values(tmp_path, capsys):
     bogus = _write(tmp_path / "b.cfg", "bogus=1\n")
     code, _, err = run_cli(capsys, "divergence", "--config", bogus,
                            "--kind", "bregman", "--p", "1", "--q", "0.5")
-    assert code == 1
+    # a key that names no flag is a usage error, as such a flag is
+    assert code == 2
     assert "bogus" in err
 
     badbool = _write(tmp_path / "bb.cfg", "empirical=maybe\n")
@@ -1043,10 +1123,8 @@ def _library_defaults(obj):
         "outer_max": (CentroidConfig, "outer_max_iters"),
         "max_rounds": (lloyd_cluster, "max_rounds")}),
     (["bound-experiment", "--k", "1", "--trials", "2"], {
-        "alpha": (SeedingConfig, "alpha"),
-        "samples": (seeding_bound_experiment, "samples")}),
-    (["constants"], {"samples": (estimate_bound_constants, "samples"),
-                     "rng_seed": (estimate_bound_constants, "rng_seed")}),
+        "alpha": (SeedingConfig, "alpha")}),
+    (["constants"], {}),
     (["influence", "--p", "1.0", "--ymax", "10"], {
         "per_decade": (boundedness_sweep, "per_decade")}),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
