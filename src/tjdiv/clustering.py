@@ -396,18 +396,18 @@ def estimate_bound_constants(g: Generator, data) -> BoundConstants:
     inside = g.domain.rows_inside(x, interior=True)
     excluded = len(x) - int(np.count_nonzero(inside))
     lo, hi = x.min(axis=0), x.max(axis=0)
+    # a coordinate that every row has at one boundary value
+    if (~g.domain.rows_inside(lo[:, None], interior=True) & (lo == hi)).any():
+        raise ValidationError("no interior points in the convex closure")
     box = np.stack([lo, hi, lo])
     with np.errstate(all="ignore"):  # log 0 or 1/0 at a boundary end
         if g.second_deriv is not None and g.grad_inverse is not None:
             # F's minimiser clipped into [lo, hi]; fmin and fmax drop NaN
             m = g.grad_inverse(np.zeros_like(lo))
             box[2] = np.fmax(lo, np.fmin(m, hi))
-        edge = ~g.domain.rows_inside(box[..., None], interior=True)
-        if (edge[0] & (lo == hi)).any():
-            raise ValidationError("no interior points in the convex closure")
         if g.second_deriv is not None:
             gr, d2 = g.grad(box), g.second_deriv(box)
-            a = np.where(edge, np.inf, np.abs(gr))
+            a = np.abs(gr)
             # the largest |phi_j'| on [lo_j, hi_j], and the least: 0 where
             # phi_j' changes sign there
             ext = np.stack([a[:2].max(axis=0), np.where(

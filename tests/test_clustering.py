@@ -964,6 +964,18 @@ def test_bound_constants_at_d1_are_the_closures_extremes(name, d1, d2, lo, hi):
     assert bc.boundary_excluded == 0
 
 
+def test_conformal_range_without_an_inverse_gradient():
+    # without grad_inverse no row sits at F's minimiser; phi' = log x
+    # still changes sign on [0.5, 2], so the least |grad F| there is 0
+    g = replace(SHANNON, grad_inverse=None)
+    bc = estimate_bound_constants(g, np.array([[0.5], [2.0]]))
+    assert bc.rho_max == 1.0
+    assert bc.rho_min == pytest.approx(1.0 / math.sqrt(1.0 + math.log(2) ** 2),
+                                       rel=1e-15)
+    with pytest.raises(ValidationError, match="no interior points"):
+        estimate_bound_constants(SHANNON, np.zeros((3, 1)))
+
+
 def test_bit_curvature_is_least_at_one_half():
     bit = make_builtin("bit")
     # phi'' = 1/(x(1-x)) is largest at 0.2 and least, 4, at 1/2, which
