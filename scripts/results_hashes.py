@@ -10,6 +10,8 @@ shannon's boundary) to a temporary directory, runs
 the seeded cluster, seed, centroid, bound-experiment, constants,
 influence, divergence, project and metric-check commands in process
 (among them a cluster run whose sweeps re-seed an empty cluster,
+bound experiments on 400 rows at d = 16 and, for squared-mahalanobis,
+at d = 2, whose tables take several groups of centres per row block,
 centroids on the 9000-row files, whose CCCP stages span two row blocks,
 for shannon, burg, bit and squared-mahalanobis, centroids on the two
 files near a domain end, the Jensen-Shannon kinds at p = q, the Bregman
@@ -183,6 +185,14 @@ def _commands(files):
         ("bound-experiment-shannon-d2-k2",
          ["bound-experiment", "--input", files["small2"], "--k", "2",
           "--trials", "200", "--rng-seed", "7"]),
+        # 400 rows at d >= 2: each row block of the table spans several
+        # groups of centres, 20 at d = 16 and 3 at d = 2
+        ("bound-experiment-shannon-d16-k2",
+         ["bound-experiment", "--input", files["mix16"], "--k", "2",
+          "--trials", "200", "--rng-seed", "12"]),
+        ("bound-experiment-mahalanobis-d2-k2",
+         ["bound-experiment", "--input", files["mix2"], *maha, "--k", "2",
+          "--trials", "200", "--rng-seed", "13"]),
         # every trial's fourth draw takes the zero-mass branch
         ("bound-experiment-shannon-dup2-k4",
          ["bound-experiment", "--input", files["dup2"], "--k", "4",

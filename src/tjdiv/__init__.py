@@ -1,7 +1,8 @@
 """Total Jensen divergences and the machinery built on them."""
 
 from .errors import (
-    TjdivError, DomainError, ValidationError, CapabilityError, SearchError)
+    TjdivError, DomainError, ValidationError, CapabilityError, SearchError,
+    InvariantError)
 from .generators import (
     Domain, Generator, make_builtin, affine_precompose, affine_postcompose,
     hessian_at, BUILTIN_NAMES)
@@ -28,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TjdivError", "DomainError", "ValidationError", "CapabilityError",
-    "SearchError",
+    "SearchError", "InvariantError",
     "Domain", "Generator", "make_builtin", "affine_precompose",
     "affine_postcompose", "hessian_at", "BUILTIN_NAMES",
     "ConformalFactors", "DivergenceValue", "conformal_factors", "rho_b",

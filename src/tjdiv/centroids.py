@@ -76,7 +76,6 @@ class CentroidConfig:
 class CentroidResult:
     center: np.ndarray
     loss_trace: List[float]
-    stage_weights_trace: List[np.ndarray]
     converged: bool
     iterations: int
     # "converged" (outer_tol met), "oscillation" (5 increases in a row)
@@ -156,10 +155,10 @@ def total_jensen_centroid(g: Generator, data: WeightedPointSet,
 
 
 def _total_jensen_centroid(g: Generator, data: WeightedPointSet,
-                           cfg: CentroidConfig, c: np.ndarray,
+                           cfg: CentroidConfig, start: np.ndarray,
                            fx: np.ndarray) -> CentroidResult:
-    """total_jensen_centroid from the start c, with no input checks: the
-    caller has checked data.points against g's domain and c against its
+    """total_jensen_centroid from `start`, with no input checks: the
+    caller has checked data.points against g's domain and start against its
     interior (lloyd_cluster does so once for all of a round's clusters).
     fx = F(data.points), which every stage reads."""
     def loss_and_rho(c):  # the loss at c and the next stage's rho_J at c
@@ -167,38 +166,35 @@ def _total_jensen_centroid(g: Generator, data: WeightedPointSet,
             g, cfg.alpha, data.points, c[None, :], fp=fx)
         return float(data.weights @ vals), rho
 
+    c = start
     loss_prev, rho = loss_and_rho(c)
     loss_trace = [loss_prev]
-    weights_trace: List[np.ndarray] = []
     stages: List[kernels.StageSolve] = []
-    best_loss, best_c = loss_prev, c
     stop_reason = "max_iters"
     increases = 0
-    t = 0
-    for t in range(1, cfg.outer_max_iters + 1):
+    for _ in range(cfg.outer_max_iters):
         wt = data.weights * rho
-        wt = wt / wt.sum()
-        weights_trace.append(wt)
         stages.append(kernels.cccp_steps(
-            g, cfg.alpha, data.points, wt, c, cfg.inner_cccp_iters))
+            g, cfg.alpha, data.points, wt / wt.sum(), c, cfg.inner_cccp_iters))
         c = stages[-1].center
         loss, rho = loss_and_rho(c)
         loss_trace.append(loss)
-        if loss < best_loss:
-            best_loss, best_c = loss, c
         if abs(loss_prev - loss) < cfg.outer_tol:
             stop_reason = "converged"
             break
         increases = increases + 1 if loss > loss_prev else 0
         if increases >= 5:
-            stop_reason = "oscillation"  # keep the best center seen
+            stop_reason = "oscillation"
             break
         loss_prev = loss
 
+    # the first least loss: min keeps the first of equal keys, and a NaN
+    # never replaces the least so far; entry 0 is the start's
+    best = min(range(len(loss_trace)), key=loss_trace.__getitem__)
     return CentroidResult(
-        center=best_c, loss_trace=loss_trace,
-        stage_weights_trace=weights_trace,
-        converged=stop_reason == "converged", iterations=t,
+        center=stages[best - 1].center if best else start,
+        loss_trace=loss_trace,
+        converged=stop_reason == "converged", iterations=len(stages),
         stop_reason=stop_reason, stages=stages)
 
 

@@ -720,43 +720,42 @@ _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
 
 
-def _config_value(key, raw, kw):
-    """A config file's text for a flag, read by the flag's own type and
-    checked against its choices."""
-    if kw.get("action") == "store_true":
-        if raw.lower() not in _BOOLS:
-            raise ValidationError(
-                f"config key {key!r} wants a boolean, got {raw!r}")
-        return _BOOLS[raw.lower()]
-    try:
-        value = kw.get("type", str)(raw)
-    except ValueError:
-        raise ValidationError(f"config key {key!r}: cannot parse {raw!r}")
-    if "choices" in kw and value not in kw["choices"]:
-        raise ValidationError(
-            f"config key {key!r}: {raw!r} is not one of "
-            f"{', '.join(kw['choices'])}")
-    return value
+def _config_value(sp, key, raw):
+    """A config file's text for flag `key` of subparser sp, read and
+    checked by the flag's own argparse action (its type and choices), so
+    that a value the flag refuses is the same usage error (SystemExit 2).
+    A store-true flag takes no value; its key reads a boolean word."""
+    action = next(a for a in sp._actions if a.dest == key)
+    if action.nargs == 0:
+        if raw.lower() in _BOOLS:
+            return _BOOLS[raw.lower()]
+        message = f"wants a boolean, got {raw!r}"
+    else:
+        try:
+            value = sp._get_value(action, raw)
+            sp._check_value(action, value)
+            return value
+        except argparse.ArgumentError as exc:
+            message = exc.message
+    sp.error(f"config key {key!r}: {message}")
 
 
 def _subparser(parser, cmd):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[cmd]
-    raise ValidationError("parser has no subcommands")
+    # build_parser always adds the subcommands
+    return next(a for a in parser._actions if isinstance(
+        a, argparse._SubParsersAction)).choices[cmd]
 
 
 def _apply_config_and_defaults(ns, parser):
     """Fill ns from the config file, then from the command's defaults;
     True when the run draws from rng_seed. A required flag that neither
     gives is a usage error (SystemExit 2)."""
-    spec = COMMANDS[ns.cmd]
+    spec, sp = COMMANDS[ns.cmd], _subparser(parser, ns.cmd)
     config = _read_config(ns.config) if ns.config else {}
     for key, raw in config.items():
         if key not in spec.flags:
-            _subparser(parser, ns.cmd).error(
-                f"config key {key!r} is not a {ns.cmd} flag")
-        value = _config_value(key, raw, _flag_kw(spec, key))
+            sp.error(f"config key {key!r} is not a {ns.cmd} flag")
+        value = _config_value(sp, key, raw)
         if getattr(ns, key) is None:  # else the explicit flag wins
             setattr(ns, key, value)
     flag, unread = spec.mode
@@ -765,9 +764,8 @@ def _apply_config_and_defaults(ns, parser):
     for key, default in spec.flags.items():
         if default is REQUIRED and key not in unused \
                 and getattr(ns, key) is None:
-            _subparser(parser, ns.cmd).error(
-                f"--{key.replace('_', '-')} is required, as a flag or a "
-                "config key")
+            sp.error(f"--{key.replace('_', '-')} is required, as a flag "
+                     "or a config key")
     # a flag that the run never reads is an error, not a no-op, and is
     # left unset rather than echoed with its default
     mode = f"--{flag} {setting}" if setting else f"{ns.cmd} without --{flag}"

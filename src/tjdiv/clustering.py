@@ -131,19 +131,10 @@ class ExperimentReport:
     timings: dict = field(default_factory=dict, compare=False)
 
 
-def _take(x, rows):
-    """x[rows], rows a boolean mask or an index array, as a column-major
-    array in one copy (numpy's x[rows] is row-major)."""
-    rows = np.asarray(rows)
-    xt = x.T
-    if rows.dtype == bool:
-        return xt.compress(rows, axis=1).T
-    return xt.take(rows, axis=1).T
-
-
-def _tj_column(g, alpha, x, fx, j):
-    """tJ_alpha(x_i : x_j) for every row i, fx = F(x): the tJ table's row j."""
-    return kernels.tj_row(g, alpha, x, j, fx=fx)
+def _take(x, mask):
+    """x[mask], mask a boolean row mask, as a column-major array in one
+    copy (numpy's x[mask] is row-major)."""
+    return x.T.compress(mask, axis=1).T
 
 
 def _seed_indices(rows, n, k, rng, trials=1):
@@ -197,8 +188,9 @@ def _seeded_indices(g, x, cfg: SeedingConfig, fx=None):
     if fx is None and cfg.k > 1:  # k = 1 draws once and reads no column
         fx = g.f(x)
     rng = np.random.default_rng(cfg.rng_seed)
-    idx, mind = _seed_indices(lambda j: _tj_column(g, cfg.alpha, x, fx, j[0]),
-                              x.shape[0], cfg.k, rng)
+    idx, mind = _seed_indices(
+        lambda j: kernels.tj_row(g, cfg.alpha, x, j[0], fx=fx),
+        x.shape[0], cfg.k, rng)
     return idx[0], None if mind is None else mind[0]
 
 
@@ -219,7 +211,7 @@ def _seed_with_potential(g: Generator, x, cfg: SeedingConfig):
     draws, not a k-centre sweep."""
     fx = g.f(x)
     idx, mind = _seeded_indices(g, x, cfg, fx)
-    last = _tj_column(g, cfg.alpha, x, fx, idx[-1])
+    last = kernels.tj_row(g, cfg.alpha, x, idx[-1], fx=fx)
     if mind is not None:
         last = np.minimum(mind, last)
     return idx, float(last.sum())

@@ -96,7 +96,9 @@ class Domain:
 class Generator:
     """A strictly convex F and its batched callables. F is separable
     (a sum over coordinates) exactly when `second_deriv`, the Hessian's
-    diagonal, is given; `hessian` is the full matrix."""
+    diagonal, is given; `hessian` is the full matrix. The tJ tables and
+    sweeps hand `f` an (m, rows, d) array of midpoints, m centres against
+    a block of rows, so `f` must reduce only the last axis."""
 
     name: str
     dim: int

@@ -39,16 +39,18 @@ midpoints.
 
 Points against a set of centres, tJ_alpha(x_i : c_j), is one block
 kernel, `_tj_block`, the one place that decides which (point, centre)
-pairs share a pass: the assignment sweep reduces its blocks over the
-centres, and `tj_table` keeps them whole, its row j the sweep's column
-for centre x_j, bit for bit. A seeding column is one such row alone
-(`tj_row`): a one-centre `_tj_block` pass per row block, reading F(x_j)
-from the F(x) the caller holds, so F runs only at the midpoints.
+pairs share a pass: a group of centres, as an (m, 1, d) array, broadcasts
+against a (rows, d) row block, and F runs on the (m, rows, d) midpoints.
+The assignment sweep reduces its blocks over the centres, and `tj_table`
+keeps them whole, its row j the sweep's column for centre x_j, bit for
+bit. A seeding column is one such row alone (`tj_row`): a one-centre
+`_tj_block` pass per row block, reading F(x_j) from the F(x) the caller
+holds, so F runs only at the midpoints.
 
 `_BLOCK_BYTES`, 1 MiB or 8192 rows at d = 16, is the one work budget.
 Every kernel runs a row block at a time (`_by_rows`), so that no (rows,
 d) operand it forms (the midpoints alpha p + (1 - alpha) q, p - q, grad
-F, their squares, a block's stacked pairs) exceeds it, and the
+F, their squares, a block's (m, rows, d) pairs) exceeds it, and the
 optimum's subset scan in `clustering` holds blocks of that size.
 Temporaries the size of a large point set came from fresh, zeroed pages
 at every allocation: on 20000 x 16 points one unblocked tJ call took
@@ -228,23 +230,19 @@ def jensen_loss(g, alpha, x, w, c, *, fx=None):
 def _tj_block(g, alpha, xb, fxb, centers, fc):
     """The (k, rows) block of tJ_alpha(xb_i : centers_j), row j for
     centre j; fxb = F(xb) and fc = F(centers). Centres come m at a time,
-    as many as keep the stacked pairs within _BLOCK_BYTES. A group of two
-    or more is one kernel pass on the points tiled against each centre
-    repeated once per point, both column-major; a lone centre is a
-    broadcast (1, d) row, uncopied. Every entry has the bits of its own
-    one-centre pass."""
+    as many as keep the (m, rows, d) pairs within _BLOCK_BYTES. A group,
+    one centre or many, is one kernel pass: its (m, 1, d) centres
+    broadcast against the (rows, d) block, so neither side is copied.
+    Every entry has the bits of its own one-centre pass."""
     rows, k = len(xb), len(centers)
     m = max(1, _BLOCK_BYTES // (8 * xb.size))
     out = None if k <= m else np.empty((k, rows))
     for j in range(0, k, m):
-        p, fp, q, fq = xb, fxb, centers[j:j + m], fc[j:j + m]
-        if len(q) > 1:
-            p, fp = np.tile(xb.T, len(q)).T, np.tile(fxb, len(q))
-            q, fq = np.repeat(q.T, rows, axis=1).T, np.repeat(fq, rows)
-        vals = _scale(*_gap_rho(g, alpha, p, q, fp, fq), alpha)
+        vals = _scale(*_gap_rho(g, alpha, xb, centers[j:j + m, None], fxb,
+                                fc[j:j + m, None]), alpha)
         if out is None:  # one group: its fresh values are the block
-            return vals.reshape(k, rows)
-        out[j:j + m] = vals.reshape(-1, rows)
+            return vals
+        out[j:j + m] = vals
     return out
 
 

@@ -241,15 +241,6 @@ def test_truncated_run_reports_non_convergence():
     assert res.iterations == 2
 
 
-def test_stage_weights_are_normalized():
-    g = make_builtin("burg")
-    data = WeightedPointSet.make([[0.5], [1.5], [4.0]], [1.0, 1.0, 3.0])
-    res = total_jensen_centroid(g, data)
-    for wt in res.stage_weights_trace:
-        assert wt.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(wt >= 0.0)
-
-
 def test_explicit_init_is_respected():
     g = make_builtin("shannon")
     data = WeightedPointSet.make([[1.0], [2.0], [4.0]])
@@ -293,17 +284,22 @@ def test_stage_traces_match_a_reference_loop_bitwise(name, dim, outer_max):
         return float(data.weights @ pairwise_total_jensen(
             g, 0.4, data.points, c[None, :]))
 
+    # each stage's weights renormalised by rho_J at the current centre
     c = data.weights @ data.points
-    losses, weights = [loss(c)], []
+    losses, centers = [loss(c)], []
     for _ in range(res.iterations):
         wt = data.weights * pairwise_conformal(g, data.points, c[None, :])
-        weights.append(wt / wt.sum())
-        c = cccp_steps(g, 0.4, data.points, weights[-1], c, 5).center
+        c = cccp_steps(g, 0.4, data.points, wt / wt.sum(), c, 5).center
+        centers.append(c)
         losses.append(loss(c))
     assert res.loss_trace == losses
-    assert len(res.stage_weights_trace) == len(weights)
-    for got, want in zip(res.stage_weights_trace, weights):
-        assert np.array_equal(got, want)
+    assert len(res.stages) == len(centers)
+    for stage, want in zip(res.stages, centers):
+        assert np.array_equal(stage.center, want)
+    # the returned centre is the first least loss's
+    best = losses.index(min(losses))
+    assert np.array_equal(res.center, centers[best - 1] if best else
+                          data.weights @ data.points)
 
 
 # the stage solver
@@ -445,6 +441,24 @@ def test_oscillation_guard_is_named():
     res = total_jensen_centroid(g, data, CentroidConfig(outer_tol=1e-300))
     assert res.stop_reason == "oscillation" and not res.converged
     assert np.all(np.diff(res.loss_trace)[-5:] > 0.0)
+
+
+@pytest.mark.parametrize("side", [total_jensen_centroid, left_sided_centroid])
+def test_data_dimension_must_match_the_generator(side):
+    data = WeightedPointSet.make([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(ValidationError,
+                       match="data dimension 2 does not match generator 3"):
+        side(make_builtin("shannon", 3), data)
+
+
+def test_start_is_returned_when_no_stage_lowers_the_loss():
+    g = make_builtin("shannon")
+    data = WeightedPointSet.make([[0.661], [6.966], [4.527]])
+    res = total_jensen_centroid(
+        g, data, CentroidConfig(outer_max_iters=3), init=[3.5])
+    assert len(res.stages) == 3
+    assert min(res.loss_trace[1:]) > res.loss_trace[0]
+    assert np.array_equal(res.center, [3.5])
 
 
 def test_cccp_centroid_below_the_old_margin_scales_with_the_points():

@@ -625,6 +625,8 @@ LOADER_TABLE = [
      ([[1.0], [4.0]], [0.9, 0.1])),
     ("named weight", "a,mass,b\n1,2,3\n4,5,6\n", "mass",
      ([[1.0, 3.0], [4.0, 6.0]], [0.2857142857142857, 0.7142857142857143])),
+    ("named weight without a header", "1,2\n3,4\n", "mass",
+     "a weight column was requested but the file has no header"),
     ("crlf", "x,y\r\n1,2\r\n3,4\r\n", None,
      ([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])),
     ("bare cr", "1,2\r3,4\r", None, ([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])),
@@ -1050,17 +1052,24 @@ def test_config_rejects_unknown_and_bad_values(tmp_path, capsys):
     assert code == 2
     assert "bogus" in err
 
+    # a value the flag would refuse is a usage error too, as the flag is
     badbool = _write(tmp_path / "bb.cfg", "empirical=maybe\n")
     code, _, err = run_cli(capsys, "influence", "--config", badbool,
                            "--p", "1.0", "--ymax", "50")
-    assert code == 1
-    assert "boolean" in err
+    assert code == 2
+    assert err.endswith(
+        "error: config key 'empirical': wants a boolean, got 'maybe'\n")
 
     badfloat = _write(tmp_path / "bf.cfg", "alpha=pretty-high\n")
-    code, _, err = run_cli(capsys, "divergence", "--config", badfloat,
-                           "--kind", "bregman", "--p", "1", "--q", "0.5")
-    assert code == 1
-    assert "cannot parse" in err
+    argv = ["divergence", "--kind", "bregman", "--p", "1", "--q", "0.5"]
+    code, _, err = run_cli(capsys, *argv, "--config", badfloat)
+    assert code == 2
+    assert err.endswith(
+        "error: config key 'alpha': invalid float value: 'pretty-high'\n")
+    code, _, flag_err = run_cli(capsys, *argv, "--alpha", "pretty-high")
+    assert code == 2
+    assert flag_err.endswith(
+        "error: argument --alpha: invalid float value: 'pretty-high'\n")
 
 
 def test_config_boolean_flag(tmp_path, capsys):
@@ -1085,12 +1094,17 @@ def test_config_values_meet_the_flags_choices(
     cfg = _write(tmp_path / "c.cfg", config + "\n")
     key, _, value = config.partition("=")
     explicit = {"side": "left", "generator": "burg", "kind": "bregman"}[key]
+    code, _, flag_err = run_cli(capsys, cmd, *argv, f"--{key}", value)
+    assert code == 2
+    # the flag's own choices check, and its message, name the config key
+    want_line = flag_err.splitlines()[-1].replace(
+        f"argument --{key}:", f"config key {key!r}:")
+    assert all(c in want_line for c in want.split(", "))
     # the whole file is checked, also a key that an explicit flag overrides
     for extra in ([], [f"--{key}", explicit]):
         code, rep, err = run_cli(capsys, cmd, *argv, *extra, "--config", cfg)
-        assert code == 1 and rep is None
-        assert err == (f"error: config key {key!r}: {value!r} is not one "
-                       f"of {want}\n")
+        assert code == 2 and rep is None
+        assert err.splitlines()[-1] == want_line
 
 
 def test_config_key_given_twice_is_an_error(tmp_path, capsys):
@@ -1102,6 +1116,15 @@ def test_config_key_given_twice_is_an_error(tmp_path, capsys):
     assert code == 1 and rep is None
     assert err == (f"error: {cfg} line 3: config key 'rng_seed' repeats "
                    "line 1\n")
+
+
+def test_config_line_without_equals_is_an_error(tmp_path, capsys):
+    data = _write(tmp_path / "d.csv", "1.0\n2.0\n4.0\n")
+    cfg = _write(tmp_path / "c.cfg", "# k first\nk 1\n")
+    code, rep, err = run_cli(capsys, "seed", "--input", data, "--k", "1",
+                             "--config", cfg)
+    assert code == 1 and rep is None
+    assert err == f"error: {cfg} line 2: expected key=value\n"
 
 
 def _library_defaults(obj):

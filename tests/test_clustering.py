@@ -22,7 +22,8 @@ from tjdiv.clustering import (
     estimate_bound_constants, lloyd_cluster, potential, seed, seed_indices,
     seeding_bound_experiment)
 from tjdiv.divergences import total_jensen
-from tjdiv.errors import DomainError, InvariantError, ValidationError
+from tjdiv.errors import (
+    CapabilityError, DomainError, InvariantError, ValidationError)
 from tjdiv.generators import Domain, make_builtin
 from tjdiv.kernels import min_divergence_assign, pairwise_total_jensen
 
@@ -491,6 +492,11 @@ def test_brute_force_small_cases():
     scan = min(potential(SHANNON, 0.5, X, X[i:i + 1]) for i in range(4))
     assert one.potential == pytest.approx(scan, rel=1e-12)
     assert any(np.allclose(one.centers[0], X[i]) for i in range(4))
+    for run in (lambda: brute_force_discrete_optimum(SHANNON, 0.5, X, k=5),
+                lambda: seeding_bound_experiment(SHANNON, X,
+                                                 SeedingConfig(k=5))):
+        with pytest.raises(ValidationError, match="k=5 out of range for n=4"):
+            run()
     with pytest.raises(ValidationError):
         brute_force_discrete_optimum(SHANNON, 0.5, np.ones((30, 1)) + \
                                      np.arange(30).reshape(-1, 1), k=15)
@@ -581,7 +587,7 @@ def test_blocked_table_matches_its_columns(name, dim, monkeypatch):
     x = np.asfortranarray(np.vstack([x, x[:2]]))  # coincident pairs too
     n = len(x)
     fx = g.f(x)
-    want = np.array([clustering._tj_column(g, 0.4, x, fx, j)
+    want = np.array([kernels.tj_row(g, 0.4, x, j, fx=fx)
                      for j in range(n)])
     # one block, then blocks of 4 centres (the last one short)
     assert np.array_equal(kernels.tj_table(g, 0.4, x), want)
@@ -621,12 +627,12 @@ def test_seeding_column_is_the_tables_row_and_the_pairwise_column(
         # centre is a pass of its own, as in the whole table
         rows = kernels._tj_rows(g, 0.4, x, fx, x[js], fx[js])
     for j, row in zip(js, rows):
-        col = clustering._tj_column(g, 0.4, x, fx, j)
+        col = kernels.tj_row(g, 0.4, x, j, fx=fx)
         assert np.array_equal(col, row)
         assert np.array_equal(col, kernels.tj_row(g, 0.4, x, j))
         assert np.array_equal(
             col, pairwise_total_jensen(g, 0.4, x, x[j:j + 1], fp=fx))
-    assert clustering._tj_column(g, 0.4, x, fx, 0)[1] == 0.0
+    assert kernels.tj_row(g, 0.4, x, 0, fx=fx)[1] == 0.0
 
 
 def test_small_seedings_draw_the_recorded_indices():
@@ -909,6 +915,18 @@ def test_bound_constants_report_singular_boundaries():
     for bad in ({"samples": 1}, {"rng_seed": 0}):
         with pytest.raises(TypeError):
             estimate_bound_constants(SHANNON, np.array([[1.0]]), **bad)
+
+
+def test_bound_constants_need_curvature_and_an_interior_row():
+    g = make_builtin("shannon", 2)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])  # each row on the boundary
+    # a full Hessian alone is read at the interior rows, and there are none
+    hess = replace(g, second_deriv=None, hessian=lambda r: np.eye(2))
+    with pytest.raises(ValidationError, match="no data row is interior"):
+        estimate_bound_constants(hess, x)
+    flat = replace(g, second_deriv=None)
+    with pytest.raises(CapabilityError, match="exposes no curvature"):
+        estimate_bound_constants(flat, x + 1.0)
 
 
 def _pair_slopes(g, x):

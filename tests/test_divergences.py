@@ -15,7 +15,8 @@ from tjdiv.divergences import (
     bregman, conformal_factors, jensen_raw, jensen_scaled, jensen_shannon,
     kl_gaussian, rho_b, stolarsky_epsilon, total_bregman, total_jensen,
     total_jensen_shannon)
-from tjdiv.errors import CapabilityError, DomainError, ValidationError
+from tjdiv.errors import (
+    CapabilityError, DomainError, SearchError, ValidationError)
 from tjdiv.generators import BUILTIN_NAMES, affine_postcompose, make_builtin
 
 E = math.e
@@ -331,6 +332,18 @@ def test_stolarsky_dichotomic_matches_closed_form():
         searched = stolarsky_epsilon(blind, [p], [q])
         assert abs(closed - searched) < 1e-10
         assert min(p, q) <= closed <= max(p, q)
+
+
+def test_stolarsky_rejects_coincident_points_and_a_bracket_without_root():
+    g = make_builtin("burg")
+    for gen in (g, replace(g, grad_inverse=None)):
+        with pytest.raises(DomainError, match="p = q"):
+            stolarsky_epsilon(gen, [2.0], [2.0])
+    # a grad that is not F's derivative: F's chord slope on [1, 2] is
+    # -log 2, and grad + 10 stays above it across the bracket
+    lifted = replace(g, grad_inverse=None, grad=lambda x: g.grad(x) + 10.0)
+    with pytest.raises(SearchError, match="no sign change"):
+        stolarsky_epsilon(lifted, [1.0], [2.0])
 
 
 def test_stolarsky_rejects_multivariate():

@@ -52,3 +52,17 @@ def test_the_check_sees_an_assert():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_module_has_no_assert(path):
     assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_error_class_is_exported():
+    # lloyd_cluster raises InvariantError, which the package once did
+    # not export
+    import tjdiv
+    from tjdiv import errors
+
+    classes = [obj for obj in vars(errors).values() if isinstance(obj, type)
+               and issubclass(obj, errors.TjdivError)]
+    assert errors.InvariantError in classes
+    for cls in classes:
+        assert cls.__name__ in tjdiv.__all__
+        assert getattr(tjdiv, cls.__name__) is cls
