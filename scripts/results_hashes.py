@@ -34,6 +34,20 @@ which echoes a change moved:
     python scripts/results_hashes.py --src ../parent/src > parent.txt
     diff parent.txt change.txt
 
+To see how far each moved field moved, dump every results value of both
+trees and compare the dumps:
+
+    python scripts/results_hashes.py --dump change.json > change.txt
+    python scripts/results_hashes.py --src ../parent/src --dump parent.json
+    python scripts/results_hashes.py --compare parent.json change.json
+
+`--compare` runs nothing. It prints one line per `name.key` whose value
+differs: how many float leaves differ, their largest distance in units
+in the last place and largest relative difference, how many integer
+entries (bools included) differ, and any change of structure (a list's
+length, a leaf's type); a name in one dump only is listed as such. Two
+dumps of one tree give no line.
+
 Needs only the standard library and numpy.
 """
 
@@ -310,6 +324,71 @@ def _commands(files):
     return runs
 
 
+def _ordered(x):
+    """x's float64 bits as an integer that orders like x, so that two
+    floats' distance in ulps is the difference of theirs."""
+    i = int(np.float64(x).view(np.int64))
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+
+def _distances(a, b, acc):
+    """Walk a and b together, adding to acc: floats that differ (count,
+    max ulps, max relative difference), integers that differ, and
+    structure changes."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b)):
+            if k in a and k in b:
+                _distances(a[k], b[k], acc)
+            else:
+                acc["structure"].append(f"key {k!r} in one side only")
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            acc["structure"].append(f"length {len(a)} -> {len(b)}")
+        for x, y in zip(a, b):
+            _distances(x, y, acc)
+    elif type(a) is float and type(b) is float:
+        if a != b:
+            acc["floats"] += 1
+            acc["ulps"] = max(acc["ulps"], abs(_ordered(a) - _ordered(b)))
+            top = max(abs(a), abs(b))
+            acc["rel"] = max(acc["rel"], abs(a - b) / top)
+    elif type(a) in (int, bool) and type(b) in (int, bool):
+        acc["ints"] += a != b
+    elif type(a) is not type(b):
+        acc["structure"].append(
+            f"{type(a).__name__} -> {type(b).__name__}")
+    elif a != b:  # strings and nulls
+        acc["other"] += 1
+
+
+def compare(old, new):
+    """One line per moved `name.key` of two dumps, as the module
+    docstring describes."""
+    lines = []
+    for name in sorted(set(old) | set(new)):
+        if name not in old or name not in new:
+            lines.append(f"{name}: in {'new' if name in new else 'old'} "
+                         "dump only")
+            continue
+        a, b = old[name], new[name]
+        for key in sorted(set(a) | set(b)):
+            if a.get(key) == b.get(key) and key in a and key in b:
+                continue
+            acc = {"floats": 0, "ulps": 0, "rel": 0.0, "ints": 0,
+                   "other": 0, "structure": []}
+            _distances(a.get(key), b.get(key), acc)
+            parts = [f"{acc['floats']} floats differ"]
+            if acc["floats"]:
+                parts.append(f"max {acc['ulps']} ulps, max rel "
+                             f"{acc['rel']:.3g}")
+            parts.append(f"{acc['ints']} ints differ")
+            if acc["other"]:
+                parts.append(f"{acc['other']} other leaves differ")
+            lines.append(f"{name}.{key}: " + "; ".join(
+                parts + sorted(set(acc["structure"]))))
+    return lines
+
+
 def _run(main, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -325,18 +404,32 @@ def main(argv=None):
     ap.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
                     help="directory that holds the tjdiv package "
                          "(default: this repository's src)")
+    ap.add_argument("--dump", metavar="PATH",
+                    help="also write every results block to PATH as JSON")
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two --dump files; runs nothing")
     args = ap.parse_args(argv)
+    if args.compare:
+        old, new = (json.load(open(p, encoding="utf-8"))
+                    for p in args.compare)
+        for line in compare(old, new):
+            print(line)
+        return 0
     sys.path.insert(0, os.path.abspath(args.src))
     from tjdiv.cli import main as tjdiv_main
 
+    dump = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, cmd in _commands(_datasets(tmp)):
             report = _run(tjdiv_main, cmd)
-            results = report["results"]
+            results = dump[name] = report["results"]
             print(name, _digest(results))
             for key in sorted(results):
                 print(f"{name}.{key}", _digest(results[key]))
             print(f"{name}.command", _digest(report["command"], tmp))
+    if args.dump:
+        with open(args.dump, "w", encoding="utf-8") as fh:
+            json.dump(dump, fh, sort_keys=True)
     return 0
 
 

@@ -3,16 +3,18 @@
 The plain Jensen centroid is the CCCP fixed-point iteration
 c <- (grad F)^(-1)(sum_i w_i grad F(a p_i + (1-a) c)), whose inner loss
 is provably non-increasing at every step. The total Jensen centroid
-alternates two stages: renormalize the weights by the chord conformal
-factors at the current center, then solve the frozen-weight CCCP
-problem to tolerance (`kernels.cccp_steps`: Anderson-accelerated, with
-`inner_cccp_iters` map evaluations as the cap), recording for each
-stage its evaluations, stop and accepted extrapolations. The outer loop
-is NOT monotone in the total loss (the frozen factors drop its density
-term), so termination uses an improvement threshold plus a
-consecutive-increase guard that falls back to the best center seen,
-and the result names which of the two, or outer_max_iters, ended it.
-Callers must not assume the outer trace decreases.
+minimises L(c) = sum_i w_i tJ_a(p_i : c) in two phases. Its stages
+renormalize the weights by the chord conformal factors at the current
+center, then solve the frozen-weight CCCP problem to tolerance
+(`kernels.cccp_steps`: Anderson-accelerated, with `inner_cccp_iters`
+map evaluations as the cap). The frozen factors drop L's density term,
+so the stages are not monotone in L and their fixed point is not
+stationary for it: they stop once a stage changes L by at most
+outer_tol of it ("converged"), raises it ("rose") or outer_max_iters
+have run. From the first least stage iterate (the start included), a
+monotone L-BFGS descent on L then runs to a relative gradient
+tolerance, unless the stages hit their cap. The result records each
+stage and the descent: evaluations, stop and accepted steps.
 """
 
 import math
@@ -24,7 +26,8 @@ import numpy as np
 from . import kernels
 from .errors import CapabilityError, ValidationError
 from .generators import (
-    Generator, as_count, as_point, as_points, as_real, ensure_domain)
+    Generator, as_count, as_point, as_points, as_real, ensure_domain,
+    hessian_at)
 
 
 @dataclass(frozen=True)
@@ -75,13 +78,13 @@ class CentroidConfig:
 @dataclass(frozen=True)
 class CentroidResult:
     center: np.ndarray
-    loss_trace: List[float]
-    converged: bool
-    iterations: int
-    # "converged" (outer_tol met), "oscillation" (5 increases in a row)
-    # or "max_iters" (outer_max_iters stages ran)
-    stop_reason: str
+    loss_trace: List[float]  # the start's, each stage's, each step's
+    converged: bool  # the descent met kernels.DESCENT_TOL
+    iterations: int  # loss evaluations: one per stage and descent eval
+    stop_reason: str  # of the stages: "converged", "rose" or "max_iters"
     stages: List[kernels.StageSolve]  # one per stage, in order
+    descent: Optional[kernels.StageSolve]  # "tol", "cap", "flat"; or None
+    grad_inf: Optional[float]  # |grad L|_inf |center|_inf / L, or None
 
 
 def _check_inputs(g: Generator, data: WeightedPointSet):
@@ -141,10 +144,10 @@ def total_loss(g: Generator, alpha, data: WeightedPointSet, c) -> float:
 def total_jensen_centroid(g: Generator, data: WeightedPointSet,
                           cfg: CentroidConfig = CentroidConfig(),
                           init=None) -> CentroidResult:
-    """Two-stage loop: conformal weight renormalization, then a
-    frozen-weight CCCP stage solved to tolerance, from `init` (a point in
-    the interior of g's domain) or else the barycenter. Non-convergence
-    is reported (stop_reason), never raised."""
+    """Stages of conformal weight renormalization, each then a
+    frozen-weight CCCP stage solved to tolerance, and a descent on the
+    loss, from `init` (a point in the interior of g's domain) or else the
+    barycenter. Non-convergence is reported, never raised."""
     _check_inputs(g, data)
     if init is not None:
         c = as_point(init, g.dim)
@@ -167,35 +170,108 @@ def _total_jensen_centroid(g: Generator, data: WeightedPointSet,
         return float(data.weights @ vals), rho
 
     c = start
-    loss_prev, rho = loss_and_rho(c)
-    loss_trace = [loss_prev]
+    loss, rho = loss_and_rho(c)
+    loss_trace = [loss]
     stages: List[kernels.StageSolve] = []
     stop_reason = "max_iters"
-    increases = 0
     for _ in range(cfg.outer_max_iters):
         wt = data.weights * rho
         stages.append(kernels.cccp_steps(
             g, cfg.alpha, data.points, wt / wt.sum(), c, cfg.inner_cccp_iters))
         c = stages[-1].center
-        loss, rho = loss_and_rho(c)
+        prev, (loss, rho) = loss, loss_and_rho(c)
         loss_trace.append(loss)
-        if abs(loss_prev - loss) < cfg.outer_tol:
-            stop_reason = "converged"
+        if abs(prev - loss) <= cfg.outer_tol * abs(prev) or loss > prev:
+            stop_reason = "rose" if loss > prev else "converged"
             break
-        increases = increases + 1 if loss > loss_prev else 0
-        if increases >= 5:
-            stop_reason = "oscillation"
-            break
-        loss_prev = loss
 
     # the first least loss: min keeps the first of equal keys, and a NaN
     # never replaces the least so far; entry 0 is the start's
     best = min(range(len(loss_trace)), key=loss_trace.__getitem__)
+    c = stages[best - 1].center if best else start
+    descent = grad_inf = None
+    if stop_reason != "max_iters":
+        c, steps, grad_inf, descent = _descend(g, cfg, data, fx, c)
+        loss_trace += steps
     return CentroidResult(
-        center=stages[best - 1].center if best else start,
-        loss_trace=loss_trace,
-        converged=stop_reason == "converged", iterations=len(stages),
-        stop_reason=stop_reason, stages=stages)
+        center=c, loss_trace=loss_trace,
+        converged=descent is not None and descent.stop == "tol",
+        iterations=len(stages) + (descent.evals if descent else 0),
+        stop_reason=stop_reason, stages=stages, descent=descent,
+        grad_inf=grad_inf)
+
+
+_LBFGS_MEMORY = 5
+_ARMIJO = 1e-4  # the fraction of the predicted decrease a step must keep
+
+
+def _descend(g: Generator, cfg: CentroidConfig, data: WeightedPointSet,
+             fx: np.ndarray, c: np.ndarray):
+    """Monotone L-BFGS descent on L from c, with Armijo backtracking
+    (Nocedal & Wright 2006, alg. 7.4, 3.1), in at most inner_cccp_iters
+    (L, grad L) evaluations, the first at c. It stops at a relative
+    gradient |grad L|_inf |c|_inf / L of kernels.DESCENT_TOL ("tol"), at
+    the cap, or when a step's predicted decrease is below L's rounding
+    ("flat"). H0 is F's inverse Hessian at c (else L / |grad L|^2), and
+    a step out of the domain's interior is halved unevaluated. Returns
+    (centre, accepted losses, relative gradient, StageSolve)."""
+    def evaluate(c):
+        return kernels.total_jensen_loss_grad(
+            g, cfg.alpha, data.points, data.weights, c, fx=fx)
+
+    def relative():
+        top = float(np.abs(grad).max() * np.abs(c).max())
+        return top / abs(loss) if loss else (math.inf if top else 0.0)
+
+    loss, grad = evaluate(c)
+    try:
+        h = np.linalg.inv(hessian_at(g, c))
+    except CapabilityError:
+        h = np.eye(g.dim) * (loss / gg if (gg := grad @ grad) else 1.0)
+    evals, losses, mem = 1, [], []  # mem: (s, y, 1 / s'y) oldest first
+    stop = "cap"
+    while not (rel := relative()) <= kernels.DESCENT_TOL:  # NaN goes on
+        d = -_two_loop(grad, mem, h)
+        if not (gd := grad @ d) < 0.0:  # not a descent direction
+            mem.clear()
+            gd = grad @ (d := -h @ grad)
+        t, cand = 2.0, None
+        while evals < cfg.inner_cccp_iters and cand is None:
+            t *= 0.5
+            if not -t * gd > 4.0 * np.finfo(float).eps * abs(loss):
+                stop = "flat"
+                break
+            trial = c + t * d
+            if g.domain.rows_inside(trial, interior=True):  # NaN is not
+                new_loss, new_grad = evaluate(trial)
+                evals += 1
+                if new_loss < loss and new_loss <= loss + _ARMIJO * t * gd:
+                    cand = trial
+        if cand is None:
+            break
+        s, y = cand - c, new_grad - grad
+        if (sy := s @ y) > 0.0:  # keeps the inverse positive definite
+            mem = mem[1 - _LBFGS_MEMORY:] + [(s, y, 1.0 / sy)]
+        c, loss, grad = cand, new_loss, new_grad
+        losses.append(loss)
+    else:
+        stop = "tol"
+    return c, losses, rel, kernels.StageSolve(c, evals, stop, len(losses))
+
+
+def _two_loop(grad, mem, h):
+    """L-BFGS's H grad, from h scaled by s'y / y'hy of the last pair."""
+    q, alphas = grad.copy(), []
+    for s, y, r in reversed(mem):
+        alphas.append(r * (s @ q))
+        q -= alphas[-1] * y
+    q = h @ q
+    if mem:
+        s, y, r = mem[-1]
+        q /= r * (y @ h @ y)
+    for (s, y, r), a in zip(mem, reversed(alphas)):
+        q += (a - r * (y @ q)) * s
+    return q
 
 
 def left_sided_centroid(g: Generator, data: WeightedPointSet,

@@ -7,9 +7,12 @@ re-running a command with the seed echoed under "command" reproduces
 the "results" object byte for byte. Exit codes: 0 success, 1 domain or
 validation failure, 2 usage error.
 
-"timings" holds wall-clock seconds, outside "results" so that reruns
-stay byte-identical: total_s covers the parse, config, defaults and the
-command. Within it:
+"timings" and "trace" stay outside "results" so that reruns stay
+byte-identical. centroid and cluster add "trace": the stop reasons,
+stage evaluations, descent record and relative gradient of the
+centroid, Lloyd's `converged` and its solves per stop reason. "timings"
+holds wall-clock seconds: total_s covers the parse, config, defaults
+and the command. Within it:
 - parse_s, the argument parse. The parser is built once per process, on
   the first `main` call, so the first parse_s holds the build and later
   ones only the parse.
@@ -332,7 +335,7 @@ def _fresh_seed() -> int:
 
 
 # command handlers: each takes (ns, timings), may add stage times to
-# timings, and returns (results dict, summary lines)
+# timings, and returns (results dict, summary lines[, trace dict])
 
 
 def _cmd_divergence(ns, timings):
@@ -409,9 +412,15 @@ def _cmd_centroid(ns, timings):
         except OSError as exc:
             raise ValidationError(
                 f"cannot write {ns.report}: {exc.strerror or exc}") from None
+    d = res.descent
+    trace = {"stop_reason": res.stop_reason, "grad_inf": res.grad_inf,
+             "stage_evals": [s.evals for s in res.stages],
+             "descent": d and dict(zip(d._fields[1:], d[1:]))}
+    descent = f"descent: {d.stop} after {d.evals} evaluations" if d else \
+        "no descent"
     return results, [
-        f"{ns.side}-sided centroid after {res.iterations} stages "
-        f"(stop: {res.stop_reason}), loss {best:.12g}"]
+        f"{ns.side}-sided centroid after {len(res.stages)} stages "
+        f"(stop: {res.stop_reason}; {descent}), loss {best:.12g}"], trace
 
 
 def _cmd_influence(ns, timings):
@@ -467,9 +476,11 @@ def _cmd_cluster(ns, timings):
         "n_points": meta["rows"],
     }
     stop = "converged" if model.converged else "stopped at max-rounds"
+    trace = {"converged": model.converged, "centroid_stops": model.stops}
     return results, [
         f"clustered {meta['rows']} points into {ns.k} groups in "
-        f"{model.rounds} rounds ({stop}), potential {model.potential:.12g}"]
+        f"{model.rounds} rounds ({stop}), potential {model.potential:.12g}"], \
+        trace
 
 
 def _constants_payload(c):
@@ -586,10 +597,14 @@ FLAGS = {
     "matrix": {"help": "rows 'a,b;c,d' or a CSV file path"},
     "weights": {"help": "name of the weight column"},
     "inner_iters": {"type": int,
-                    "help": "cap on CCCP map evaluations per centroid stage"},
+                    "help": "cap on CCCP map evaluations per centroid stage, "
+                            "and on the descent's loss evaluations"},
+    "outer_tol": {"type": float,
+                  "help": "centroid stages stop once one changes the loss "
+                          "by at most this fraction of it"},
     "report": {"help": "also write the results object to this path"},
     **dict.fromkeys(("input", "p", "q", "mu1", "cov1", "mu2", "cov2"), {}),
-    **dict.fromkeys(("alpha", "outer_tol", "ymax", "eps"), {"type": float}),
+    **dict.fromkeys(("alpha", "ymax", "eps"), {"type": float}),
     **dict.fromkeys(("outer_max", "per_decade", "k", "rng_seed",
                      "max_rounds", "trials"), {"type": int}),
     **dict.fromkeys(("empirical", "search"), {"action": "store_true"}),
@@ -597,7 +612,7 @@ FLAGS = {
 
 
 class Command(NamedTuple):
-    handler: Callable  # (ns, timings) -> (results, summary lines)
+    handler: Callable  # (ns, timings) -> (results, summary lines[, trace])
     help: str
     flags: dict  # flag -> default, in help order
     # (mode flag, {its value: the flags that value leaves unread}); the
@@ -811,7 +826,7 @@ def main(argv=None) -> int:
         ns = parser.parse_args(_joined(argv))
         timings = {"parse_s": time.perf_counter() - t0}
         stochastic = _apply_config_and_defaults(ns, parser)
-        results, summary = COMMANDS[ns.cmd].handler(ns, timings)
+        results, summary, *trace = COMMANDS[ns.cmd].handler(ns, timings)
     except SystemExit as exc:  # usage errors carry code 2
         return int(exc.code or 0)
     except TjdivError as exc:
@@ -824,6 +839,8 @@ def main(argv=None) -> int:
         "results": results,
         "timings": timings,
     }
+    if trace:
+        report["trace"] = trace[0]
     sys.stdout.write(canonical_dumps(report) + "\n")
     for line in summary:
         print(line, file=sys.stderr)

@@ -73,6 +73,8 @@ class ClusterModel:
     rounds: int = 0
     # assignments stopped changing within max_rounds
     converged: bool = False
+    # Lloyd only: centroid solves per CentroidResult.stop_reason
+    stops: dict = field(default_factory=dict, compare=False)
     # wall-clock seconds per stage, Lloyd only: seed_s (F(x) and the
     # seeding draws), assign_s (every sweep, its check and empty-cluster
     # repairs) and centroid_s (cluster gathers and centroid solves)
@@ -312,7 +314,7 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
     F(data) computed once; seeding, every sweep and each round's
     clusters use rows of both. The potential the points had under their
     previous clusters' new centres, which the check compares the sweep
-    against, is the sum of the centroid stages' own losses at those
+    against, is the sum of the centroid solves' own losses at those
     centres: no kernel pass beyond the sweep it checks. `centroid_cfg`'s
     alpha must equal `cfg.alpha`. Each centroid starts at its cluster's
     barycenter.
@@ -332,6 +334,7 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
     prev_idx = None
     held = None  # the points' potential under their clusters' new centres
     converged = False
+    stops = {}
     for sweep in range(max_rounds + 1):
         t0 = time.perf_counter()
         mind, idx = kernels.min_divergence_assign(
@@ -370,6 +373,7 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
             res = _total_jensen_centroid(
                 g, cluster, ccfg, start, fx[members[j]])
             centers[j] = res.center
+            stops[res.stop_reason] = stops.get(res.stop_reason, 0) + 1
             # the loss is a mean over the cluster, and res.center is
             # where it was lowest
             held += len(cluster.weights) * min(res.loss_trace)
@@ -378,7 +382,7 @@ def lloyd_cluster(g: Generator, data, cfg: SeedingConfig,
     return ClusterModel(centers=centers, assignments=idx,
                         potential=float(mind.sum()),
                         rounds=sweep + converged, converged=converged,
-                        timings=timings)
+                        stops=stops, timings=timings)
 
 
 def estimate_bound_constants(g: Generator, data) -> BoundConstants:

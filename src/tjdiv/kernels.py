@@ -22,11 +22,12 @@ geometry oracle: the raw gap J'_alpha (`_jensen`), the squared chord slope
 and rho_J (`_chord`), the Bregman gap B_F (`bregman_gap`), rho_B
 (`gradient_conformal`), and tJ_alpha = rho_J J'_alpha / (alpha (1 -
 alpha)) (`_scale`), both factors from one F pass
-(`total_jensen_and_conformal`). Callers: divergences (B_F too) and the
-CLI, on (1, d) rows, so a scalar value is the kernel entry's float;
-seeding (`tj_row`), Lloyd, the bound experiment and the centroids (tJ);
-the influence sweep (rho_J); the bound constants (K2 from
-`chord_factors`, rho_B).
+(`total_jensen_and_conformal`), and the total Jensen loss's gradient
+(`total_jensen_loss_grad`). Callers: divergences (B_F too) and the CLI,
+on (1, d) rows, so a scalar value is the kernel entry's float; seeding
+(`tj_row`), Lloyd, the bound experiment and the centroids (tJ, the loss
+and its gradient); the influence sweep (rho_J); the bound constants (K2
+from `chord_factors`, rho_B).
 
 F of the point side depends only on the point set, so a caller that
 sweeps the same points against many centres, or runs many centroid
@@ -126,28 +127,29 @@ def _f(g, a, fa=None):
     return _by_rows(lambda b: (g.f(b),), len(a), a.shape[1], a)[0]
 
 
-def _jensen(g, alpha, p, q, fp, fq):
+def _jensen(g, alpha, p, q, fp, fq, fm=None):
     """Row raw Jensen gap J'_alpha(p : q) from fp = F(p) and fq = F(q);
-    F is evaluated only at the midpoints."""
-    return alpha * fp + (1.0 - alpha) * fq - g.f(alpha * p + (1.0 - alpha) * q)
+    F is evaluated only at the midpoints, or read from fm if given."""
+    fm = g.f(alpha * p + (1.0 - alpha) * q) if fm is None else fm
+    return alpha * fp + (1.0 - alpha) * fq - fm
 
 
 def _chord(p, q, fp, fq):
-    """(row Delta_F, squared slope Delta_F^2/<Delta,Delta>, rho_J, mask of
-    p != q) from fp, fq = F(p), F(q); slope 0 and rho_J 1 where p = q."""
+    """(row Delta_F, squared slope Delta_F^2/|p-q|^2, rho_J, mask of p !=
+    q, |p-q|^2) from fp, fq = F(p), F(q); slope 0, rho_J 1 where p = q."""
     df = fp - fq
     dd = coordinate_sum((p - q) ** 2)
     nz = dd > 0.0
     s2 = np.divide(df ** 2, dd, out=np.zeros(dd.shape), where=nz)
-    return df, s2, 1.0 / np.sqrt(1.0 + s2), nz
+    return df, s2, 1.0 / np.sqrt(1.0 + s2), nz, dd
 
 
-def _gap_rho(g, alpha, p, q, fp, fq):
-    """One block's (raw gap, exactly 0 where p_i = q_i; rho_J)."""
-    gap = _jensen(g, alpha, p, q, fp, fq)
-    _, _, rho, nz = _chord(p, q, fp, fq)
+def _gap_rho(g, alpha, p, q, fp, fq, fm=None):
+    """One block's (raw gap, 0 where p_i = q_i; rho_J; _chord's rest)."""
+    gap = _jensen(g, alpha, p, q, fp, fq, fm)
+    df, s2, rho, nz, dd = _chord(p, q, fp, fq)
     np.copyto(gap, 0.0, where=~nz)
-    return gap, rho
+    return gap, rho, df, s2, nz, dd
 
 
 def _scale(gap, rho, alpha):
@@ -161,8 +163,8 @@ def jensen_gap_and_conformal(g, alpha, p, q, *, fp=None):
     F(p) if already known."""
     alpha = as_real("alpha", alpha)
     p, q = _rows(p), _rows(q)
-    return _by_rows(_gap_rho, max(len(p), len(q)), p.shape[1], g, alpha,
-                    p, q, _f(g, p, fp), _f(g, q))
+    return _by_rows(lambda *a: _gap_rho(*a)[:2], max(len(p), len(q)),
+                    p.shape[1], g, alpha, p, q, _f(g, p, fp), _f(g, q))
 
 
 def total_jensen_and_conformal(g, alpha, p, q, *, fp=None):
@@ -227,6 +229,46 @@ def jensen_loss(g, alpha, x, w, c, *, fx=None):
     return float(w @ gap) / (alpha * (1.0 - alpha))
 
 
+def total_jensen_loss_grad(g, alpha, x, w, c, *, fx=None):
+    """(L, grad L) of L(c) = sum_i w_i tJ_alpha(x_i : c), from one F and
+    one grad pass at the midpoints m_i, formed in one block buffer that
+    grad overwrites when it takes out=; fx is F(x) if already known. L
+    has the bits of w @ pairwise_total_jensen(g, alpha, x, c). With J_i
+    scaled, D_i = F(x_i) - F(c), delta_i = |x_i - c|^2, s_i^2 = D_i^2 /
+    delta_i, grad J_i = (grad F(c) - grad F(m_i)) / alpha and grad rho_i
+    = -rho_i^3 D_i (D_i (x_i - c) - delta_i grad F(c)) / delta_i^2, so
+    grad L = a @ (grad F(c) - grad F(m)) - u @ x + (sum u) c + (sum v)
+    grad F(c), where a_i = w_i rho_i / alpha and (u_i, v_i) = w_i J_i
+    rho_i^3 (s_i^2, D_i) / delta_i, 0 where delta_i = 0."""
+    alpha = as_real("alpha", alpha)
+    x, c = _rows(x), np.reshape(c, (1, -1))
+    w = np.asarray(w, dtype=np.float64)
+    n, d = x.shape
+    fc, gc = _f(g, c), g.grad(c)
+    cc = (1.0 - alpha) * c
+    buf = np.empty((min(n, max(1, _BLOCK_BYTES // (8 * d))), d), order="F")
+    grad, into = g.grad, takes_out(g.grad)
+    acc = np.zeros(d)
+
+    def block(xb, fxb, wb):
+        m = buf[:len(xb)]
+        np.multiply(xb, alpha, out=m)
+        m += cc
+        gap, rho, df, s2, nz, dd = _gap_rho(g, alpha, xb, c, fxb, fc, g.f(m))
+        vals = _scale(gap, rho, alpha)
+        a = np.where(nz, wb * rho / alpha, 0.0)
+        r = np.divide(wb * vals * rho * rho, dd, out=np.zeros(len(xb)),
+                      where=nz)  # w_i J_i rho_i^3 / delta_i
+        u, v = r * s2, r * df
+        gm = grad(m, out=m) if into else grad(m)
+        np.subtract(gc, gm, out=m)
+        acc[:] += a @ m - u @ xb + u.sum() * c[0] + v.sum() * gc[0]
+        return (vals,)
+
+    vals = _by_rows(block, n, d, x, _f(g, x, fx), w)[0]
+    return float(w @ vals), acc
+
+
 def _tj_block(g, alpha, xb, fxb, centers, fc):
     """The (k, rows) block of tJ_alpha(xb_i : centers_j), row j for
     centre j; fxb = F(xb) and fc = F(centers). Centres come m at a time,
@@ -239,7 +281,7 @@ def _tj_block(g, alpha, xb, fxb, centers, fc):
     out = None if k <= m else np.empty((k, rows))
     for j in range(0, k, m):
         vals = _scale(*_gap_rho(g, alpha, xb, centers[j:j + m, None], fxb,
-                                fc[j:j + m, None]), alpha)
+                                fc[j:j + m, None])[:2], alpha)
         if out is None:  # one group: its fresh values are the block
             return vals
         out[j:j + m] = vals
@@ -304,6 +346,8 @@ class StageSolve(NamedTuple):
 # a stage has converged once the CCCP step moves the centre by at most
 # this fraction of its largest coordinate
 CCCP_TOL = 1e-13
+# a centroid's descent has converged once |grad L|_inf |c|_inf <= this * L
+DESCENT_TOL = 1e-7
 _AA_MEMORY = 3
 
 

@@ -449,15 +449,40 @@ def test_centroid_summary_names_the_stop_reason(tmp_path, capsys):
     data = _write(tmp_path / "d.csv", "1.0\n2.0\n4.0\n")
     code, rep, err = run_cli(capsys, "centroid", "--input", data)
     assert code == 0 and rep["results"]["converged"] is True
-    assert "(stop: converged)" in err
+    trace = rep["trace"]
+    stages = len(trace["stage_evals"])
+    assert f"after {stages} stages (stop: {trace['stop_reason']}; " \
+        f"descent: tol after {trace['descent']['evals']} evaluations)" in err
+    assert trace["descent"]["stop"] == "tol" and trace["grad_inf"] <= 1e-7
+    assert rep["results"]["iterations"] == stages + trace["descent"]["evals"]
     code, rep, err = run_cli(capsys, "centroid", "--input", data,
                              "--outer-max", "1", "--outer-tol", "1e-300")
     assert code == 0 and rep["results"]["converged"] is False
-    assert "after 1 stages (stop: max_iters)" in err
+    assert "after 1 stages (stop: max_iters; no descent)" in err
+    assert rep["trace"] == {"stop_reason": "max_iters", "descent": None,
+                            "grad_inf": None,
+                            "stage_evals": rep["trace"]["stage_evals"]}
     # the stop reason and the stage records stay out of the results
     assert sorted(rep["results"]) == [
         "best_loss", "center", "converged", "iterations", "loss_trace",
         "n_points", "side"]
+    assert list(rep) == ["command", "results", "timings", "trace"]
+
+
+def test_a_tiny_scale_centroid_does_not_read_converged_after_a_rise(
+        tmp_path, capsys):
+    # an absolute outer_tol (1e-10) once read "converged" after the first
+    # stage on these 1e-14-scale points, whose loss is about 1e-15
+    near = np.array([[1.0, 3.0], [2.0, 5.0], [4.0, 1.0], [3.0, 2.0]])
+    data = _write(tmp_path / "tiny2.csv", "\n".join(
+        ",".join(format(v, ".17g") for v in row) for row in 1e-14 * near))
+    code, rep, err = run_cli(capsys, "centroid", "--input", data)
+    assert code == 0
+    trace, res = rep["trace"], rep["results"]
+    assert trace["stop_reason"] == "rose" and len(trace["stage_evals"]) > 1
+    assert res["converged"] == (trace["descent"]["stop"] == "tol")
+    assert "(stop: rose; descent: " in err
+    assert res["best_loss"] == res["loss_trace"][-1] < res["loss_trace"][1]
 
 
 def test_loader_error_messages(tmp_path, capsys):
@@ -770,6 +795,28 @@ def test_cluster_command_round_trip(tmp_path, capsys):
     assert res["potential"] >= 0.0
     assert len(set(res["assignments"][:4])) == 1
     assert len(set(res["assignments"][4:])) == 1
+
+
+def test_cluster_report_traces_convergence_and_centroid_stops(
+        tmp_path, capsys):
+    # "converged" was on stderr only, as "stopped at max-rounds"
+    data = _write(tmp_path / "two.csv",
+                  "1.0\n1.1\n1.2\n1.3\n9.0\n9.2\n9.4\n9.6\n")
+    runs = {}
+    for rounds in ("1", "100"):
+        code, rep, _ = run_cli(capsys, "cluster", "--input", data, "--k", "2",
+                               "--rng-seed", "5", "--max-rounds", rounds,
+                               "--outer-max", "2")
+        assert code == 0
+        runs[rounds] = rep
+    assert runs["1"]["trace"]["converged"] is False
+    assert runs["100"]["trace"]["converged"] is True
+    # two clusters solved in each of the rounds that updated centres
+    for rep in runs.values():
+        stops = rep["trace"]["centroid_stops"]
+        assert set(stops) <= {"converged", "rose", "max_iters"}
+        assert sum(stops.values()) % 2 == 0 and sum(stops.values()) >= 2
+    assert list(runs["1"]) == ["command", "results", "timings", "trace"]
 
 
 def test_constants_command_euclidean(tmp_path, capsys):
